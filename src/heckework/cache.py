@@ -4,12 +4,17 @@ One file per (table kind, system content hash), holding length-prefixed
 binary records under a magic header with a schema version; bumping the
 version invalidates old files.  Keys are write-once: appending a duplicate
 is harmless (loads keep the last record, and values for a key are required
-to be deterministic).  Appends are serialized per store; readers simply
-re-scan the file.
+to be deterministic).  A file appears with its header already in place: the
+header is written to a fresh temporary file that is then hard-linked to the
+table's name, so of two racing writers exactly one creates it.  Each store
+holds one O_APPEND descriptor per table and writes each record with a single
+os.write, so records of concurrent writers do not interleave.  Readers
+simply re-scan the file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from pathlib import Path
@@ -20,9 +25,10 @@ SCHEMA_VERSION = 1
 
 class CacheStore:
     def __init__(self, root):
+        self._lock = threading.Lock()
+        self._fds = {}
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path(self, kind, syshash):
         return self.root / ("%s-%s.hwc" % (kind, syshash))
@@ -56,13 +62,34 @@ class CacheStore:
             pos += vlen
         return out
 
-    def append(self, kind, syshash, key, value):
+    def _open(self, kind, syshash):
         path = self._path(kind, syshash)
+        if not path.exists():
+            tmp = self.root / (".%s.%d-%d" % (path.name, os.getpid(), id(self)))
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            try:
+                os.write(fd, MAGIC + struct.pack("<I", SCHEMA_VERSION))
+                os.link(tmp, path)
+            except FileExistsError:
+                pass  # another writer created the table first
+            finally:
+                os.close(fd)
+                os.unlink(tmp)
+        return os.open(path, os.O_WRONLY | os.O_APPEND)
+
+    def append(self, kind, syshash, key, value):
         rec = struct.pack("<I", len(key)) + key + struct.pack("<I", len(value)) + value
         with self._lock:
-            if not path.exists():
-                path.write_bytes(MAGIC + struct.pack("<I", SCHEMA_VERSION) + rec)
-            else:
-                with path.open("ab") as fh:
-                    fh.write(rec)
-                    fh.flush()
+            fd = self._fds.get((kind, syshash))
+            if fd is None:
+                fd = self._fds[(kind, syshash)] = self._open(kind, syshash)
+            os.write(fd, rec)
+
+    def close(self):
+        with self._lock:
+            for fd in self._fds.values():
+                os.close(fd)
+            self._fds.clear()
+
+    def __del__(self):
+        self.close()

@@ -1,18 +1,39 @@
-"""Coxeter systems at desk scale, with exact ShortLex normal forms.
+"""Coxeter systems at desk scale, on dense element ids and generator tables.
 
-Elements are stored as their ShortLex normal form: the lexicographically
-least reduced word.  It is computed greedily — the first letter of the
-normal form of w is the smallest left descent of w, and the rest is the
-normal form of s_i w — so everything reduces to an exact left-descent test.
+Every element is interned once per system: it gets a dense integer id (in
+order of first appearance), its ShortLex normal form (the lexicographically
+least reduced word) and a state in an exact backend model.  What the
+algebra layers ask of the group is then a lookup on ids:
 
-Two element models back that test:
+- ``lmul[i][x]`` and ``rmul[i][x]`` hold the ids of s_i x and x s_i;
+- the left-descent bitmask of x compares lengths along ``lmul``;
+- the lower Bruhat interval is an int bitset over ids: for w = s v with s
+  the first letter of the normal form, ivl[w] = ivl[v] | s.ivl[v] by the
+  subword property;
+- products, inverses and sigma-star images fold words through the tables.
+
+Tables are filled on first use, so truncated windows of infinite groups
+(Dinf) work exactly like finite groups.  The backend only fills a table
+entry: it steps the state of x by one generator, and the new state is looked
+up among the interned ones; only a state never seen before is turned into a
+normal form.  `elements()` takes one backend step per edge of the length
+filtration, and a new element's normal form is its lex-least predecessor in
+the sorted previous layer plus one letter.
+
+Two backend models:
 
 - a matrix model (the standard geometric representation with integral
   Cartan-style entries), available whenever every bond order m(i,j) lies in
-  {2, 3, 4, 6, inf}: i is a right descent of w iff the i-th column of the
-  matrix of w is nonpositive (w sends alpha_i to a negative root);
+  {2, 3, 4, 6, inf}.  The state of w is the matrix of w^-1; i is a left
+  descent of w iff its i-th column is nonpositive (w^-1 sends alpha_i to a
+  negative root), which peels off the normal form greedily;
 - an exact dihedral word model for rank <= 2 and arbitrary bond order
   (covers I2(5), I2(7), ... where the matrix entries are irrational).
+
+`CoxeterElement` objects carry their id and stay the public currency.  Ids
+belong to one system instance: an element of another instance of an equal
+system is translated by its normal form.  The lazily filled tables are not
+thread-safe.
 
 Bond order infinity is encoded as 0, matching the external matrix format.
 Words are displayed as digit strings over 1..n ("121321"); the identity
@@ -48,6 +69,11 @@ def _identity_mat(n):
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
+def bits(b):
+    """The indices of the set bits of the int b, ascending."""
+    return [i for i, ch in enumerate(reversed(bin(b))) if ch == "1"]
+
+
 class ReflectionRep:
     """Exact matrix action of the generators on the geometric representation.
 
@@ -81,86 +107,75 @@ class ReflectionRep:
             m = _mat_mul(m, self.gens[g])
         return m
 
-    def inverse_matrix_of_word(self, word):
-        m = self.identity
-        for g in word:
-            m = _mat_mul(self.gens[g], m)
-        return m
-
     @staticmethod
     def _column_nonpositive(mat, i):
         return all(row[i] <= 0 for row in mat)
 
 
 class _MatrixBackend:
+    """States are the matrices of w^-1."""
+
     def __init__(self, matrix):
         self.rep = ReflectionRep(matrix)
+        self.identity = self.rep.identity
 
-    def normalize(self, word):
+    def left(self, b, i):
+        """State of s_i w: (s_i w)^-1 = w^-1 s_i."""
+        return _mat_mul(b, self.rep.gens[i])
+
+    def right(self, b, i):
+        """State of w s_i: (w s_i)^-1 = s_i w^-1."""
+        return _mat_mul(self.rep.gens[i], b)
+
+    def word(self, b):
+        """ShortLex normal form: peel off the smallest left descent."""
         rep = self.rep
-        b = rep.inverse_matrix_of_word(word)  # matrix of w^-1
         out = []
-        n = rep.n
-        guard = len(word)
         while b != rep.identity:
-            for i in range(n):
+            for i in range(rep.n):
                 if rep._column_nonpositive(b, i):
                     out.append(i)
                     b = _mat_mul(b, rep.gens[i])
                     break
             else:
                 raise AssertionError("no descent found; matrix model broken")
-            if len(out) > guard:
-                raise AssertionError("normalization did not terminate")
         return tuple(out)
-
-    def left_descents(self, nf_word):
-        rep = self.rep
-        b = rep.inverse_matrix_of_word(nf_word)
-        return frozenset(
-            i for i in range(rep.n) if rep._column_nonpositive(b, i)
-        )
-
-    def right_descents(self, nf_word):
-        rep = self.rep
-        a = rep.matrix_of_word(nf_word)
-        return frozenset(
-            i for i in range(rep.n) if rep._column_nonpositive(a, i)
-        )
 
 
 class _DihedralBackend:
     """Exact word model for rank-2 systems with arbitrary bond order.
 
-    Elements are r^k or r^k s_0 with r = s_0 s_1 (k mod m when m is finite);
-    normal forms are alternating words, ties at the top resolved to the
-    lexicographically least word.
+    The state (t, k) is the element r^k s_0^t with r = s_0 s_1 (k mod m when
+    m is finite); normal forms are alternating words, ties at the top
+    resolved to the lexicographically least word.
     """
+
+    identity = (0, 0)
 
     def __init__(self, m):
         self.m = m  # bond order; INF (0) means the infinite dihedral group
 
-    def _fold(self, word):
-        t, k = 0, 0
-        for g in word:
-            if g == 0:
-                t ^= 1
-            elif g == 1:
-                if t == 0:
-                    t, k = 1, k - 1
-                else:
-                    t, k = 0, k + 1
-            else:
-                raise ValueError("dihedral backend has generators 0 and 1")
-        if self.m != INF:
-            k %= self.m
-        return t, k
+    def _mod(self, t, k):
+        return (t, k % self.m if self.m != INF else k)
+
+    def left(self, state, i):
+        # s_0 r^k = r^-k s_0 and s_1 = s_0 r
+        t, k = state
+        return self._mod(t ^ 1, -k - i)
+
+    def right(self, state, i):
+        # r^k s_0 s_1 = r^(k+1) and r^k s_1 = r^(k-1) s_0
+        t, k = state
+        if i == 0:
+            return (t ^ 1, k)
+        return self._mod(t ^ 1, k + 1 if t else k - 1)
 
     @staticmethod
     def _alt(first, length):
         return tuple((first + i) % 2 for i in range(length))
 
-    def _unparse(self, t, k):
+    def word(self, state):
+        t, k = state
         m = self.m
         if m == INF:
             if t == 0:
@@ -177,33 +192,18 @@ class _DihedralBackend:
         # ties happen only at the longest element: prefer the word starting 0
         return self._alt(0, c1) if c1 <= c2 else self._alt(1, c2)
 
-    def normalize(self, word):
-        return self._unparse(*self._fold(word))
-
-    def left_descents(self, nf_word):
-        out = set()
-        for i in (0, 1):
-            if len(self.normalize((i,) + nf_word)) < len(nf_word):
-                out.add(i)
-        return frozenset(out)
-
-    def right_descents(self, nf_word):
-        out = set()
-        for i in (0, 1):
-            if len(self.normalize(nf_word + (i,))) < len(nf_word):
-                out.add(i)
-        return frozenset(out)
-
 
 class CoxeterElement:
-    """A group element in ShortLex normal form, bound to its system."""
+    """A group element in ShortLex normal form, interned in its system."""
 
-    __slots__ = ("system", "word", "_hash")
+    __slots__ = ("system", "word", "id", "_hash", "_str")
 
-    def __init__(self, system, word):
+    def __init__(self, system, word, id):
         self.system = system
         self.word = word
+        self.id = id
         self._hash = hash((system._ckey, word))
+        self._str = "".join(str(i + 1) for i in word) if word else "e"
 
     @property
     def length(self):
@@ -233,13 +233,15 @@ class CoxeterElement:
     def __eq__(self, other):
         if not isinstance(other, CoxeterElement):
             return NotImplemented
+        if self.system is other.system:
+            return self.id == other.id
         return self.word == other.word and self.system._ckey == other.system._ckey
 
     def __hash__(self):
         return self._hash
 
     def __str__(self):
-        return "".join(str(i + 1) for i in self.word) if self.word else "e"
+        return self._str
 
     def __repr__(self):
         return "<%s>" % self
@@ -289,16 +291,22 @@ class CoxeterSystem:
             if i != j
         ):
             self._backend = _DihedralBackend(matrix[0][1])
-            self._rep = None
         else:
             self._backend = _MatrixBackend(matrix)
-            self._rep = self._backend.rep
-        self._nf_memo = {}
-        self._mul_memo = {}
-        self._descL = {}
-        self._descR = {}
-        self._interval = {}
-        self.identity = CoxeterElement(self, ())
+        # per id: element, backend state, length; None marks an unfilled entry
+        self._elts = []
+        self._state = []
+        self._len = []
+        self._of_state = {}
+        self._lmul = [[] for _ in range(n)]
+        self._rmul = [[] for _ in range(n)]
+        self._desc = []  # left-descent bitmask
+        self._ivl = []  # lower Bruhat interval as a bitset over ids
+        self._ivl_set = {}
+        self._layers = [[self._intern((), self._backend.identity)]]
+        self.identity = self._elts[0]
+        self._ivl[0] = 1
+        self._gens = [self._elts[self._rstep(i, 0)] for i in range(n)]
 
     # -- construction helpers ------------------------------------------------
 
@@ -361,6 +369,86 @@ class CoxeterSystem:
     def describe(self):
         return self.label or ("matrix:" + self.content_hash())
 
+    # -- interning and tables ----------------------------------------------------
+
+    def _intern(self, word, state):
+        x = len(self._elts)
+        self._elts.append(CoxeterElement(self, word, x))
+        self._state.append(state)
+        self._len.append(len(word))
+        self._of_state[state] = x
+        for table in (*self._lmul, *self._rmul, self._desc, self._ivl):
+            table.append(None)
+        return x
+
+    def _fill(self, row, state, x, word=None):
+        """row[x] := the id of `state`, interned with `word` (or the backend's
+        normal form) when new; generators are involutions, so row[y] = x too."""
+        y = self._of_state.get(state)
+        if y is None:
+            y = self._intern(self._backend.word(state) if word is None else word, state)
+        row[x] = y
+        row[y] = x
+        return y
+
+    def _lstep(self, i, x):
+        """The id of s_i x."""
+        y = self._lmul[i][x]
+        if y is None:
+            y = self._fill(self._lmul[i], self._backend.left(self._state[x], i), x)
+        return y
+
+    def _rstep(self, i, x):
+        """The id of x s_i."""
+        y = self._rmul[i][x]
+        if y is None:
+            y = self._fill(self._rmul[i], self._backend.right(self._state[x], i), x)
+        return y
+
+    def _id(self, w):
+        """The id of w here; an element of another instance of an equal system
+        is translated by its word, never by its id."""
+        if w.system is self:
+            return w.id
+        if w.system._ckey != self._ckey:
+            raise ValueError("element belongs to a different Coxeter system")
+        return self._word_id(w.word)
+
+    def _word_id(self, word):
+        """The id of the product of the generators in word."""
+        x = 0
+        for g in word:
+            x = self._rstep(g, x)
+        return x
+
+    def _descents(self, x):
+        """Left-descent bitmask of the id x."""
+        d = self._desc[x]
+        if d is None:
+            lx = self._len[x]
+            d = 0
+            for i in range(self.rank):
+                if self._len[self._lstep(i, x)] < lx:
+                    d |= 1 << i
+            self._desc[x] = d
+        return d
+
+    def _lower_bits(self, w):
+        """{y : y <= w} as a bitset over ids: ivl[s v] = ivl[v] | s.ivl[v]."""
+        b = self._ivl[w]
+        if b is None:
+            chain = []
+            while b is None:
+                s = self._elts[w].word[0]
+                chain.append((w, s))
+                w = self._lstep(s, w)
+                b = self._ivl[w]
+            for w, s in reversed(chain):
+                for y in bits(b):
+                    b |= 1 << self._lstep(s, y)
+                self._ivl[w] = b
+        return b
+
     # -- elements --------------------------------------------------------------
 
     def element(self, word):
@@ -374,60 +462,40 @@ class CoxeterSystem:
         for g in word:
             if not 0 <= g < self.rank:
                 raise ValueError("generator index %r out of range" % g)
-        return CoxeterElement(self, self._normalize(word))
+        return self._elts[self._word_id(word)]
 
     def generator(self, i):
-        return self.element((i,))
+        return self._gens[i]
 
     def generators(self):
-        return [self.element((i,)) for i in range(self.rank)]
-
-    def _normalize(self, word):
-        nf = self._nf_memo.get(word)
-        if nf is None:
-            nf = self._backend.normalize(word)
-            self._nf_memo[word] = nf
-        return nf
-
-    def _check_same(self, w):
-        if w.system._ckey != self._ckey:
-            raise ValueError("element belongs to a different Coxeter system")
+        return list(self._gens)
 
     def multiply(self, a, b):
-        self._check_same(a)
-        self._check_same(b)
-        key = (a.word, b.word)
-        nf = self._mul_memo.get(key)
-        if nf is None:
-            nf = self._normalize(a.word + b.word)
-            self._mul_memo[key] = nf
-        return CoxeterElement(self, nf)
+        """a * b, folding the shorter word through the tables."""
+        x, y = self._id(a), self._id(b)
+        if self._len[x] <= self._len[y]:
+            for g in reversed(self._elts[x].word):
+                y = self._lstep(g, y)
+            return self._elts[y]
+        for g in self._elts[y].word:
+            x = self._rstep(g, x)
+        return self._elts[x]
 
     def inverse(self, w):
-        self._check_same(w)
-        return CoxeterElement(self, self._normalize(tuple(reversed(w.word))))
+        return self._elts[self._word_id(reversed(self._elts[self._id(w)].word))]
 
     def star_elt(self, w):
-        self._check_same(w)
-        return CoxeterElement(
-            self, self._normalize(tuple(self.star_perm[g] for g in w.word))
-        )
+        star = self.star_perm
+        return self._elts[self._word_id(star[g] for g in self._elts[self._id(w)].word)]
 
     def left_descents(self, w):
-        self._check_same(w)
-        d = self._descL.get(w.word)
-        if d is None:
-            d = self._backend.left_descents(w.word)
-            self._descL[w.word] = d
-        return d
+        return frozenset(bits(self._descents(self._id(w))))
 
     def right_descents(self, w):
-        self._check_same(w)
-        d = self._descR.get(w.word)
-        if d is None:
-            d = self._backend.right_descents(w.word)
-            self._descR[w.word] = d
-        return d
+        x = self._id(w)
+        return frozenset(
+            i for i in range(self.rank) if self._len[self._rstep(i, x)] < self._len[x]
+        )
 
     # -- enumeration -------------------------------------------------------------
 
@@ -449,6 +517,28 @@ class CoxeterSystem:
             return sum(Fraction(1, m) for m in orders) > 1
         return None  # unknown; enumeration will probe with a cap
 
+    def _next_layer(self):
+        """Ids of length len(layers), sorted by word: one backend step per edge.
+
+        Layers are complete, so a state not seen before is one longer, and the
+        first sorted predecessor that reaches it spells its ShortLex word."""
+        length = len(self._layers) - 1
+        found = set()
+        out = []
+        for x in self._layers[-1]:
+            word = self._elts[x].word
+            for i in range(self.rank):
+                row = self._rmul[i]
+                y = row[x]
+                if y is None:
+                    y = self._fill(row, self._backend.right(self._state[x], i), x,
+                                   word + (i,))
+                if self._len[y] > length and y not in found:
+                    found.add(y)
+                    out.append(y)
+        out.sort(key=lambda y: self._elts[y].word)
+        return out
+
     def elements(self, max_len=None, cap=100000):
         """All elements of length <= max_len (all of W when max_len is None),
         sorted by (length, word)."""
@@ -458,28 +548,18 @@ class CoxeterSystem:
                 raise InfiniteGroupError(
                     "infinite Coxeter group: pass max_len for a bounded window"
                 )
-        out = [self.identity]
-        seen = {()}
-        layer = [self.identity]
-        length = 0
-        while layer:
-            if max_len is not None and length >= max_len:
-                break
-            nxt = {}
-            for w in layer:
-                for i in range(self.rank):
-                    x = self.multiply(w, self.generator(i))
-                    if len(x.word) == length + 1 and x.word not in seen:
-                        seen.add(x.word)
-                        nxt[x.word] = x
-            layer = [nxt[k] for k in sorted(nxt)]
-            out.extend(layer)
-            length += 1
-            if len(out) > cap:
-                raise InfiniteGroupError(
-                    "enumeration exceeded cap=%d; group looks infinite" % cap
-                )
-        return out
+        layers = self._layers
+        stop = None if max_len is None else max_len + 1
+        total = sum(len(layer) for layer in layers[:stop])
+        while layers[-1] and (stop is None or len(layers) < stop) and total <= cap:
+            layers.append(self._next_layer())
+            total += len(layers[-1])
+        if total > cap:
+            raise InfiniteGroupError(
+                "enumeration exceeded cap=%d; group looks infinite" % cap
+            )
+        elts = self._elts
+        return [elts[x] for layer in layers[:stop] for x in layer]
 
     def twisted_involutions(self, max_len=None):
         """All w with w* = w^-1 (length <= max_len), sorted by (length, word)."""
@@ -492,21 +572,14 @@ class CoxeterSystem:
     # -- Bruhat order ---------------------------------------------------------------
 
     def lower_interval(self, w):
-        """{y : y <= w} computed from the subword property on the normal form."""
-        self._check_same(w)
-        ivl = self._interval.get(w.word)
-        if ivl is None:
-            cur = {self.identity}
-            for g in w.word:
-                s = self.generator(g)
-                cur = cur | {y * s for y in cur}
-            ivl = frozenset(cur)
-            self._interval[w.word] = ivl
-        return ivl
+        """{y : y <= w}, from the subword property on the normal form."""
+        x = self._id(w)
+        got = self._ivl_set.get(x)
+        if got is None:
+            elts = self._elts
+            got = self._ivl_set[x] = frozenset(elts[y] for y in bits(self._lower_bits(x)))
+        return got
 
     def bruhat_leq(self, y, w):
-        self._check_same(y)
-        self._check_same(w)
-        if len(y.word) > len(w.word):
-            return False
-        return y in self.lower_interval(w)
+        y, w = self._id(y), self._id(w)
+        return self._len[y] <= self._len[w] and bool(self._lower_bits(w) >> y & 1)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .coxeter import bits
 from .laurent import LaurentPoly, ZERO, ONE
 
 # v-units scalars for the T-basis quadratic relation
@@ -79,14 +80,19 @@ class HeckeElement:
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials P_{y,w}, in u-units.
 
-    The memo dict supports concurrent readers; duplicated computation of an
-    entry is idempotent (plain dict insert under the GIL).  Entries can be
-    persisted through a `CacheStore`, keyed by the system's content hash.
+    The recursion runs on the system's element ids: the memo is keyed by id
+    pairs, s v and s y are table lookups, and each v keeps the list of
+    (z, l(z), mu(z, v)) with mu(z, v) != 0, filtered per call by length,
+    s in D_L(z) and the bit for y <= z.  Entries persist through a
+    `CacheStore`, keyed by the system's content hash; records loaded from
+    it stay in `_p`, keyed by normal-form words.
     """
 
     def __init__(self, system, store=None):
         self.system = system
         self._p = {}
+        self._by_id = {}  # w id -> {y id: P_{y,w}}
+        self._mu = {}  # v id -> [(z id, l(z), mu(z, v)) with mu != 0]
         self._store = store
         self._syshash = system.content_hash()
         if store is not None:
@@ -99,48 +105,68 @@ class KLTable:
     def p(self, y, w):
         """P_{y,w} as a polynomial in u (zero unless y <= w)."""
         sys = self.system
+        return self._pid(sys._id(y), sys._id(w))
+
+    def _pid(self, y, w):
         if y == w:
             return ONE
-        if not sys.bruhat_leq(y, w):
+        sys = self.system
+        if not sys._lower_bits(w) >> y & 1:
             return ZERO
-        key = (y.word, w.word)
-        got = self._p.get(key)
+        col = self._by_id.get(w)
+        if col is None:
+            col = self._by_id[w] = {}
+        got = col.get(y)
         if got is not None:
             return got
-        s = sys.generator(w.word[0])
-        v = s * w  # shorter; the normal form starts with a left descent
-        sy = s * y
-        if len(sy.word) < len(y.word):
-            res = self.p(sy, v) + U_U * self.p(y, v)
+        y_word, w_word = sys._elts[y].word, sys._elts[w].word
+        got = self._p.get((y_word, w_word))
+        if got is not None:
+            col[y] = got
+            return got
+        s = w_word[0]
+        v = sys._lstep(s, w)  # shorter; the normal form starts with a left descent
+        sy = sys._lstep(s, y)
+        ly, lw = len(y_word), len(w_word)
+        if sys._len[sy] < ly:
+            res = self._pid(sy, v) + U_U * self._pid(y, v)
         else:
-            res = U_U * self.p(sy, v) + self.p(y, v)
-        lw = len(w.word)
-        for z in sys.lower_interval(v):
-            lz = len(z.word)
-            if lz < len(y.word) or (lw - lz) % 2:
+            res = U_U * self._pid(sy, v) + self._pid(y, v)
+        # l(v) - l(z) is odd for every listed z, so l(w) - l(z) is even
+        for z, lz, m in self._mu_list(v):
+            if lz < ly or not sys._descents(z) >> s & 1 or not sys._lower_bits(z) >> y & 1:
                 continue
-            sz = s * z
-            if len(sz.word) > lz:
-                continue
-            m = self.mu(z, v)
-            if m:
-                pyz = self.p(y, z)
-                if pyz:
-                    res = res - LaurentPoly.monomial((lw - lz) // 2, m) * pyz
+            res = res - LaurentPoly.monomial((lw - lz) // 2, m) * self._pid(y, z)
         deg = res.degree()
-        if deg is not None and 2 * deg > lw - len(y.word) - 1:
+        if deg is not None and 2 * deg > lw - ly - 1:
             raise AssertionError(
-                "KL degree bound violated at (%s, %s): %r" % (y, w, res)
+                "KL degree bound violated at (%s, %s): %r"
+                % (sys._elts[y], sys._elts[w], res)
             )
-        self._p[key] = res
+        col[y] = res
         if self._store is not None:
             self._store.append(
                 "kl",
                 self._syshash,
-                json.dumps([list(y.word), list(w.word)]).encode(),
+                json.dumps([list(y_word), list(w_word)]).encode(),
                 json.dumps(res.to_json(), sort_keys=True).encode(),
             )
         return res
+
+    def _mu_list(self, v):
+        got = self._mu.get(v)
+        if got is None:
+            sys = self.system
+            lv = sys._len[v]
+            got = []
+            for z in bits(sys._lower_bits(v)):
+                d = lv - sys._len[z]
+                if d % 2:
+                    m = self._pid(z, v).coeff_of_v((d - 1) // 2)
+                    if m:
+                        got.append((z, lv - d, m))
+            self._mu[v] = got
+        return got
 
     def mu(self, y, w):
         """The coefficient of u^((l(w)-l(y)-1)/2) in P_{y,w}."""

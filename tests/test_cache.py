@@ -1,0 +1,118 @@
+"""The KL cache file format and concurrent writers."""
+
+import json
+import os
+import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from heckework import CoxeterSystem
+from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
+from heckework.hecke import KLTable
+
+HEADER = MAGIC + struct.pack("<I", SCHEMA_VERSION)
+
+
+def record(key, value):
+    return struct.pack("<I", len(key)) + key + struct.pack("<I", len(value)) + value
+
+
+def kl_record(y, w, p):
+    """Key and value bytes of one KL entry, as schema version 1 writes them."""
+    return (
+        json.dumps([list(y.word), list(w.word)]).encode(),
+        json.dumps(p.to_json(), sort_keys=True).encode(),
+    )
+
+
+def bruhat_pairs(system):
+    return [
+        (y, w)
+        for w in system.elements()
+        for y in sorted(system.lower_interval(w), key=lambda x: x.sort_key())
+        if y != w
+    ]
+
+
+def test_format_constants():
+    assert HEADER == b"HWBC\x01\x00\x00\x00"
+
+
+def test_existing_table_file_loads_and_serves(tmp_path):
+    plain = KLTable(CoxeterSystem.from_label("A3"))
+    pairs = bruhat_pairs(plain.system)
+    blob = HEADER + b"".join(record(*kl_record(y, w, plain.p(y, w))) for y, w in pairs)
+    store = CacheStore(tmp_path)
+    system = CoxeterSystem.from_label("A3")
+    path = store._path("kl", system.content_hash())
+    path.write_bytes(blob)
+    warm = KLTable(system, store=store)
+    assert len(warm._p) == len(pairs)
+    for y, w in pairs:
+        assert warm.p(system.element(y.word), system.element(w.word)) == plain.p(y, w)
+    store.close()
+    assert path.read_bytes() == blob  # every entry was served, none appended
+
+
+def test_new_records_keep_the_format(tmp_path):
+    store = CacheStore(tmp_path)
+    system = CoxeterSystem.from_label("B3")
+    cold = KLTable(system, store=store)
+    for w in system.elements():
+        for y in system.lower_interval(w):
+            cold.p(y, w)
+    store.close()
+    plain = KLTable(CoxeterSystem.from_label("B3"))
+    expected = dict(kl_record(y, w, plain.p(y, w)) for y, w in bruhat_pairs(plain.system))
+    assert store.load_table("kl", system.content_hash()) == expected
+    blob = store._path("kl", system.content_hash()).read_bytes()
+    assert blob.startswith(HEADER)
+    assert len(blob) == len(HEADER) + sum(len(record(k, v)) for k, v in expected.items())
+
+
+def test_two_stores_share_one_header(tmp_path):
+    a, b = CacheStore(tmp_path), CacheStore(tmp_path)
+    recs = [(b"key%d" % i, b"value%d" % i) for i in range(40)]
+    for i, (k, v) in enumerate(recs):
+        (a if i % 3 else b).append("kl", "h", k, v)
+    a.close()
+    b.close()
+    assert os.listdir(tmp_path) == ["kl-h.hwc"]
+    blob = (tmp_path / "kl-h.hwc").read_bytes()
+    assert blob == HEADER + b"".join(record(k, v) for k, v in recs)
+    assert CacheStore(tmp_path).load_table("kl", "h") == dict(recs)
+
+
+TAGS = ("a", "b", "c")
+WRITER = """
+import sys, time
+from heckework.cache import CacheStore
+store = CacheStore(sys.argv[1])
+tag = sys.argv[2].encode()
+while time.time() < float(sys.argv[3]):
+    pass
+for i in range(300):
+    store.append("kl", "h", tag + b"%d" % i, b"x" * (i % 50))
+"""
+
+
+def test_concurrent_processes_keep_every_record(tmp_path):
+    # three writers race to create the table, then interleave their appends
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    start = str(time.time() + 1.0)  # after every interpreter has started
+    procs = [
+        subprocess.Popen([sys.executable, "-c", WRITER, str(tmp_path), tag, start], env=env)
+        for tag in TAGS
+    ]
+    assert [p.wait(timeout=60) for p in procs] == [0] * len(TAGS)
+    blob = (tmp_path / "kl-h.hwc").read_bytes()
+    assert blob.startswith(HEADER) and blob.count(MAGIC) == 1
+    got = CacheStore(tmp_path).load_table("kl", "h")
+    assert got == {
+        tag.encode() + b"%d" % i: b"x" * (i % 50) for tag in TAGS for i in range(300)
+    }
+    assert sum(len(record(k, v)) for k, v in got.items()) == len(blob) - len(HEADER)

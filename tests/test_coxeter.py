@@ -4,6 +4,7 @@ import pytest
 
 from heckework import CoxeterSystem, InfiniteGroupError
 from heckework.coxeter import ReflectionRep
+from heckework.hecke import KLTable
 
 from oracles import (
     dih_length_table,
@@ -306,3 +307,53 @@ def test_star_automorphism_exhaustive_a3():
     for w in els:
         for x in els:
             assert a3f.star_elt(w * x) == a3f.star_elt(w) * a3f.star_elt(x)
+
+
+# -- generator tables and interned ids ---------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "I2(5)", "I2(7)", "Dinf"])
+def test_left_and_right_folds_agree_with_words(label):
+    # a shorter left factor folds through lmul, a longer one through rmul;
+    # element() folds the concatenated word through rmul alone
+    sys = CoxeterSystem.from_label(label)
+    rng = random.Random(label)
+    for _ in range(200):
+        u = tuple(rng.randrange(sys.rank) for _ in range(rng.randint(0, 7)))
+        x = tuple(rng.randrange(sys.rank) for _ in range(rng.randint(0, 7)))
+        assert sys.element(u) * sys.element(x) == sys.element(u + x)
+
+
+def test_enumeration_independent_of_interning_order():
+    fresh = CoxeterSystem.from_label("B3")
+    used = CoxeterSystem.from_label("B3")
+    used.element("321232")
+    used.element("2")
+    assert [w.word for w in used.elements()] == [w.word for w in fresh.elements()]
+    assert [w.word for w in used.elements(max_len=3)] == [
+        w.word for w in fresh.elements() if w.length <= 3
+    ]
+
+
+def test_elements_of_an_equal_system_are_translated_by_word():
+    mine = CoxeterSystem.from_label("B3")
+    other = CoxeterSystem.from_label("B3")
+    other.element("2321")  # intern in another order so that ids differ
+    theirs = {w.word: w for w in other.elements()}
+    ours = mine.elements()
+    assert any(theirs[w.word].id != w.id for w in ours)
+    kl_mine = KLTable(mine)
+    rng = random.Random(3)
+    for _ in range(200):
+        x, y = rng.choice(ours), rng.choice(ours)
+        fx, fy = theirs[x.word], theirs[y.word]
+        prod = mine.multiply(fx, fy)
+        assert prod.system is mine
+        assert prod == x * y and prod.id == (x * y).id
+        assert mine.bruhat_leq(fx, fy) == mine.bruhat_leq(x, y)
+        assert mine.left_descents(fx) == mine.left_descents(x)
+        assert kl_mine.p(fx, fy) == kl_mine.p(x, y)
+    for x in ours:
+        assert mine.lower_interval(theirs[x.word]) == mine.lower_interval(x)
+    with pytest.raises(ValueError):
+        mine.multiply(ours[1], CoxeterSystem.from_label("A3").element("1"))
