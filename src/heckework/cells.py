@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import InfiniteGroupError
+from .hecke import add_into
 
 
 def _closure(n, adj):
@@ -192,13 +193,7 @@ class CellData:
                 for z, h in self.algebra.h_struct(x, y).items():
                     # coefficient of t_z is gamma(x, y, z^-1), the top
                     # coefficient of h_{x,y,z} at v^{a(z)}
-                    g = h.coeff_of_v(self.a[z])
-                    if g:
-                        s = out.get(z, 0) + c * g
-                        if s:
-                            out[z] = s
-                        else:
-                            del out[z]
+                    add_into(out, z, c * h.coeff_of_v(self.a[z]))
         return out
 
     def j_unit(self):

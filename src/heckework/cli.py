@@ -154,12 +154,7 @@ def cmd_cells(args):
             str(d) for d in cells.distinguished_involutions()
         ],
     }
-    rep = Report("cells", sys_.describe())
-    dist = cells.distinguished_involutions()
-    per_left = all(
-        sum(1 for d in dist if d in lam) == 1 for lam in part.left_cells
-    )
-    rep.add("one-distinguished-per-left-cell", per_left)
+    rep = _cells_report(sys_, cells)
     mono = True
     for x in cells.elements:
         for y in cells.elements:
@@ -387,7 +382,17 @@ def cmd_verify_all(args):
         return [rep]
 
     def cells_suite():
-        return cmd_cells_reports(sys_, alg, cells)
+        rep = _cells_report(sys_, cells)
+        rep.add(
+            "support-constraint",
+            all(
+                cells.partition.preceq(z, x) and cells.partition.preceq(z, y)
+                for x in cells.elements
+                for y in cells.elements
+                for z in alg.h_struct(x, y)
+            ),
+        )
+        return [rep]
 
     def jring_suite():
         return [jring_report(sys_, cells)]
@@ -417,23 +422,15 @@ def cmd_verify_all(args):
     return {"system": sys_.describe()}, reports
 
 
-def cmd_cells_reports(sys_, alg, cells):
+def _cells_report(sys_, cells):
+    """A "cells" report opened with the check `cells` and verify-all share."""
     rep = Report("cells", sys_.describe())
     dist = cells.distinguished_involutions()
     rep.add(
         "one-distinguished-per-left-cell",
         all(sum(1 for d in dist if d in lam) == 1 for lam in cells.partition.left_cells),
     )
-    rep.add(
-        "support-constraint",
-        all(
-            cells.partition.preceq(z, x) and cells.partition.preceq(z, y)
-            for x in cells.elements
-            for y in cells.elements
-            for z in alg.h_struct(x, y)
-        ),
-    )
-    return [rep]
+    return rep
 
 
 # -- driver ---------------------------------------------------------------------

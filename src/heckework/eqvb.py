@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .hecke import add_into, add_scaled
 from .report import Report
 
 
@@ -282,12 +283,7 @@ class KRing:
         out = {}
         for i, ca in a.items():
             for j, cb in b.items():
-                for k, m in self.convolve_basis(i, j).items():
-                    s = out.get(k, 0) + ca * cb * m
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+                add_scaled(out, self.convolve_basis(i, j), ca * cb)
         return out
 
     def sigma_basis(self, i):
@@ -307,9 +303,8 @@ class KRing:
     def sigma(self, a):
         out = {}
         for i, c in a.items():
-            j = self.sigma_basis(i)
-            out[j] = out.get(j, 0) + c
-        return {k: v for k, v in out.items() if v}
+            add_into(out, self.sigma_basis(i), c)
+        return out
 
     sigma_twist = sigma
 
@@ -411,12 +406,7 @@ class KRing:
         out = {}
         for i, cv in v_class.items():
             for j, cu in signed_class.items():
-                for k, m in self.circ_basis(i, j).items():
-                    s = out.get(k, 0) + cv * cu * m
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+                add_scaled(out, self.circ_basis(i, j), cv * cu)
         return out
 
     circ_action = circ
@@ -471,12 +461,7 @@ class KRing:
         out = {}
         for (g1, p1), c1 in a.items():
             for (g2, p2), c2 in b.items():
-                k = (g1 ^ g2, p1 ^ p2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                add_into(out, (g1 ^ g2, p1 ^ p2), c1 * c2)
         return out
 
     def psi_basis(self, g0, phi):
@@ -499,12 +484,7 @@ class KRing:
     def psi(self, y_class):
         out = {}
         for (g0, phi), c in y_class.items():
-            for k, m in self.psi_basis(g0, phi).items():
-                s = out.get(k, 0) + c * m
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            add_scaled(out, self.psi_basis(g0, phi), c)
         return out
 
     @staticmethod
@@ -524,8 +504,8 @@ class KRing:
                     if self.gs.act(g, p // self.gs.size) == p // self.gs.size and \
                        self.gs.act(g, p % self.gs.size) == p % self.gs.size:
                         s, _ = self._scalar(oi, phi, g, p)
-                        sig[(p, g)] = sig.get((p, g), 0) + mult * s
-        return {k: v for k, v in sig.items() if v}
+                        add_into(sig, (p, g), mult * s)
+        return sig
 
     def selfdual_count_bruteforce(self):
         """Count self-dual indecomposables by comparing materialized trace

@@ -14,6 +14,16 @@ serve as each other's oracle:
 - `HeckeAlgebra.c_elt_solved` / `kl_solved`: a triangular bar-invariance
   solve that only uses the expansion of bar(T_w) in the T-basis.
 
+Three algorithms here are shared with the involution module (`invmod`) and
+the rest of the package, each written once:
+
+- `bar_invariant_solve`: the certifying triangular solve for the canonical
+  basis element (c_w here, A_w in the module);
+- `strip_off`: coordinates in a unitriangular canonical basis (`to_c` here,
+  `f_constants` in the module);
+- `add_into` / `add_scaled`: the sparse accumulator for every dict-of-
+  coefficients sum.
+
 KL polynomials are stored in u-units (monomial exponent = power of u);
 `subst_v_to_u` converts them to the ambient v-representation.
 
@@ -53,8 +63,62 @@ def add_into(acc, w, coeff):
 
 
 def add_scaled(acc, coeffs, scale):
+    """acc += scale * coeffs, dropping exact zeros."""
     for w, c in coeffs.items():
         add_into(acc, w, c * scale)
+
+
+def strip_off(coeffs, basis_elt):
+    """Coordinates of `coeffs` in a unitriangular canonical basis.
+
+    `basis_elt(z)` is the basis element at z, written in the same standard
+    basis as `coeffs`, with leading term v^{-l(z)} at z.  The largest
+    remaining z is stripped off until nothing is left.
+    """
+    rem = dict(coeffs)
+    out = {}
+    while rem:
+        z = max(rem, key=lambda x: x.sort_key())
+        alpha = rem[z].shifted(len(z.word))
+        out[z] = alpha
+        add_scaled(rem, basis_elt(z), -alpha)
+    return out
+
+
+def bar_invariant_solve(w, below, bar_col):
+    """The bar-invariant element pi = sum_x pi_x e_x with pi_w = v^{-l(w)}
+    and v^{l(x)} pi_x strictly negatively supported for x < w.
+
+    `below` holds the basis elements y <= w (w included) and `bar_col(y)` is
+    bar(e_y) in the standard basis.  Each column must have leading term
+    v^{-2 l(y)} at y.  Going down from w, pi_x must satisfy
+    f_x - bar(f_x) = v^{l(x)} * (column sum) with f_x = v^{l(x)} pi_x
+    strictly negatively supported, which pins it uniquely; the consistency
+    of that equation is asserted, so success certifies both existence and
+    uniqueness.  Any failure raises AssertionError.
+    """
+    lw = len(w.word)
+    pi = {w: LaurentPoly.monomial(-lw)}
+    for x in sorted(below, key=lambda y: y.sort_key(), reverse=True):
+        lx = len(x.word)
+        if bar_col(x).get(x) != LaurentPoly.monomial(-2 * lx):
+            raise AssertionError("bar column has unexpected leading term at %s" % x)
+        if x == w:
+            continue
+        g = ZERO
+        for y, piy in pi.items():
+            r = bar_col(y).get(x)
+            if r:
+                g = g + piy.bar() * r
+        big_g = g.shifted(lx)
+        f = LaurentPoly({e: c for e, c in big_g.items() if e < 0})
+        if f - f.bar() != big_g:
+            raise AssertionError(
+                "bar-invariance solve inconsistent at %s below %s" % (x, w)
+            )
+        if f:
+            pi[x] = f.shifted(-lx)
+    return pi
 
 
 @dataclass
@@ -185,6 +249,7 @@ class HeckeAlgebra:
         self._bar_t = {}
         self._c_elt = {}
         self._c_elt_u = {}
+        self._c_elt_solved = {}
         self._h_struct = {}
 
     def as_element(self, coeffs, basis="T"):
@@ -279,15 +344,7 @@ class HeckeAlgebra:
 
     def to_c(self, coeffs):
         """Rewrite a T-basis dict in c-coordinates (triangular strip-off)."""
-        rem = dict(coeffs)
-        out = {}
-        while rem:
-            z = max(rem, key=lambda x: x.sort_key())
-            alpha = rem[z].shifted(len(z.word))
-            out[z] = alpha
-            for y, c in self.c_elt(z).items():
-                add_into(rem, y, -(alpha * c))
-        return out
+        return strip_off(coeffs, self.c_elt)
 
     def h_struct(self, x, y):
         """All structure constants of c_x c_y: a dict z -> coefficient."""
@@ -323,42 +380,16 @@ class HeckeAlgebra:
     # -- independent bar-invariance solver ----------------------------------------
 
     def c_elt_solved(self, w):
-        """The canonical basis element by a triangular bar-invariance solve.
+        """The canonical basis element by the triangular bar-invariance solve
+        of `bar_invariant_solve`, memoized per w.
 
-        Independent of the mu-recursion: only uses bar(T_y).  For x < w the
-        coefficient pi_x must satisfy f_x - bar(f_x) = v^{l(x)} * (column sum)
-        with f_x strictly negatively supported, which pins it uniquely; the
-        consistency of that equation is asserted, so success certifies both
-        existence and uniqueness.
+        Independent of the mu-recursion: only uses bar(T_y).
         """
-        order = sorted(
-            self.system.lower_interval(w), key=lambda x: x.sort_key(), reverse=True
-        )
-        lw = len(w.word)
-        pi = {w: LaurentPoly.monomial(-lw)}
-        for x in order:
-            if x == w:
-                bt = self.bar_t(x)
-                if bt.get(x) != LaurentPoly.monomial(-2 * lw):
-                    raise AssertionError("bar(T_w) has unexpected leading term")
-                continue
-            lx = len(x.word)
-            if self.bar_t(x).get(x) != LaurentPoly.monomial(-2 * lx):
-                raise AssertionError("bar(T_x) has unexpected leading term")
-            g = ZERO
-            for y, piy in pi.items():
-                r = self.bar_t(y).get(x)
-                if r:
-                    g = g + piy.bar() * r
-            big_g = g.shifted(lx)
-            f = LaurentPoly({e: c for e, c in big_g.items() if e < 0})
-            if f - f.bar() != big_g:
-                raise AssertionError(
-                    "bar-invariance solve inconsistent at %s below %s" % (x, w)
-                )
-            if f:
-                pi[x] = f.shifted(-lx)
-        return pi
+        got = self._c_elt_solved.get(w)
+        if got is None:
+            got = bar_invariant_solve(w, self.system.lower_interval(w), self.bar_t)
+            self._c_elt_solved[w] = got
+        return got
 
     def kl_solved(self, y, w):
         """P_{y,w} read off from the bar-invariance solver, in u-units."""

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from .laurent import LaurentPoly, RationalFn, ZERO, ONE, poly_gcd, as_laurent
 from .coxeter import InfiniteGroupError
+from .hecke import add_into
 from .report import Report
 
 _U = LaurentPoly.monomial(2)                    # u = v^2
@@ -113,10 +114,10 @@ class IdealModel:
         for x, c in elt.coeffs.items():
             sx = s * x
             if len(sx.word) > len(x.word):
-                _acc(out, sx, c)
+                add_into(out, sx, c)
             else:
-                _acc(out, x, c * _U2_MINUS_1)
-                _acc(out, sx, c * _U2)
+                add_into(out, x, c * _U2_MINUS_1)
+                add_into(out, sx, c * _U2)
         window = None if elt.exact_len is None else elt.exact_len - 1
         if window is not None:
             out = {x: c for x, c in out.items() if len(x.word) <= window}
@@ -131,7 +132,7 @@ class IdealModel:
     def add(e1, e2):
         out = dict(e1.coeffs)
         for x, c in e2.coeffs.items():
-            _acc(out, x, c)
+            add_into(out, x, c)
         window = _min_window(e1.exact_len, e2.exact_len)
         if window is not None:
             out = {x: c for x, c in out.items() if len(x.word) <= window}
@@ -410,17 +411,6 @@ class IdealModel:
         return rep
 
 
-def _acc(out, x, c):
-    if not c:
-        return
-    s = out.get(x)
-    s = c if s is None else s + c
-    if s:
-        out[x] = s
-    else:
-        del out[x]
-
-
 # -- canonical fraction-free reduced row echelon form ---------------------------------
 
 
@@ -448,6 +438,19 @@ def _row_normalize(row, order):
     return row
 
 
+def _eliminate(r, pivot_row, col, order):
+    """Clear column `col` of row r against the pivot row, fraction-free:
+    the normalized r * pivot_row[col] - pivot_row * r[col]."""
+    p = pivot_row[col]
+    c = r[col]
+    merged = {}
+    for k in set(r) | set(pivot_row):
+        val = r.get(k, ZERO) * p - pivot_row.get(k, ZERO) * c
+        if val:
+            merged[k] = val
+    return _row_normalize(merged, order)
+
+
 def canonical_rref(rows, order):
     """Canonical reduced row echelon form over Q(u) of rows of Laurent
     polynomials, computed fraction-free.  `order` fixes the column order
@@ -469,17 +472,10 @@ def canonical_rref(rows, order):
         if pivot_row is None:
             work = rest
             continue
-        p = pivot_row[col]
         new_rest = []
         for r in rest:
-            c = r.get(col)
-            if c:
-                merged = {}
-                for k in set(r) | set(pivot_row):
-                    val = r.get(k, ZERO) * p - pivot_row.get(k, ZERO) * c
-                    if val:
-                        merged[k] = val
-                r = _row_normalize(merged, order)
+            if r.get(col):
+                r = _eliminate(r, pivot_row, col, order)
             if r:
                 new_rest.append(r)
         pivots.append((col_index[col], pivot_row))
@@ -488,16 +484,9 @@ def canonical_rref(rows, order):
     for i in range(len(pivots) - 1, -1, -1):
         ci, ri = pivots[i]
         col = order[ci]
-        p = ri[col]
         for j in range(i):
             cj, rj = pivots[j]
-            c = rj.get(col)
-            if c:
-                merged = {}
-                for k in set(rj) | set(ri):
-                    val = rj.get(k, ZERO) * p - ri.get(k, ZERO) * c
-                    if val:
-                        merged[k] = val
-                pivots[j] = (cj, _row_normalize(merged, order))
+            if rj.get(col):
+                pivots[j] = (cj, _eliminate(rj, ri, col, order))
     pivots.sort(key=lambda t: t[0])
     return [tuple(sorted(r.items(), key=lambda kv: kv[0].sort_key())) for _, r in pivots]

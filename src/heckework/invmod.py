@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, RationalFn, ZERO, ONE, as_laurent
-from .hecke import add_into
+from .hecke import add_into, add_scaled, bar_invariant_solve, strip_off
 from .report import Report
 
 # v-units scalars of the four-case action (u = v^2)
@@ -67,17 +67,6 @@ class ModuleElement:
                 for w in self.support()
             ],
         }
-
-
-def _scale(m, c):
-    return {w: x * c for w, x in m.items()} if c else {}
-
-
-def _add(m1, m2):
-    out = dict(m1)
-    for w, c in m2.items():
-        add_into(out, w, c)
-    return out
 
 
 class InvolutionModule:
@@ -138,9 +127,7 @@ class InvolutionModule:
             return self.t_word_action(h.word, m)
         out = {}
         for x, c in h.items():
-            part = self.t_word_action(x.word, m)
-            for w, a in part.items():
-                add_into(out, w, a * c)
+            add_scaled(out, self.t_word_action(x.word, m), c)
         return out
 
     def c_act(self, x, m):
@@ -151,7 +138,10 @@ class InvolutionModule:
 
     def _bar_ts(self, i, m):
         """bar(T_s) = u^-2 T_s + (u^-2 - 1), applied to a module element."""
-        return _add(_scale(self.ts_action(i, m), _UINV2), _scale(m, _UINV2_MINUS_1))
+        out = {}
+        add_scaled(out, self.ts_action(i, m), _UINV2)
+        add_scaled(out, m, _UINV2_MINUS_1)
+        return out
 
     def bar_a_via(self, w, i):
         """bar(a_w) computed through the descent i (RationalFn coefficients)."""
@@ -160,7 +150,8 @@ class InvolutionModule:
             raise ValueError("%d is not a left descent of %s" % (i + 1, w))
         if sw == ws:
             prev = self._bar_a_rational(sw)
-            num = _add(self._bar_ts(i, prev), _scale(prev, -_UINV))
+            num = self._bar_ts(i, prev)
+            add_scaled(num, prev, -_UINV)
             scale = RationalFn(ONE, LaurentPoly({-2: 1, 0: 1}))  # (u^-1 + 1)^-1
             return {x: RationalFn._coerce(c) * scale for x, c in num.items()}
         sws = sw * self.system.generator(self.system.star_perm[i])
@@ -188,8 +179,7 @@ class InvolutionModule:
         out = {}
         for w, c in m.items():
             cl = as_laurent(c) if not isinstance(c, LaurentPoly) else c
-            for x, a in self.bar_a(w).items():
-                add_into(out, x, a * cl.bar())
+            add_scaled(out, self.bar_a(w), cl.bar())
         return out
 
     # -- the upper canonical basis ----------------------------------------------------
@@ -199,35 +189,17 @@ class InvolutionModule:
         bar-invariant element with this triangular, degree-bounded shape.
 
         Returns the module element; the P^sigma table entry is cached and
-        available through `psigma`.  The triangular solve certifies
-        existence and uniqueness (any failure raises).
+        available through `psigma`.  The triangular solve
+        (`hecke.bar_invariant_solve`) certifies existence and uniqueness;
+        the P^sigma degree bound and bar-invariance are checked on top (any
+        failure raises).
         """
         got = self._a_upper.get(w)
         if got is not None:
             return got
         sub = [y for y in self.basis if self.system.bruhat_leq(y, w)]
-        sub.sort(key=lambda y: y.sort_key(), reverse=True)
+        pi = bar_invariant_solve(w, sub, self.bar_a)
         lw = len(w.word)
-        pi = {w: LaurentPoly.monomial(-lw)}
-        for x in sub:
-            lx = len(x.word)
-            if self.bar_a(x).get(x) != LaurentPoly.monomial(-2 * lx):
-                raise AssertionError("bar(a_x) has unexpected leading term at %s" % x)
-            if x == w:
-                continue
-            g = ZERO
-            for y, piy in pi.items():
-                r = self.bar_a(y).get(x)
-                if r:
-                    g = g + piy.bar() * r
-            big_g = g.shifted(lx)
-            f = LaurentPoly({e: c for e, c in big_g.items() if e < 0})
-            if f - f.bar() != big_g:
-                raise AssertionError(
-                    "bar-invariance solve inconsistent at %s below %s" % (x, w)
-                )
-            if f:
-                pi[x] = f.shifted(-lx)
         psig = {}
         for y, c in pi.items():
             p = c.shifted(lw).halve_exponents()
@@ -262,52 +234,32 @@ class InvolutionModule:
         key = (x, w)
         got = self._f.get(key)
         if got is None:
-            rem = dict(self.c_act(x, self.a_upper(w)))
-            got = {}
-            while rem:
-                wp = max(rem, key=lambda y: y.sort_key())
-                coeff = rem[wp].shifted(len(wp.word))
-                got[wp] = coeff
-                for y, c in self.a_upper(wp).items():
-                    add_into(rem, y, -(coeff * c))
+            got = strip_off(self.c_act(x, self.a_upper(w)), self.a_upper)
             self._f[key] = got
         return got
 
     def beta(self, x, w, wp, cells):
         """The leading coefficient of f_{x,w,w'} at v^{2 a(w')}."""
-        f = self.f_constants(x, w).get(wp)
-        return f.coeff_of_v(2 * cells.a[wp]) if f is not None else 0
+        return self._beta_row(x, w, cells).get(wp, 0)
 
     def beta_table(self, cells):
         """{(x, w) -> {w' -> beta}} over all x in W, w in I_* (nonzero only)."""
-        out = {}
-        for x in cells.elements:
-            for w in self.basis:
-                row = {}
-                for wp, f in self.f_constants(x, w).items():
-                    b = f.coeff_of_v(2 * cells.a[wp])
-                    if b:
-                        row[wp] = b
-                out[(x, w)] = row
-        return out
+        return {
+            (x, w): self._beta_row(x, w, cells)
+            for x in cells.elements
+            for w in self.basis
+        }
 
     def cm_action(self, j, t, cells):
         """The induced action of the asymptotic ring: t_x tau_w = sum beta tau_{w'}."""
         out = {}
         for x, cx in j.items():
             for w, cw in t.items():
-                c = cx * cw
-                if not c:
-                    continue
-                for wp, b in self._beta_row(x, w, cells).items():
-                    s = out.get(wp, 0) + c * b
-                    if s:
-                        out[wp] = s
-                    else:
-                        del out[wp]
+                add_scaled(out, self._beta_row(x, w, cells), cx * cw)
         return out
 
     def _beta_row(self, x, w, cells):
+        """{w' -> beta_{x,w,w'}}: the nonzero leading coefficients of c_x A_w."""
         row = {}
         for wp, f in self.f_constants(x, w).items():
             b = f.coeff_of_v(2 * cells.a[wp])

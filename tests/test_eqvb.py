@@ -249,3 +249,18 @@ def test_orbit_stabilizers_public():
     for o in data["pairs"]:
         n = gs.size
         assert {(p % n) * n + (p // n) for p in o.points} == set(o.points)
+
+
+@pytest.mark.parametrize("op", ["j_mult", "convolve", "cgamma_mult", "circ", "psi"])
+def test_zero_coefficient_in_a_sum_is_dropped(op, a2):
+    # a zero input coefficient adds nothing, so no absent key is deleted
+    kr = KRing(GammaSet.trivial(1))
+    e = a2.sys.identity
+    calls = {
+        "j_mult": lambda: a2.cells.j_mult({e: 0}, {e: 1}),
+        "convolve": lambda: kr.convolve({0: 0}, {0: 1}),
+        "cgamma_mult": lambda: kr.cgamma_mult({(0, 0): 0}, {(0, 0): 1}),
+        "circ": lambda: kr.circ({0: 0}, {0: 1}),
+        "psi": lambda: kr.psi({(0, 0): 0}),
+    }
+    assert calls[op]() == {}

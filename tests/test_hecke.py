@@ -1,9 +1,12 @@
 import itertools
 import random
 
+import pytest
+
 from heckework import CoxeterSystem
+from heckework import hecke
 from heckework.cache import CacheStore
-from heckework.hecke import KLTable
+from heckework.hecke import HeckeAlgebra, KLTable, bar_invariant_solve
 from heckework.laurent import LaurentPoly, ONE, ZERO
 
 U = LaurentPoly({2: 1})
@@ -257,3 +260,47 @@ def test_triple_h_distinguished_leading_term(a2):
             h = a2.alg.triple_H(d0, w, wp)
             expected = 1 if w == wp else 0
             assert h.coeff_of_v(2 * cd.a[wp]) == expected, (str(w), str(wp))
+
+
+def test_bar_invariant_solve_rejects_a_wrong_leading_term(a2):
+    w, x = a2.sys.element("121"), a2.sys.element("2")
+
+    def bar_col(y):
+        col = dict(a2.alg.bar_t(y))
+        if y == x:
+            col[x] = col[x].shifted(2)
+        return col
+
+    with pytest.raises(AssertionError, match="leading term at 2"):
+        bar_invariant_solve(w, a2.sys.lower_interval(w), bar_col)
+
+
+def test_bar_invariant_solve_rejects_an_inconsistent_column(a2):
+    # bar(T_s) = v^-2 T_s + (v^-2 - 1) T_e; dropping the -1 leaves
+    # f - bar(f) = v^-1 - v against G = v^-1 at e
+    s, e = a2.sys.element("1"), a2.sys.identity
+
+    def bar_col(y):
+        if y == s:
+            return {s: LaurentPoly.monomial(-2), e: LaurentPoly.monomial(-2)}
+        return {e: ONE}
+
+    assert bar_invariant_solve(s, [e, s], a2.alg.bar_t) == a2.alg.c_elt(s)
+    with pytest.raises(AssertionError, match="inconsistent at e below 1"):
+        bar_invariant_solve(s, [e, s], bar_col)
+
+
+def test_c_elt_solved_solves_once_per_w(monkeypatch):
+    sys = CoxeterSystem.from_label("A3")
+    alg = HeckeAlgebra(sys)
+    solved = []
+
+    def counting(w, below, bar_col):
+        solved.append(w)
+        return bar_invariant_solve(w, below, bar_col)
+
+    monkeypatch.setattr(hecke, "bar_invariant_solve", counting)
+    for w in sys.elements():
+        for y in sys.lower_interval(w):
+            assert alg.kl_solved(y, w) == alg.kl.p(y, w)
+    assert sorted(solved, key=lambda w: w.sort_key()) == sys.elements()
