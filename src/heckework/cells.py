@@ -105,9 +105,6 @@ class CellData:
 
     # -- preorders and cells -------------------------------------------------
 
-    def leq_left(self, z, w):
-        return self._leq_l[self._index[z]][self._index[w]]
-
     def leq_lr(self, z, w):
         return self._leq_lr[self._index[z]][self._index[w]]
 
@@ -153,9 +150,6 @@ class CellData:
                     if d is not None and d > a[z]:
                         a[z] = d
         return a
-
-    def a_value(self, z):
-        return self.a[z]
 
     def gamma(self, x, y, z):
         """gamma_{x,y,z}, read from h_{x,y,z^-1} at v^{a(z^-1)}."""

@@ -81,11 +81,39 @@ def _store(args):
 
 
 def _context(args, need_cells=False, need_inv=False):
+    if args.max_len is not None and args.max_len < 0:
+        raise UsageError("--max-len must be at least 0")
     sys_ = build_system(args)
     alg = HeckeAlgebra(sys_, store=_store(args))
     cells = CellData(alg) if need_cells else None
     inv = InvolutionModule(alg, max_len=args.max_len) if need_inv else None
     return sys_, alg, cells, inv
+
+
+def _read_config(path, flag, parse):
+    """parse(the JSON in path); a missing or ill-typed field is a usage error."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (KeyError, TypeError) as exc:
+        raise UsageError("%s: missing or malformed field: %s: %s"
+                         % (flag, type(exc).__name__, exc)) from None
+
+
+def _cell_data_entries(data, sys_, cells):
+    """(two-sided cell index, gamma rank, subgroups) per --cell-data entry."""
+    n_cells = len(cells.partition.two_sided_cells)
+    entries = []
+    for entry in data["cells"]:
+        if "index" in entry:
+            idx = entry["index"]
+        else:
+            idx = cells.partition.two_sided_index(sys_.element(entry["representative"]))
+        if not isinstance(idx, int) or not 0 <= idx < n_cells:
+            raise UsageError("--cell-data: no two-sided cell %r (there are %d)" % (idx, n_cells))
+        entries.append((idx, entry["gamma_rank"], entry["subgroups"]))
+    return entries
 
 
 def _poly_json(p):
@@ -288,7 +316,7 @@ def cmd_conj34(args):
     if finite:
         rep, x_table = ideal.eta_check()
         reports.append(rep)
-        dim, _ = ideal.ideal_basis()
+        dim = next(c.witness["dim"] for c in rep.checks if c.check_id == "ideal-dimension")
     else:
         if args.max_len is None:
             raise UsageError("infinite system: pass --max-len")
@@ -330,9 +358,8 @@ def cmd_eqvb(args):
     reports = []
     payload = {"pairs": []}
     if args.gamma_config:
-        with open(args.gamma_config) as fh:
-            cfg = json.load(fh)
-        pairs = [("config", GammaSet.from_config(cfg))]
+        pairs = [("config", _read_config(args.gamma_config, "--gamma-config",
+                                         GammaSet.from_config))]
     else:
         pairs = standard_pairs()
     for name, gs in pairs:
@@ -351,18 +378,10 @@ def cmd_eqvb(args):
             reports.append(circ_axioms_report(gs, name))
     if args.cell_data:
         sys_, alg, cells, inv = _context(args, need_cells=True, need_inv=True)
-        with open(args.cell_data) as fh:
-            data = json.load(fh)
-        for entry in data["cells"]:
-            if "index" in entry:
-                idx = entry["index"]
-            else:
-                rep_elt = sys_.element(entry["representative"])
-                idx = cells.partition.two_sided_index(rep_elt)
-            rep = cell_consistency(
-                cells, inv, idx, entry["gamma_rank"], entry["subgroups"]
-            )
-            reports.append(rep)
+        entries = _read_config(args.cell_data, "--cell-data",
+                               lambda data: _cell_data_entries(data, sys_, cells))
+        for idx, gamma_rank, subgroups in entries:
+            reports.append(cell_consistency(cells, inv, idx, gamma_rank, subgroups))
         payload["system"] = sys_.describe()
     return payload, reports
 

@@ -189,15 +189,9 @@ class KRing:
 
     def __init__(self, gs):
         self.gs = gs
-        n = gs.size
-        self.x_orbits = _orbits(gs, range(n), gs.act)
-        pair_points = [x * n + y for x in range(n) for y in range(n)]
-        self.pair_orbits = _orbits(
-            gs,
-            pair_points,
-            lambda g, p: gs.act(g, p // n) * n + gs.act(g, p % n),
-            prefer=lambda p: p // n == p % n,
-        )
+        orbits = orbit_stabilizers(gs)
+        self.x_orbits = orbits["x"]
+        self.pair_orbits = orbits["pairs"]
         self._pair_orbit_of = {}
         for oi, o in enumerate(self.pair_orbits):
             for p in o.points:
@@ -231,6 +225,30 @@ class KRing:
             g, p % self.gs.size
         )
         return char_value(phi, o.transporter[q] ^ g ^ o.transporter[p]), q
+
+    def _restricted(self, oi, phi):
+        """Index of the basis element on orbit oi whose character agrees with
+        phi on the orbit's stabilizer."""
+        stab = self.pair_orbits[oi].stabilizer
+        key = tuple(char_value(phi, h) for h in stab)
+        for psi in characters_of(self.gs.rank, stab):
+            if tuple(char_value(psi, h) for h in stab) == key:
+                return self._basis_index[(oi, psi)]
+        raise AssertionError("no character restricts like %d on orbit %d" % (phi, oi))
+
+    def _multiplicities(self, ot, traces):
+        """{basis index: multiplicity} of the characters of orbit ot's
+        stabilizer in the virtual representation with these traces."""
+        stab = self.pair_orbits[ot].stabilizer
+        out = {}
+        for phi in characters_of(self.gs.rank, stab):
+            m = sum(char_value(phi, h) * traces[h] for h in stab)
+            if m % len(stab):
+                raise AssertionError("non-integral multiplicity on orbit %d" % ot)
+            m //= len(stab)
+            if m:
+                out[self._basis_index[(ot, phi)]] = m
+        return out
 
     # -- the ring K(C_0) -----------------------------------------------------------
 
@@ -269,13 +287,7 @@ class KRing:
                     if self.gs.act(h, z) == z:
                         t += char_value(phi_i, h) * char_value(phi_j, h)
                 traces[h] = t
-            for phi in characters_of(self.gs.rank, o.stabilizer):
-                m = sum(char_value(phi, h) * traces[h] for h in o.stabilizer)
-                if m % len(o.stabilizer):
-                    raise AssertionError("non-integral multiplicity")
-                m //= len(o.stabilizer)
-                if m:
-                    out[self._basis_index[(ot, phi)]] = m
+            out.update(self._multiplicities(ot, traces))
         self._conv_memo[key] = out
         return out
 
@@ -291,22 +303,14 @@ class KRing:
         character carried along — stabilizers agree since the group is
         abelian)."""
         (oi, phi) = self.basis[i]
-        o = self.pair_orbits[oi]
-        oj = self._pair_orbit_of[self._sigma_point(o.base)]
-        target = self.pair_orbits[oj]
-        key = tuple(char_value(phi, h) for h in target.stabilizer)
-        for psi in characters_of(self.gs.rank, target.stabilizer):
-            if tuple(char_value(psi, h) for h in target.stabilizer) == key:
-                return self._basis_index[(oj, psi)]
-        raise AssertionError("sigma twist lost its character")
+        oj = self._pair_orbit_of[self._sigma_point(self.pair_orbits[oi].base)]
+        return self._restricted(oj, phi)
 
     def sigma(self, a):
         out = {}
         for i, c in a.items():
             add_into(out, self.sigma_basis(i), c)
         return out
-
-    sigma_twist = sigma
 
     # -- the signed quotient Kbar(C) ---------------------------------------------------
 
@@ -392,13 +396,7 @@ class KRing:
                     sa3, _ = self._scalar(ov, phi_v, t, self._pair(x0, a))
                     tr += sh1 * sh2 * sh3 * eps_u[self._pair(a, b)] * sa1 * sa2 * sa3
                 traces[h] = tr
-            for phi in characters_of(self.gs.rank, o.stabilizer):
-                m = sum(char_value(phi, h) * traces[h] for h in o.stabilizer)
-                if m % len(o.stabilizer):
-                    raise AssertionError("non-integral signed multiplicity")
-                m //= len(o.stabilizer)
-                if m:
-                    out[self._basis_index[(ot, phi)]] = m
+            out.update(self._multiplicities(ot, traces))
         self._circ_memo[key] = out
         return out
 
@@ -408,8 +406,6 @@ class KRing:
             for j, cu in signed_class.items():
                 add_scaled(out, self.circ_basis(i, j), cv * cu)
         return out
-
-    circ_action = circ
 
     def theta_signed(self, i):
         """The signed class of Theta(V_i) = (V_i + V_i^sigma, swap).
@@ -437,13 +433,7 @@ class KRing:
                         s, _ = self._scalar(oi, phi, h, o.base)
                         tr += s
                 traces[h] = tr
-            for phi in characters_of(self.gs.rank, o.stabilizer):
-                m = sum(char_value(phi, h) * traces[h] for h in o.stabilizer)
-                if m % len(o.stabilizer):
-                    raise AssertionError("non-integral theta multiplicity")
-                m //= len(o.stabilizer)
-                if m:
-                    out[self._basis_index[(ot, phi)]] = m
+            out.update(self._multiplicities(ot, traces))
         return out
 
     # -- bundles on Gamma and the central homomorphism ------------------------------------
@@ -468,17 +458,10 @@ class KRing:
         """Psi(Y) for the basis object Y supported at g0 with character phi:
         the bundle on X x X supported on the graph {(g0 y, y)}."""
         out = {}
-        n = self.gs.size
         for o in self.x_orbits:
             y0 = o.base
             oi = self.orbit_of_pair(self.gs.act(g0, y0), y0)
-            target = self.pair_orbits[oi]
-            key = tuple(char_value(phi, h) for h in target.stabilizer)
-            for psi in characters_of(self.gs.rank, target.stabilizer):
-                if tuple(char_value(psi, h) for h in target.stabilizer) == key:
-                    idx = self._basis_index[(oi, psi)]
-                    out[idx] = out.get(idx, 0) + 1
-                    break
+            add_into(out, self._restricted(oi, phi), 1)
         return out
 
     def psi(self, y_class):

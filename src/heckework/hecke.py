@@ -14,9 +14,16 @@ serve as each other's oracle:
 - `HeckeAlgebra.c_elt_solved` / `kl_solved`: a triangular bar-invariance
   solve that only uses the expansion of bar(T_w) in the T-basis.
 
-Three algorithms here are shared with the involution module (`invmod`) and
-the rest of the package, each written once:
+The algorithms below are shared with the involution module (`invmod`), the
+completion (`idealmod`) and the rest of the package, each written once:
 
+- `t_gen_action`: left multiplication by a generator T_s under the quadratic
+  relation (T_s + 1)(T_s - q) = 0 (q = u here, u^2 in the completion);
+- `t_inv_gen_action`: the inverse generator T_s^-1 = q^-1 T_s + (q^-1 - 1),
+  which is bar(T_s) (in `bar_t` here and `_bar_ts` in the module);
+- `half_step`: the descent half step (u + 1)^-1 (T_s - u), in the module's
+  bar recursion (with u^-1 and bar(T_s)) and on the descent chains of the
+  completion;
 - `bar_invariant_solve`: the certifying triangular solve for the canonical
   basis element (c_w here, A_w in the module);
 - `strip_off`: coordinates in a unitriangular canonical basis (`to_c` here,
@@ -28,23 +35,19 @@ KL polynomials are stored in u-units (monomial exponent = power of u);
 `subst_v_to_u` converts them to the ambient v-representation.
 
 Hecke elements are plain dicts {CoxeterElement: LaurentPoly} in T-basis
-coordinates; the `HeckeElement` wrapper records which basis a dict is
-written in where that matters (CLI export, c-coordinates).
+coordinates.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .coxeter import bits
-from .laurent import LaurentPoly, ZERO, ONE
+from .laurent import LaurentPoly, RationalFn, ZERO, ONE
 
 # v-units scalars for the T-basis quadratic relation
 U_V = LaurentPoly.monomial(2)                    # u = v^2
-U_MINUS_1_V = LaurentPoly({2: 1, 0: -1})         # u - 1
 UINV_V = LaurentPoly.monomial(-2)                # u^-1
-UINV_MINUS_1_V = LaurentPoly({-2: 1, 0: -1})     # u^-1 - 1
 
 # u-units scalar for the KL recursion
 U_U = LaurentPoly.monomial(1)
@@ -66,6 +69,40 @@ def add_scaled(acc, coeffs, scale):
     """acc += scale * coeffs, dropping exact zeros."""
     for w, c in coeffs.items():
         add_into(acc, w, c * scale)
+
+
+def t_gen_action(system, i, coeffs, q):
+    """Left multiplication by T_{s_i} on a dict of T-basis coordinates, in
+    the algebra with quadratic relation (T_s + 1)(T_s - q) = 0."""
+    s = system.generator(i)
+    q_minus_1 = q - ONE
+    out = {}
+    for w, c in coeffs.items():
+        sw = s * w
+        if len(sw.word) > len(w.word):
+            add_into(out, sw, c)
+        else:
+            add_into(out, w, c * q_minus_1)
+            add_into(out, sw, c * q)
+    return out
+
+
+def t_inv_gen_action(ts_coeffs, coeffs, qinv):
+    """T_s^-1 = q^-1 T_s + (q^-1 - 1) applied to coeffs, given
+    ts_coeffs = T_s applied to coeffs and qinv = q^-1."""
+    out = {}
+    add_scaled(out, ts_coeffs, qinv)
+    add_scaled(out, coeffs, qinv - ONE)
+    return out
+
+
+def half_step(ts_coeffs, coeffs, u):
+    """(u + 1)^-1 (T_s - u) applied to coeffs, given ts_coeffs = T_s applied
+    to coeffs; the coefficients come back as RationalFn."""
+    num = dict(ts_coeffs)
+    add_scaled(num, coeffs, -u)
+    scale = RationalFn(ONE, u + ONE)
+    return {x: RationalFn._coerce(c) * scale for x, c in num.items()}
 
 
 def strip_off(coeffs, basis_elt):
@@ -119,26 +156,6 @@ def bar_invariant_solve(w, below, bar_col):
         if f:
             pi[x] = f.shifted(-lx)
     return pi
-
-
-@dataclass
-class HeckeElement:
-    """A finite formal sum of basis elements; basis tag is "T" or "c"."""
-
-    basis: str
-    coeffs: dict
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda w: w.sort_key())
-
-    def to_json(self):
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"w": str(w), "coeff": self.coeffs[w].to_json()}
-                for w in self.support()
-            ],
-        }
 
 
 class KLTable:
@@ -252,35 +269,17 @@ class HeckeAlgebra:
         self._c_elt_solved = {}
         self._h_struct = {}
 
-    def as_element(self, coeffs, basis="T"):
-        """Wrap a coefficient dict as a tagged element (for export)."""
-        return HeckeElement(basis, dict(coeffs))
-
     # -- T-basis multiplication ------------------------------------------------
 
     def t_gen_mult(self, i, coeffs):
         """Left multiplication by T_{s_i}."""
-        sys = self.system
-        s = sys.generator(i)
-        out = {}
-        for w, c in coeffs.items():
-            sw = s * w
-            if len(sw.word) > len(w.word):
-                add_into(out, sw, c)
-            else:
-                add_into(out, w, c * U_MINUS_1_V)
-                add_into(out, sw, c * U_V)
-        return out
+        return t_gen_action(self.system, i, coeffs, U_V)
 
     def t_word_mult(self, word, coeffs):
         """Left multiplication by T_{s_{i1}} ... T_{s_{ik}} for word (i1..ik)."""
         for i in reversed(word):
             coeffs = self.t_gen_mult(i, coeffs)
         return coeffs
-
-    def t_mult(self, x, h):
-        """Left multiplication by T_x (x reduced via its normal form)."""
-        return self.t_word_mult(x.word, h)
 
     def mult(self, h1, h2):
         """Product of two T-basis coefficient dicts."""
@@ -292,10 +291,7 @@ class HeckeAlgebra:
 
     def t_inv_gen_mult(self, i, coeffs):
         """Left multiplication by T_{s_i}^{-1} = u^-1 T_{s_i} + (u^-1 - 1)."""
-        out = {}
-        add_scaled(out, self.t_gen_mult(i, coeffs), UINV_V)
-        add_scaled(out, coeffs, UINV_MINUS_1_V)
-        return out
+        return t_inv_gen_action(self.t_gen_mult(i, coeffs), coeffs, UINV_V)
 
     # -- bar involution -----------------------------------------------------------
 

@@ -38,13 +38,11 @@ from dataclasses import dataclass
 
 from .laurent import LaurentPoly, RationalFn, ZERO, ONE, poly_gcd, as_laurent
 from .coxeter import InfiniteGroupError
-from .hecke import add_into
+from .hecke import half_step, t_gen_action
 from .report import Report
 
 _U = LaurentPoly.monomial(2)                    # u = v^2
 _U2 = LaurentPoly.monomial(4)
-_U2_MINUS_1 = LaurentPoly({4: 1, 0: -1})
-_U_PLUS_1 = LaurentPoly({2: 1, 0: 1})
 
 
 @dataclass
@@ -74,12 +72,11 @@ class CompletionElement:
         return {w: as_laurent(c) for w, c in self.coeffs.items()}
 
 
-def _min_window(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _trimmed(coeffs, window):
+    """The element with these coefficients, cut to l(x) <= window."""
+    if window is not None:
+        coeffs = {x: c for x, c in coeffs.items() if len(x.word) <= window}
+    return CompletionElement(coeffs, window)
 
 
 class IdealModel:
@@ -108,41 +105,13 @@ class IdealModel:
 
     def t_gen_mult(self, i, elt):
         """Left multiplication by T_{s_i}; shrinks a truncation window by one."""
-        sys = self.system
-        s = sys.generator(i)
-        out = {}
-        for x, c in elt.coeffs.items():
-            sx = s * x
-            if len(sx.word) > len(x.word):
-                add_into(out, sx, c)
-            else:
-                add_into(out, x, c * _U2_MINUS_1)
-                add_into(out, sx, c * _U2)
-        window = None if elt.exact_len is None else elt.exact_len - 1
-        if window is not None:
-            out = {x: c for x, c in out.items() if len(x.word) <= window}
-        return CompletionElement(out, window)
+        out = t_gen_action(self.system, i, elt.coeffs, _U2)
+        return _trimmed(out, None if elt.exact_len is None else elt.exact_len - 1)
 
     def t_word_mult(self, word, elt):
         for i in reversed(word):
             elt = self.t_gen_mult(i, elt)
         return elt
-
-    @staticmethod
-    def add(e1, e2):
-        out = dict(e1.coeffs)
-        for x, c in e2.coeffs.items():
-            add_into(out, x, c)
-        window = _min_window(e1.exact_len, e2.exact_len)
-        if window is not None:
-            out = {x: c for x, c in out.items() if len(x.word) <= window}
-        return CompletionElement(out, window)
-
-    @staticmethod
-    def scale(elt, c):
-        return CompletionElement(
-            {x: a * c for x, a in elt.coeffs.items() if a * c}, elt.exact_len
-        )
 
     # -- the X_w elements ------------------------------------------------------------
 
@@ -150,45 +119,25 @@ class IdealModel:
         """The descent chain from w down to the identity: a list of
         ("half", i) / ("conj", i) steps, innermost first."""
         steps = []
-        sys = self.system
         while w.word:
             i = w.word[0]
-            s = sys.generator(i)
-            sw = s * w
-            ws = w * sys.generator(sys.star_perm[i])
-            if sw == ws:
-                steps.append(("half", i))
-                w = sw
-            else:
-                steps.append(("conj", i))
-                w = sw * sys.generator(sys.star_perm[i])
+            half, w = self.invmod._case(i, w)
+            steps.append(("half" if half else "conj", i))
         return list(reversed(steps))
 
     def _apply_chain_x(self, steps, elt):
-        inv_u_plus_1 = RationalFn(ONE, _U_PLUS_1)
         for kind, i in steps:
+            t = self.t_gen_mult(i, elt)
             if kind == "half":
-                elt = self.scale(
-                    self.add(self.t_gen_mult(i, elt), self.scale(elt, -_U)),
-                    inv_u_plus_1,
-                )
-            else:
-                elt = self.t_gen_mult(i, elt)
+                # T_s X is exact one length less far than X, so the difference is too
+                t = _trimmed(half_step(t.coeffs, elt.coeffs, _U), t.exact_len)
+            elt = t
         return elt
 
     def _apply_chain_m(self, steps, m):
-        inv_u_plus_1 = RationalFn(ONE, _U_PLUS_1)
-        M = self.invmod
         for kind, i in steps:
-            if kind == "half":
-                t = M.ts_action(i, m)
-                m = {
-                    w: (t.get(w, ZERO) - _U * m.get(w, ZERO)) * inv_u_plus_1
-                    for w in set(t) | set(m)
-                }
-                m = {w: c for w, c in m.items() if c}
-            else:
-                m = M.ts_action(i, m)
+            t = self.invmod.ts_action(i, m)
+            m = half_step(t, m, _U) if kind == "half" else t
         return m
 
     def x_elt(self, w, max_len=None):
@@ -244,7 +193,10 @@ class IdealModel:
         Compares the kernels of h -> h X_empty and h -> h a_empty (equal row
         echelon forms of the transposed coefficient matrices), reports the
         ideal dimension against the number of twisted involutions, and checks
-        that every X_w has coefficients in Z[u^-1].  Returns (report, x_table).
+        that every X_w has coefficients in Z[u^-1].  The ideal dimension is
+        the rank of the transposed X_empty matrix, since a matrix and its
+        transpose have equal rank; `ideal_basis` computes it independently.
+        Returns (report, x_table).
         """
         sys = self.system
         if sys.is_finite is False:
@@ -273,7 +225,7 @@ class IdealModel:
             kernel_equal,
             None if kernel_equal else "row spaces of the two action matrices differ",
         )
-        dim_ideal, _ = self.ideal_basis()
+        dim_ideal = len(rref_x)
         rep.add(
             "ideal-dimension",
             dim_ideal == len(inv),

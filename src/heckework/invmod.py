@@ -31,10 +31,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
-from .laurent import LaurentPoly, RationalFn, ZERO, ONE, as_laurent
-from .hecke import add_into, add_scaled, bar_invariant_solve, strip_off
+from .laurent import LaurentPoly, ZERO, ONE, as_laurent
+from .hecke import (
+    add_into,
+    add_scaled,
+    bar_invariant_solve,
+    half_step,
+    strip_off,
+    t_inv_gen_action,
+)
 from .report import Report
 
 # v-units scalars of the four-case action (u = v^2)
@@ -45,28 +51,7 @@ _U2_MINUS_U = LaurentPoly({4: 1, 2: -1})
 _U2 = LaurentPoly.monomial(4)
 _U2_MINUS_1 = LaurentPoly({4: 1, 0: -1})
 _UINV2 = LaurentPoly.monomial(-4)
-_UINV2_MINUS_1 = LaurentPoly({-4: 1, 0: -1})
 _UINV = LaurentPoly.monomial(-2)
-
-
-@dataclass
-class ModuleElement:
-    """A finite formal sum over twisted involutions; basis tag "a" or "A"."""
-
-    basis: str
-    coeffs: dict
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda w: w.sort_key())
-
-    def to_json(self):
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"w": str(w), "coeff": self.coeffs[w].to_json()}
-                for w in self.support()
-            ],
-        }
 
 
 class InvolutionModule:
@@ -86,33 +71,34 @@ class InvolutionModule:
     # -- the four-case generator action ------------------------------------------
 
     def _case(self, i, w):
-        """(sw, ws*, sws*) data for generator i at a twisted involution w."""
+        """(sw == ws*, v) for generator i at a twisted involution w, where v
+        is sw when sw = ws* and sws* otherwise; l(v) < l(w) exactly when s
+        is a left descent of w."""
         sys = self.system
-        s = sys.generator(i)
-        sw = s * w
-        ws = w * sys.generator(sys.star_perm[i])
-        return s, sw, ws
+        t = sys.generator(sys.star_perm[i])
+        sw = sys.generator(i) * w
+        if sw == w * t:
+            return True, sw
+        return False, sw * t
 
     def ts_action(self, i, m):
         """T_{s_i} acting on a module element (a-basis coordinates)."""
         out = {}
         for w, c in m.items():
-            s, sw, ws = self._case(i, w)
-            up = len(sw.word) > len(w.word)
-            if sw == ws:
+            half, v = self._case(i, w)
+            up = len(v.word) > len(w.word)
+            if half:
                 if up:
                     add_into(out, w, c * _U)
-                    add_into(out, sw, c * _U_PLUS_1)
+                    add_into(out, v, c * _U_PLUS_1)
                 else:
                     add_into(out, w, c * _U2_MINUS_U_MINUS_1)
-                    add_into(out, sw, c * _U2_MINUS_U)
+                    add_into(out, v, c * _U2_MINUS_U)
+            elif up:
+                add_into(out, v, c)
             else:
-                sws = sw * self.system.generator(self.system.star_perm[i])
-                if up:
-                    add_into(out, sws, c)
-                else:
-                    add_into(out, w, c * _U2_MINUS_1)
-                    add_into(out, sws, c * _U2)
+                add_into(out, w, c * _U2_MINUS_1)
+                add_into(out, v, c * _U2)
         return out
 
     def t_word_action(self, word, m):
@@ -138,24 +124,18 @@ class InvolutionModule:
 
     def _bar_ts(self, i, m):
         """bar(T_s) = u^-2 T_s + (u^-2 - 1), applied to a module element."""
-        out = {}
-        add_scaled(out, self.ts_action(i, m), _UINV2)
-        add_scaled(out, m, _UINV2_MINUS_1)
-        return out
+        return t_inv_gen_action(self.ts_action(i, m), m, _UINV2)
 
     def bar_a_via(self, w, i):
         """bar(a_w) computed through the descent i (RationalFn coefficients)."""
-        s, sw, ws = self._case(i, w)
-        if len(sw.word) >= len(w.word):
+        half, v = self._case(i, w)
+        if len(v.word) >= len(w.word):
             raise ValueError("%d is not a left descent of %s" % (i + 1, w))
-        if sw == ws:
-            prev = self._bar_a_rational(sw)
-            num = self._bar_ts(i, prev)
-            add_scaled(num, prev, -_UINV)
-            scale = RationalFn(ONE, LaurentPoly({-2: 1, 0: 1}))  # (u^-1 + 1)^-1
-            return {x: RationalFn._coerce(c) * scale for x, c in num.items()}
-        sws = sw * self.system.generator(self.system.star_perm[i])
-        return self._bar_ts(i, self._bar_a_rational(sws))
+        prev = self._bar_a_rational(v)
+        if half:
+            # a_w = (u+1)^-1 (T_s - u) a_sw, barred with u -> u^-1
+            return half_step(self._bar_ts(i, prev), prev, _UINV)
+        return self._bar_ts(i, prev)
 
     def _bar_a_rational(self, w):
         if not w.word:
@@ -218,14 +198,6 @@ class InvolutionModule:
         if w not in self._psigma:
             self.a_upper(w)
         return self._psigma[w].get(y, ZERO)
-
-    def a_upper_element(self, w):
-        """A_w as a tagged element (written in a-basis coordinates)."""
-        return ModuleElement("a", self.a_upper(w))
-
-    def f_element(self, x, w):
-        """c_x A_w as a tagged element in A-basis coordinates."""
-        return ModuleElement("A", self.f_constants(x, w))
 
     # -- leading-coefficient constants and the induced module ---------------------------
 

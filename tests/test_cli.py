@@ -1,4 +1,9 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
+
+import pytest
 
 from heckework.cli import main
 
@@ -171,6 +176,49 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert main(["group", "--type", "Z9"]) == 2
     assert main(["conj34", "--type", "Dinf"]) == 2  # needs --max-len
+
+
+_NO_CELLS = {"gamma": 1}
+_NO_GAMMA_RANK = {"cells": [{"representative": "1", "subgroups": [[], []]}]}
+_BAD_INDEX = {"cells": [{"index": 99, "gamma_rank": 1, "subgroups": [[], []]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["eqvb", "--type", "B2", "--cell-data"], _NO_CELLS),
+        (["eqvb", "--type", "B2", "--cell-data"], _NO_GAMMA_RANK),
+        (["eqvb", "--type", "B2", "--cell-data"], _BAD_INDEX),
+        (["eqvb", "--gamma-config"], {"rank": 1}),
+        (["group", "--type", "A2", "--max-len", "-1"], None),
+    ],
+    ids=["cell-data-no-cells", "cell-data-no-gamma-rank", "cell-data-index-99",
+         "gamma-config-no-subgroups", "negative-max-len"],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+def test_layer_trace_targets_resolve():
+    # perfbench/layertrace.py wraps these names from outside; a rename in
+    # src/ would otherwise only show up when the trace runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace_targets", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.TARGETS
+    for module, attr_path, _, _ in layertrace.TARGETS:
+        obj = importlib.import_module("heckework." + module)
+        for attr in attr_path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), (module, attr_path)
 
 
 def test_matrix_and_star_flags(capsys):

@@ -206,19 +206,6 @@ def test_kl_cache_roundtrip(tmp_path):
             assert t_warm.p(yy, ww) == t_plain.p(yy, ww)
 
 
-def test_hecke_element_wrapper(a2):
-    s = a2.sys.element("1")
-    elt = a2.alg.as_element(a2.alg.c_elt(s))
-    assert elt.basis == "T"
-    assert elt.support() == [a2.sys.identity, s]
-    data = elt.to_json()
-    assert data["basis"] == "T"
-    assert data["terms"][0]["w"] == "e"
-    celt = a2.alg.as_element(a2.alg.to_c(a2.alg.c_elt(s)), basis="c")
-    assert celt.basis == "c"
-    assert celt.coeffs == {s: ONE}
-
-
 def test_c_struct_associativity(a2, a3):
     # sum_z h(x,y,z) h(z,w,v) = sum_z h(y,w,z) h(x,z,v)
     def check(ctx, x, y, w):

@@ -1,6 +1,8 @@
 import pytest
 
+import heckework.idealmod as idealmod
 from heckework import CoxeterSystem, InfiniteGroupError
+from heckework.cli import main
 from heckework.hecke import HeckeAlgebra
 from heckework.idealmod import IdealModel, canonical_rref
 from heckework.invmod import InvolutionModule
@@ -258,3 +260,33 @@ def test_dihedral_ideal_dimensions():
         assert ideal.ideal_basis()[0] == expected
         rep, _ = ideal.eta_check()
         assert rep.passed, (label, [c.to_json() for c in rep.checks])
+
+
+@pytest.mark.parametrize(
+    "label, star, expected",
+    [("A1", None, 2), ("A2", None, 4), ("A3", None, 10), ("A2", [1, 0], 4),
+     ("B2", None, 6), ("G2", None, 8), ("I2(5)", None, 6)],
+)
+def test_eta_check_dimension_equals_ideal_basis(label, star, expected):
+    # eta_check takes the dimension from the rank of the transposed matrix;
+    # ideal_basis row-reduces the images themselves
+    sys = CoxeterSystem.from_label(label, star=star)
+    alg = HeckeAlgebra(sys)
+    ideal = IdealModel(alg, InvolutionModule(alg))
+    rep, _ = ideal.eta_check()
+    (dim,) = [c.witness["dim"] for c in rep.checks if c.check_id == "ideal-dimension"]
+    assert dim == ideal.ideal_basis()[0] == expected
+
+
+def test_conj34_row_reduces_twice(monkeypatch, capsys):
+    calls = []
+    real = idealmod.canonical_rref
+
+    def counting(rows, order):
+        calls.append(len(rows))
+        return real(rows, order)
+
+    monkeypatch.setattr(idealmod, "canonical_rref", counting)
+    assert main(["conj34", "--type", "A2"]) == 0
+    assert "ideal_dimension" in capsys.readouterr().out
+    assert len(calls) == 2

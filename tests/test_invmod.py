@@ -290,16 +290,6 @@ def test_dinf_truncated_bar_and_a_basis(dinf):
             assert isinstance(c, LaurentPoly)  # integral coefficients
 
 
-def test_module_element_wrapper(a2):
-    s = a2.sys.element("1")
-    aw = a2.inv.a_upper_element(s)
-    assert aw.basis == "a"
-    assert aw.support() == [a2.sys.identity, s]
-    f = a2.inv.f_element(s, s)
-    assert f.basis == "A"
-    assert f.to_json()["terms"][0]["w"] == "1"
-
-
 def test_h_action_accepts_group_element(a2):
     w0 = a2.sys.element("121")
     m = {a2.sys.identity: ONE}
