@@ -48,13 +48,13 @@ class CacheStore:
         pos = 8
         n = len(blob)
         while pos + 4 <= n:
-            (klen,) = struct.unpack("<I", blob[pos : pos + 4])
+            (klen,) = struct.unpack_from("<I", blob, pos)
             pos += 4
             if pos + klen + 4 > n:
                 break  # truncated trailing record: ignore
             key = blob[pos : pos + klen]
             pos += klen
-            (vlen,) = struct.unpack("<I", blob[pos : pos + 4])
+            (vlen,) = struct.unpack_from("<I", blob, pos)
             pos += 4
             if pos + vlen > n:
                 break

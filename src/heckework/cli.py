@@ -101,8 +101,16 @@ def _read_config(path, flag, parse):
                          % (flag, type(exc).__name__, exc)) from None
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _cell_data_entries(data, sys_, cells):
-    """(two-sided cell index, gamma rank, subgroups) per --cell-data entry."""
+    """(two-sided cell index, gamma rank, subgroups) per --cell-data entry.
+
+    "index" is an int in 0..n-1 (or "representative" a word), "gamma_rank"
+    an int r >= 0 and "subgroups" a list of lists of ints in 0..2^r - 1.
+    """
     n_cells = len(cells.partition.two_sided_cells)
     entries = []
     for entry in data["cells"]:
@@ -110,9 +118,19 @@ def _cell_data_entries(data, sys_, cells):
             idx = entry["index"]
         else:
             idx = cells.partition.two_sided_index(sys_.element(entry["representative"]))
-        if not isinstance(idx, int) or not 0 <= idx < n_cells:
+        if not _is_int(idx) or not 0 <= idx < n_cells:
             raise UsageError("--cell-data: no two-sided cell %r (there are %d)" % (idx, n_cells))
-        entries.append((idx, entry["gamma_rank"], entry["subgroups"]))
+        rank, subgroups = entry["gamma_rank"], entry["subgroups"]
+        if not _is_int(rank) or rank < 0:
+            raise UsageError("--cell-data: gamma_rank %r is not an integer >= 0" % (rank,))
+        if not isinstance(subgroups, list) or not all(
+            isinstance(gens, list)
+            and all(_is_int(g) and g >= 0 and g.bit_length() <= rank for g in gens)
+            for gens in subgroups
+        ):
+            raise UsageError("--cell-data: subgroups %r is not a list of lists of "
+                             "integers in 0..2^gamma_rank - 1" % (subgroups,))
+        entries.append((idx, rank, subgroups))
     return entries
 
 
@@ -146,25 +164,38 @@ def cmd_group(args):
 
 def cmd_kl(args):
     sys_, alg, _, _ = _context(args)
-    entries = []
     if args.y or args.w:
         if not (args.y and args.w):
             raise UsageError("--y and --w go together")
-        y = sys_.element(args.y)
-        w = sys_.element(args.w)
-        p = alg.kl.p(y, w)
-        entries.append({"y": str(y), "w": str(w), "P": _poly_json(p.subst_v_to_u())})
+        pairs = [(sys_.element(args.y), sys_.element(args.w))]
     else:
-        els = sys_.elements(max_len=args.max_len)
-        for w in els:
-            for y in sys_.lower_interval(w):
-                p = alg.kl.p(y, w)
-                if p:
-                    entries.append(
-                        {"y": str(y), "w": str(w), "P": _poly_json(p.subst_v_to_u())}
-                    )
-        entries.sort(key=lambda e: (len(e["w"]), e["w"], len(e["y"]), e["y"]))
-    return {"system": sys_.describe(), "entries": entries}, []
+        pairs = [(y, w) for w in sys_.elements(max_len=args.max_len)
+                 for y in sys_.lower_interval(w)]
+    # P_{y,w}(0) = 1 for y <= w, so every listed pair has a nonzero entry
+    rows = [(str(y), str(w), alg.kl.p(y, w)) for y, w in pairs]
+    rows.sort(key=lambda r: (len(r[1]), r[1], len(r[0]), r[0]))
+    return _kl_text(sys_.describe(), rows), []
+
+
+_KL_ENTRY = '\n    {\n      "P": %s,\n      "w": %s,\n      "y": %s\n    }'
+
+
+def _kl_text(system, rows):
+    """The `kl` payload {"entries": [{"P", "w", "y"}...], "system"} exactly as
+    json.dumps(..., sort_keys=True, indent=2) writes it, with each distinct
+    P rendered once and the labels through the C string encoder."""
+    enc = json.encoder.encode_basestring_ascii
+    frags = {}
+    parts = []
+    for y, w, p in rows:
+        frag = frags.get(p)
+        if frag is None:
+            frag = frags[p] = json.dumps(
+                _poly_json(p.subst_v_to_u()), sort_keys=True, indent=2
+            ).replace("\n", "\n      ")
+        parts.append(_KL_ENTRY % (frag, enc(w), enc(y)))
+    entries = "[%s\n  ]" % ",".join(parts) if parts else "[]"
+    return '{\n  "entries": %s,\n  "system": %s\n}' % (entries, enc(system))
 
 
 def cmd_cells(args):
@@ -456,6 +487,9 @@ def _cells_report(sys_, cells):
 
 
 def _emit(payload, reports, pretty):
+    if isinstance(payload, str):  # rendered by the command itself (kl)
+        print(payload)
+        return EXIT_OK
     if reports:
         payload = dict(payload)
         payload["reports"] = [r.to_json() for r in reports]

@@ -158,6 +158,11 @@ def bar_invariant_solve(w, below, bar_col):
     return pi
 
 
+def _record_value(p):
+    """The value bytes of a KL cache record holding p."""
+    return json.dumps(p.to_json(), sort_keys=True).encode()
+
+
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials P_{y,w}, in u-units.
 
@@ -165,23 +170,22 @@ class KLTable:
     pairs, s v and s y are table lookups, and each v keeps the list of
     (z, l(z), mu(z, v)) with mu(z, v) != 0, filtered per call by length,
     s in D_L(z) and the bit for y <= z.  Entries persist through a
-    `CacheStore`, keyed by the system's content hash; records loaded from
-    it stay in `_p`, keyed by normal-form words.
+    `CacheStore`, keyed by the system's content hash.  The loaded table
+    stays in `_p` as raw key bytes -> value bytes; a record is decoded on
+    first use, each distinct value once, and a record that fails
+    `_decode_record` counts as absent: it is recomputed and appended again,
+    never served.
     """
 
     def __init__(self, system, store=None):
         self.system = system
-        self._p = {}
         self._by_id = {}  # w id -> {y id: P_{y,w}}
         self._mu = {}  # v id -> [(z id, l(z), mu(z, v)) with mu != 0]
         self._store = store
         self._syshash = system.content_hash()
-        if store is not None:
-            for key, val in store.load_table("kl", self._syshash).items():
-                y_word, w_word = json.loads(key.decode())
-                self._p[(tuple(y_word), tuple(w_word))] = LaurentPoly.from_json(
-                    json.loads(val.decode())
-                )
+        self._p = {} if store is None else store.load_table("kl", self._syshash)
+        self._decoded = {}  # value bytes -> (P, deg P), or None if malformed
+        self._word_keys = {}  # id -> json.dumps(list(word)), for record keys
 
     def p(self, y, w):
         """P_{y,w} as a polynomial in u (zero unless y <= w)."""
@@ -201,14 +205,19 @@ class KLTable:
         if got is not None:
             return got
         y_word, w_word = sys._elts[y].word, sys._elts[w].word
-        got = self._p.get((y_word, w_word))
-        if got is not None:
-            col[y] = got
-            return got
+        ly, lw = len(y_word), len(w_word)
+        key = None
+        if self._store is not None:
+            key = ("[%s, %s]" % (self._word_key(y), self._word_key(w))).encode()
+            val = self._p.get(key)
+            if val is not None:
+                got = self._decode_record(val, lw - ly)
+                if got is not None:
+                    col[y] = got
+                    return got
         s = w_word[0]
         v = sys._lstep(s, w)  # shorter; the normal form starts with a left descent
         sy = sys._lstep(s, y)
-        ly, lw = len(y_word), len(w_word)
         if sys._len[sy] < ly:
             res = self._pid(sy, v) + U_U * self._pid(y, v)
         else:
@@ -225,14 +234,38 @@ class KLTable:
                 % (sys._elts[y], sys._elts[w], res)
             )
         col[y] = res
-        if self._store is not None:
-            self._store.append(
-                "kl",
-                self._syshash,
-                json.dumps([list(y_word), list(w_word)]).encode(),
-                json.dumps(res.to_json(), sort_keys=True).encode(),
-            )
+        if key is not None:
+            self._store.append("kl", self._syshash, key, _record_value(res))
         return res
+
+    def _word_key(self, x):
+        """x's word as json.dumps writes it: a record key is
+        json.dumps([y word, w word])."""
+        got = self._word_keys.get(x)
+        if got is None:
+            got = self._word_keys[x] = json.dumps(list(self.system._elts[x].word))
+        return got
+
+    def _decode_record(self, val, d):
+        """The P_{y,w} in a cached value for a pair with l(w) - l(y) = d > 0,
+        or None when the record is bad: its bytes are not the canonical
+        {"v": {exp: int}} of a polynomial in u with constant term 1, or
+        2 deg P > d - 1."""
+        got = self._decoded.get(val, False)
+        if got is False:
+            got = None
+            try:
+                p = LaurentPoly.from_json(json.loads(val))
+            except (ValueError, TypeError, LookupError, AttributeError,
+                    ArithmeticError, RecursionError):
+                p = None
+            if (p is not None and p.valuation() == 0 and p.coeff_of_v(0) == 1
+                    and _record_value(p) == val):
+                got = (p, p.degree())
+            self._decoded[val] = got
+        if got is None or 2 * got[1] > d - 1:
+            return None
+        return got[0]
 
     def _mu_list(self, v):
         got = self._mu.get(v)

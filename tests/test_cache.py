@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from heckework import CoxeterSystem
 from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.hecke import KLTable
@@ -54,6 +56,61 @@ def test_existing_table_file_loads_and_serves(tmp_path):
         assert warm.p(system.element(y.word), system.element(w.word)) == plain.p(y, w)
     store.close()
     assert path.read_bytes() == blob  # every entry was served, none appended
+
+
+def a3_table(tmp_path, bad=None):
+    """A cache-free A3 KLTable, its Bruhat pairs y < w, and a store whose KL
+    table holds a record for each pair: the true value, or `bad`."""
+    plain = KLTable(CoxeterSystem.from_label("A3"))
+    pairs = bruhat_pairs(plain.system)
+    records = [kl_record(y, w, plain.p(y, w)) for y, w in pairs]
+    store = CacheStore(tmp_path)
+    store._path("kl", plain.system.content_hash()).write_bytes(
+        HEADER + b"".join(record(k, v if bad is None else bad) for k, v in records)
+    )
+    return plain, pairs, store
+
+
+def test_records_decode_on_first_use_and_share_equal_values(tmp_path):
+    plain, pairs, store = a3_table(tmp_path)
+    system = CoxeterSystem.from_label("A3")
+    warm = KLTable(system, store=store)
+    assert not warm._decoded  # nothing decoded before the first lookup
+    got = [warm.p(system.element(y.word), system.element(w.word)) for y, w in pairs]
+    assert got == [plain.p(y, w) for y, w in pairs]
+    # one decode and one shared polynomial per distinct value bytes
+    assert len({id(p) for p in got}) == len(warm._decoded) == len(set(warm._p.values()))
+    store.close()
+
+
+BAD_VALUES = {
+    "not-json": b"not json",
+    "constant-term-7": b'{"v": {"0": 7}}',
+    "no-constant-term": b'{"v": {"1": 1}}',
+    "degree-bound": b'{"v": {"0": 1, "9": 1}}',
+    "negative-exponent": b'{"v": {"-1": 1, "0": 1}}',
+    "bool-coefficient": b'{"v": {"0": true}}',
+    "float-coefficient": b'{"v": {"0": 1.0}}',
+    "infinite-coefficient": b'{"v": {"0": Infinity}}',
+    "deep-nesting": b"[" * 100000 + b"]" * 100000,
+    "non-canonical-exponent": b'{"v": {"00": 1}}',
+    "extra-field": b'{"u": 1, "v": {"0": 1}}',
+    "list": b"[1]",
+    "zero": b'{"v": {}}',
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_records_are_recomputed_never_served(tmp_path, bad):
+    plain, pairs, store = a3_table(tmp_path, bad)
+    system = CoxeterSystem.from_label("A3")
+    warm = KLTable(system, store=store)
+    for y, w in pairs:
+        assert warm.p(system.element(y.word), system.element(w.word)) == plain.p(y, w)
+    store.close()
+    # every pair was appended again, so the next load holds only good records
+    expected = dict(kl_record(y, w, plain.p(y, w)) for y, w in pairs)
+    assert store.load_table("kl", system.content_hash()) == expected
 
 
 def test_new_records_keep_the_format(tmp_path):

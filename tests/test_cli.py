@@ -1,11 +1,17 @@
+import hashlib
 import importlib
 import importlib.util
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
-from heckework.cli import main
+from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
+from heckework.cli import build_system, main, make_parser
+from heckework.hecke import KLTable
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -27,13 +33,59 @@ def test_kl_single_entry(capsys):
     ]
 
 
+KL_CASES = [
+    ["--type", "A1"],
+    ["--type", "A2"],
+    ["--type", "A3"],
+    ["--type", "B3"],
+    ["--type", "G2"],
+    ["--type", "I2(7)"],
+    ["--type", "A3", "--star", "321"],
+    ["--type", "Dinf", "--max-len", "6"],
+    ["--type", "Dinf", "--max-len", "0"],
+    ["--type", "A3", "--y", "2", "--w", "2132"],
+    ["--type", "A3", "--y", "2132", "--w", "2"],
+    ["--type", "A3", "--pretty"],
+]
+
+
 def test_kl_full_table(capsys):
-    code, data = run_json(capsys, "kl", "--type", "A2")
-    assert code == 0
-    assert all(e["P"]["pretty"] == "1" for e in data["entries"])
-    assert len(data["entries"]) == sum(
-        1 for e in data["entries"]
-    )  # well-formed list
+    # `kl` renders its own text: it must be what json.dumps(sort_keys=True,
+    # indent=2) makes of it, list every pair once in (len w, w, len y, y)
+    # order, and pair each label with its own P
+    for argv in KL_CASES:
+        code, out = run(capsys, "kl", *argv)
+        assert code == 0, argv
+        data = json.loads(out)
+        assert out == json.dumps(data, sort_keys=True, indent=2) + "\n", argv
+        entries = data["entries"]
+        keys = [(len(e["w"]), e["w"], len(e["y"]), e["y"]) for e in entries]
+        assert keys == sorted(set(keys)), argv
+        args = make_parser().parse_args(["kl", *argv])
+        system = build_system(args)
+        assert data["system"] == system.describe()
+        if args.y is None:
+            els = system.elements(max_len=args.max_len)
+            assert len(entries) == sum(len(system.lower_interval(w)) for w in els)
+        table = KLTable(system)
+        for e in entries:
+            p = table.p(system.element(e["y"]), system.element(e["w"])).subst_v_to_u()
+            assert e["P"] == {"pretty": p.pretty(), **p.to_json()}, (argv, e)
+
+
+def test_kl_b4_stdout_matches_the_benchmark_reference(tmp_path, capsys):
+    # the kl-B4 workload of perfbench, cold then warm: both print the
+    # recorded bytes, and the warm call leaves the cache file as it was
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    argv = ["kl", "--matrix", "1,4,2,2;4,1,3,2;2,3,1,3;2,2,3,1", "--cache-dir", str(tmp_path)]
+    code, cold = run(capsys, *argv)
+    filled = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code2, warm = run(capsys, *argv)
+    assert code == code2 == 0
+    digest = ref["sha256"]["kl-B4"]
+    assert hashlib.sha256(cold.encode()).hexdigest() == digest
+    assert hashlib.sha256(warm.encode()).hexdigest() == digest
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == filled
 
 
 def test_group_listing(capsys):
@@ -181,6 +233,9 @@ def test_usage_errors(capsys):
 _NO_CELLS = {"gamma": 1}
 _NO_GAMMA_RANK = {"cells": [{"representative": "1", "subgroups": [[], []]}]}
 _BAD_INDEX = {"cells": [{"index": 99, "gamma_rank": 1, "subgroups": [[], []]}]}
+_BOOL_INDEX = {"cells": [{"index": True, "gamma_rank": 1, "subgroups": [[], []]}]}
+_STR_GAMMA_RANK = {"cells": [{"representative": "1", "gamma_rank": "x", "subgroups": [[], []]}]}
+_INT_SUBGROUPS = {"cells": [{"representative": "1", "gamma_rank": 1, "subgroups": 5}]}
 
 
 @pytest.mark.parametrize(
@@ -189,10 +244,14 @@ _BAD_INDEX = {"cells": [{"index": 99, "gamma_rank": 1, "subgroups": [[], []]}]}
         (["eqvb", "--type", "B2", "--cell-data"], _NO_CELLS),
         (["eqvb", "--type", "B2", "--cell-data"], _NO_GAMMA_RANK),
         (["eqvb", "--type", "B2", "--cell-data"], _BAD_INDEX),
+        (["eqvb", "--type", "B2", "--cell-data"], _BOOL_INDEX),
+        (["eqvb", "--type", "B2", "--cell-data"], _STR_GAMMA_RANK),
+        (["eqvb", "--type", "B2", "--cell-data"], _INT_SUBGROUPS),
         (["eqvb", "--gamma-config"], {"rank": 1}),
         (["group", "--type", "A2", "--max-len", "-1"], None),
     ],
     ids=["cell-data-no-cells", "cell-data-no-gamma-rank", "cell-data-index-99",
+         "cell-data-index-true", "cell-data-gamma-rank-str", "cell-data-subgroups-int",
          "gamma-config-no-subgroups", "negative-max-len"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
@@ -237,6 +296,42 @@ def test_cache_warm_equals_cold(tmp_path, capsys):
     code2, out2 = run(capsys, *args)
     assert code2 == 0
     assert out1 == out2
+
+
+def _rewrite_values(path, value):
+    """Rewrite a table file with every record's value replaced by value(v)."""
+    records = CacheStore(path.parent).load_table(*path.stem.split("-", 1))
+    path.write_bytes(MAGIC + struct.pack("<I", SCHEMA_VERSION) + b"".join(
+        struct.pack("<I", len(k)) + k + struct.pack("<I", len(value(v))) + value(v)
+        for k, v in records.items()
+    ))
+    return records
+
+
+@pytest.mark.parametrize(
+    "value",
+    [lambda v: v.replace(b'"0": 1', b'"0": 7'), lambda v: b"not json"],
+    ids=["constant-term-7", "not-json"],
+)
+def test_bad_cache_records_are_recomputed(tmp_path, capsys, value):
+    plain = [run(capsys, "kl", "--type", "A3", *pair) for pair in ([], ["--y", "2", "--w", "2132"])]
+    assert run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path)) == plain[0]
+    (path,) = tmp_path.iterdir()
+    good = _rewrite_values(path, value)
+    assert run(capsys, "kl", "--type", "A3", "--y", "2", "--w", "2132",
+               "--cache-dir", str(tmp_path)) == plain[1]
+    assert run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path)) == plain[0]
+    # each bad record was appended again, and the last record of a key wins
+    assert CacheStore(tmp_path).load_table(*path.stem.split("-", 1)) == good
+
+
+def test_verify_all_ignores_a_bad_cache(tmp_path, capsys):
+    run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    _rewrite_values(path, lambda v: v.replace(b'"0": 1', b'"0": 7'))
+    code, data = run_json(capsys, "verify-all", "--type", "A3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert data["passed"] is True
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
