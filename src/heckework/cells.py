@@ -4,8 +4,9 @@ the asymptotic ring J with its block decomposition.  Finite groups only.
 The preorders are generated directly from canonical-basis multiplication:
 z <=_L w whenever c_z occurs in some c_x c_w (and symmetrically on the
 right), then closed transitively.  No generation theorem is assumed; the
-full structure-constant table is affordable at desk scale and doubles as
-the data source for the a-function and the gamma-table.
+full structure-constant table comes from the generator recursion of
+`HeckeAlgebra.h_struct` and doubles as the data source for the a-function
+and the gamma-table.
 
 Conventions (all read off the v-variable structure constants h_{x,y,z}):
 
@@ -19,7 +20,7 @@ J-ring elements are plain integer dicts {CoxeterElement: int}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coxeter import InfiniteGroupError
 from .hecke import add_into
@@ -48,17 +49,13 @@ class CellPartition:
     two_sided_cells: tuple
     order_pairs: frozenset  # (i, j) with cell_i preceq cell_j
 
-    def two_sided_index(self, w):
-        for i, c in enumerate(self.two_sided_cells):
-            if w in c:
-                return i
-        raise KeyError(w)
+    _two_sided: dict = field(init=False, repr=False, compare=False)
 
-    def left_index(self, w):
-        for i, c in enumerate(self.left_cells):
-            if w in c:
-                return i
-        raise KeyError(w)
+    def __post_init__(self):
+        self._two_sided = {w: i for i, c in enumerate(self.two_sided_cells) for w in c}
+
+    def two_sided_index(self, w):
+        return self._two_sided[w]
 
     def same_two_sided(self, x, y):
         return self.two_sided_index(x) == self.two_sided_index(y)

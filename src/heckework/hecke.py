@@ -29,7 +29,11 @@ completion (`idealmod`) and the rest of the package, each written once:
 - `strip_off`: coordinates in a unitriangular canonical basis (`to_c` here,
   `f_constants` in the module);
 - `add_into` / `add_scaled`: the sparse accumulator for every dict-of-
-  coefficients sum.
+  coefficients sum;
+- `HeckeAlgebra.mu_down`: the mu(z, w) with s in D_L(z), behind c_s c_w
+  (`c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b)) and the recursion on
+  x = s x' for `h_struct` here and `f_constants` in the module.  The T-basis
+  product `mult` with `to_c` is the second route, kept for the tests.
 
 KL polynomials are stored in u-units (monomial exponent = power of u);
 `subst_v_to_u` converts them to the ambient v-representation.
@@ -48,6 +52,7 @@ from .laurent import LaurentPoly, RationalFn, ZERO, ONE
 # v-units scalars for the T-basis quadratic relation
 U_V = LaurentPoly.monomial(2)                    # u = v^2
 UINV_V = LaurentPoly.monomial(-2)                # u^-1
+V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})         # v + v^-1
 
 # u-units scalar for the KL recursion
 U_U = LaurentPoly.monomial(1)
@@ -298,9 +303,9 @@ class HeckeAlgebra:
         self.kl = KLTable(system, store=store)
         self._bar_t = {}
         self._c_elt = {}
-        self._c_elt_u = {}
         self._c_elt_solved = {}
         self._h_struct = {}
+        self._mu_down = {}
 
     # -- T-basis multiplication ------------------------------------------------
 
@@ -341,13 +346,6 @@ class HeckeAlgebra:
             self._bar_t[w] = got
         return got
 
-    def bar_h(self, coeffs):
-        """The semilinear bar involution on a T-basis dict."""
-        out = {}
-        for w, c in coeffs.items():
-            add_scaled(out, self.bar_t(w), c.bar())
-        return out
-
     # -- canonical basis ------------------------------------------------------------
 
     def c_elt(self, w):
@@ -363,48 +361,52 @@ class HeckeAlgebra:
             self._c_elt[w] = got
         return got
 
-    def c_elt_u(self, w):
-        """The parameter-u^2 canonical basis element (exponents doubled)."""
-        got = self._c_elt_u.get(w)
-        if got is None:
-            got = {y: c.subst_v_to_u() for y, c in self.c_elt(w).items()}
-            self._c_elt_u[w] = got
-        return got
-
     def to_c(self, coeffs):
         """Rewrite a T-basis dict in c-coordinates (triangular strip-off)."""
         return strip_off(coeffs, self.c_elt)
 
+    def mu_down(self, i, w):
+        """[(z, mu(z, w)) : z < w, s_i in D_L(z), mu != 0], memoized."""
+        sys = self.system
+        x = sys._id(w)
+        got = self._mu_down.get((i, x))
+        if got is None:
+            got = self._mu_down[i, x] = [(sys._elts[z], m) for z, _, m in self.kl._mu_list(x)
+                                         if sys._descents(z) >> i & 1]
+        return got
+
+    def c_gen_mult(self, i, coeffs):
+        """c_{s_i} times a c-basis dict: c_s c_w = (v + v^-1) c_w if sw < w,
+        else c_{sw} + sum mu(z, w) c_z over mu_down(s, w)."""
+        sys = self.system
+        out = {}
+        for w, c in coeffs.items():
+            x = sys._id(w)
+            if sys._descents(x) >> i & 1:
+                add_into(out, w, c * V_PLUS_VINV)
+            else:
+                add_into(out, sys._elts[sys._lstep(i, x)], c)
+                for z, m in self.mu_down(i, w):
+                    add_into(out, z, c * m)
+        return out
+
     def h_struct(self, x, y):
-        """All structure constants of c_x c_y: a dict z -> coefficient."""
+        """All structure constants of c_x c_y: a dict z -> coefficient, by
+        c_x = c_s c_{x'} - sum mu(z, x') c_z over mu_down(s, x') for
+        x = s x' > x', and h(e, y) = {y: 1}."""
         key = (x, y)
         got = self._h_struct.get(key)
         if got is None:
-            got = self.to_c(self.mult(self.c_elt(x), self.c_elt(y)))
+            if not x.word:
+                got = {y: ONE}
+            else:
+                i = x.word[0]
+                xp = self.system.generator(i) * x
+                got = self.c_gen_mult(i, self.h_struct(xp, y))
+                for z, m in self.mu_down(i, xp):
+                    add_scaled(got, self.h_struct(z, y), -m)
             self._h_struct[key] = got
         return got
-
-    def triple_H(self, x, w, wp):
-        """Coefficient of c_{w'} in c_x c_w c_{(x*)^{-1}}.
-
-        Computed both by the direct triple product and by summing products
-        of pairwise structure constants; the two must agree.
-        """
-        xs = self.system.star_elt(x).inverse()
-        direct = self.to_c(
-            self.mult(self.mult(self.c_elt(x), self.c_elt(w)), self.c_elt(xs))
-        ).get(wp, ZERO)
-        total = ZERO
-        left = self.h_struct(x, w)
-        for y, hxy in left.items():
-            hyw = self.h_struct(y, xs).get(wp)
-            if hyw:
-                total = total + hxy * hyw
-        if direct != total:
-            raise AssertionError(
-                "triple product mismatch at (%s, %s, %s)" % (x, w, wp)
-            )
-        return direct
 
     # -- independent bar-invariance solver ----------------------------------------
 

@@ -118,7 +118,8 @@ class InvolutionModule:
 
     def c_act(self, x, m):
         """Action of the canonical basis element c_x (parameter-u^2 coordinates)."""
-        return self.h_action(self.algebra.c_elt_u(x), m)
+        c_u = {y: c.subst_v_to_u() for y, c in self.algebra.c_elt(x).items()}
+        return self.h_action(c_u, m)
 
     # -- bar operator ---------------------------------------------------------------
 
@@ -202,11 +203,23 @@ class InvolutionModule:
     # -- leading-coefficient constants and the induced module ---------------------------
 
     def f_constants(self, x, w):
-        """A-basis coordinates of c_x A_w: a dict w' -> f_{x,w,w'}."""
+        """A-basis coordinates of c_x A_w: a dict w' -> f_{x,w,w'}.  The
+        generator rows strip off c_s A_w; longer x follow `h_struct`'s
+        recursion (exponent doubling is a ring map, mu an integer):
+        f(x, w) = sum f(x', w)[w'] f(s, w') - sum mu(z, x') f(z, w)."""
         key = (x, w)
         got = self._f.get(key)
         if got is None:
-            got = strip_off(self.c_act(x, self.a_upper(w)), self.a_upper)
+            if len(x.word) < 2:
+                got = strip_off(self.c_act(x, self.a_upper(w)), self.a_upper)
+            else:
+                s = self.system.generator(x.word[0])
+                xp = s * x
+                got = {}
+                for wp, c in self.f_constants(xp, w).items():
+                    add_scaled(got, self.f_constants(s, wp), c)
+                for z, m in self.algebra.mu_down(x.word[0], xp):
+                    add_scaled(got, self.f_constants(z, w), -m)
             self._f[key] = got
         return got
 
@@ -319,7 +332,11 @@ class InvolutionModule:
                 continue
             lam_inv = frozenset(w.inverse() for w in lam)
             inter_inv = [w for w in inv if w in lam and w in lam_inv]
-            (d,) = tuple(lam & dist)
+            if len(lam & dist) != 1:
+                bad = ("distinguished-count", str(min(lam, key=lambda w: w.sort_key())),
+                       len(lam & dist))
+                continue
+            (d,) = lam & dist
             for w in inter_inv:
                 if self.cm_action({d: 1}, {w: 1}, cells) != {w: 1}:
                     bad = ("unit", str(d), str(w))
@@ -332,21 +349,3 @@ class InvolutionModule:
                         bad = ("outside-unit", str(dp), str(w))
         rep.add("left-cell-restriction", bad is None, bad)
         return rep
-
-    def sign_split_check(self, x, w, wp):
-        """Coefficientwise comparison of f_{x,w,w'} with the triple product
-        coefficient H_{x,w,w'}: |f| <= H, H-coefficient 0 forces f = 0, and
-        H-coefficient 1 forces f = +-1.  Returns (ok, detail)."""
-        H = self.algebra.triple_H(x, w, wp)
-        f = self.f_constants(x, w).get(wp, ZERO)
-        exps = set(H.support()) | set(f.support())
-        for e in exps:
-            hc = H.coeff_of_v(e)
-            fc = f.coeff_of_v(e)
-            if abs(fc) > hc:
-                return False, ("abs", e, fc, hc)
-            if hc == 0 and fc != 0:
-                return False, ("zero", e, fc, hc)
-            if hc == 1 and abs(fc) != 1:
-                return False, ("unit", e, fc, hc)
-        return True, None

@@ -1,13 +1,79 @@
-"""Independent reference models used as oracles by the tests.
+"""Independent reference models and second routes used as oracles by the
+tests.
 
-These deliberately avoid the package's own machinery: type A is modeled by
-one-line permutations (length = inversion count), dihedral groups by affine
-maps v -> +-v + c on Z/m (or Z for the infinite one).  Reduced words and
-Bruhat order are recomputed here from scratch.
+The group models deliberately avoid the package's own machinery: type A is
+modeled by one-line permutations (length = inversion count), dihedral
+groups by affine maps v -> +-v + c on Z/m (or Z for the infinite one).
+Reduced words and Bruhat order are recomputed here from scratch.
+
+The Hecke-side oracles compute through the T-basis product and strip-off,
+the route the package's generator recursions for `h_struct` and
+`f_constants` replaced.
 """
 
 from __future__ import annotations
 
+from heckework.hecke import add_scaled, strip_off
+from heckework.laurent import ZERO
+
+
+# -- the T-basis route in H and M -----------------------------------------------------
+
+
+def bar_h(alg, coeffs):
+    """The semilinear bar involution on a T-basis dict."""
+    out = {}
+    for w, c in coeffs.items():
+        add_scaled(out, alg.bar_t(w), c.bar())
+    return out
+
+
+def h_struct_t_basis(alg, x, y):
+    """c_x c_y in c-coordinates, through the T-basis product."""
+    return alg.to_c(alg.mult(alg.c_elt(x), alg.c_elt(y)))
+
+
+def f_constants_t_basis(inv, x, w):
+    """c_x A_w in A-coordinates, through the T-action on the module."""
+    return strip_off(inv.c_act(x, inv.a_upper(w)), inv.a_upper)
+
+
+def triple_H(alg, x, w, wp):
+    """Coefficient of c_{w'} in c_x c_w c_{(x*)^{-1}}.
+
+    Computed both by the direct triple product and by summing products of
+    pairwise structure constants; the two must agree.
+    """
+    xs = alg.system.star_elt(x).inverse()
+    direct = alg.to_c(
+        alg.mult(alg.mult(alg.c_elt(x), alg.c_elt(w)), alg.c_elt(xs))
+    ).get(wp, ZERO)
+    total = ZERO
+    for y, hxy in alg.h_struct(x, w).items():
+        hyw = alg.h_struct(y, xs).get(wp)
+        if hyw:
+            total = total + hxy * hyw
+    if direct != total:
+        raise AssertionError("triple product mismatch at (%s, %s, %s)" % (x, w, wp))
+    return direct
+
+
+def sign_split_check(inv, x, w, wp):
+    """Coefficientwise comparison of f_{x,w,w'} with the triple product
+    coefficient H_{x,w,w'}: |f| <= H, H-coefficient 0 forces f = 0, and
+    H-coefficient 1 forces f = +-1.  Returns (ok, detail)."""
+    H = triple_H(inv.algebra, x, w, wp)
+    f = inv.f_constants(x, w).get(wp, ZERO)
+    for e in set(H.support()) | set(f.support()):
+        hc = H.coeff_of_v(e)
+        fc = f.coeff_of_v(e)
+        if abs(fc) > hc:
+            return False, ("abs", e, fc, hc)
+        if hc == 0 and fc != 0:
+            return False, ("zero", e, fc, hc)
+        if hc == 1 and abs(fc) != 1:
+            return False, ("unit", e, fc, hc)
+    return True, None
 
 
 # -- type A: permutations ----------------------------------------------------------

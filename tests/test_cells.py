@@ -152,7 +152,7 @@ def test_gamma_with_distinguished(a2, a3, b2):
         cd = ctx.cells
         dist = set(cd.distinguished_involutions())
         for x in cd.elements:
-            lam = cd.partition.left_cells[cd.partition.left_index(x.inverse())]
+            lam = next(c for c in cd.partition.left_cells if x.inverse() in c)
             (d,) = tuple(lam & dist)
             assert cd.gamma(x, x.inverse(), d) == 1
             for y in cd.elements:
@@ -258,3 +258,27 @@ def test_infinite_rejected():
     alg = HeckeAlgebra(dinf)
     with pytest.raises(InfiniteGroupError):
         CellData(alg)
+
+
+def test_cell_data_never_multiplies_in_the_t_basis(monkeypatch):
+    calls = []
+    original = HeckeAlgebra.mult
+
+    def counting(self, h1, h2):
+        calls.append(1)
+        return original(self, h1, h2)
+
+    monkeypatch.setattr(HeckeAlgebra, "mult", counting)
+    cd = CellData(HeckeAlgebra(CoxeterSystem.from_label("B2")))
+    assert len(cd.partition.two_sided_cells) == 3
+    assert calls == []
+
+
+def test_two_sided_index_lookup(b2):
+    part = b2.cells.partition
+    for i, c in enumerate(part.two_sided_cells):
+        for w in c:
+            assert part.two_sided_index(w) == i
+    outside = CoxeterSystem.from_label("A2").element("12")
+    with pytest.raises(KeyError):
+        part.two_sided_index(outside)

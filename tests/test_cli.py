@@ -298,13 +298,17 @@ def test_cache_warm_equals_cold(tmp_path, capsys):
     assert out1 == out2
 
 
+def _write_table(path, records):
+    path.write_bytes(MAGIC + struct.pack("<I", SCHEMA_VERSION) + b"".join(
+        struct.pack("<I", len(k)) + k + struct.pack("<I", len(v)) + v
+        for k, v in records.items()
+    ))
+
+
 def _rewrite_values(path, value):
     """Rewrite a table file with every record's value replaced by value(v)."""
     records = CacheStore(path.parent).load_table(*path.stem.split("-", 1))
-    path.write_bytes(MAGIC + struct.pack("<I", SCHEMA_VERSION) + b"".join(
-        struct.pack("<I", len(k)) + k + struct.pack("<I", len(value(v))) + value(v)
-        for k, v in records.items()
-    ))
+    _write_table(path, {k: value(v) for k, v in records.items()})
     return records
 
 
@@ -332,6 +336,42 @@ def test_verify_all_ignores_a_bad_cache(tmp_path, capsys):
     code, data = run_json(capsys, "verify-all", "--type", "A3", "--cache-dir", str(tmp_path))
     assert code == 0
     assert data["passed"] is True
+
+
+def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
+    # P_{2,2132} = u+1 edited to 2u+1 passes every cheap record invariant;
+    # the kl-oracle suite catches it with the (y, w) witness
+    run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    records = CacheStore(tmp_path).load_table(*path.stem.split("-", 1))
+    key = json.dumps([[1], [1, 0, 2, 1]]).encode()
+    assert records[key] == b'{"v": {"0": 1, "1": 1}}'
+    records[key] = b'{"v": {"0": 1, "1": 2}}'
+    _write_table(path, records)
+    code, data = run_json(capsys, "verify-all", "--type", "A3", "--cache-dir", str(tmp_path))
+    assert code == 1
+    failed = [
+        (r["suite"], c["id"], c["witness"])
+        for r in data["reports"] for c in r["checks"] if not c["pass"]
+    ]
+    assert ("kl-oracle", "recursion-equals-solver", ["2", "2132"]) in failed
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["cells", "--type", "B3"],
+         "0f2bad20fb1d1c7d0af5697d877b018024dcf4a30e31ddf5fd51ee50abc9c39c"),
+        (["invmod", "--type", "B3", "--tables"],
+         "b9abdd3dab837d221821b843a75c91c1fa753c8d9ec2c473450b293983fad391"),
+    ],
+    ids=["cells-B3", "invmod-B3-tables"],
+)
+def test_b3_stdout_is_unchanged(capsys, argv, digest):
+    # recorded from the T-basis route, before the generator recursion
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,9 @@ from heckework import CoxeterSystem
 from heckework import hecke
 from heckework.cache import CacheStore
 from heckework.hecke import HeckeAlgebra, KLTable, bar_invariant_solve
+from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly, ONE, ZERO
+from oracles import bar_h, f_constants_t_basis, h_struct_t_basis, triple_H
 
 U = LaurentPoly({2: 1})
 UM1 = LaurentPoly({2: 1, 0: -1})
@@ -69,7 +71,7 @@ def test_bar_of_ts(a2):
 
 def test_bar_involutive_exhaustive_a2(a2):
     for w in a2.sys.elements():
-        assert a2.alg.bar_h(a2.alg.bar_t(w)) == {w: ONE}
+        assert bar_h(a2.alg, a2.alg.bar_t(w)) == {w: ONE}
 
 
 def test_bar_is_multiplicative(a2):
@@ -78,8 +80,8 @@ def test_bar_is_multiplicative(a2):
     for _ in range(60):
         x, y = rng.choice(els), rng.choice(els)
         h1, h2 = {x: ONE}, {y: ONE}
-        lhs = a2.alg.bar_h(a2.alg.mult(h1, h2))
-        rhs = a2.alg.mult(a2.alg.bar_h(h1), a2.alg.bar_h(h2))
+        lhs = bar_h(a2.alg, a2.alg.mult(h1, h2))
+        rhs = a2.alg.mult(bar_h(a2.alg, h1), bar_h(a2.alg, h2))
         assert lhs == rhs
 
 
@@ -144,7 +146,7 @@ def test_c_elt_bar_invariant(a2, b2):
     for ctx in (a2, b2):
         for w in ctx.sys.elements():
             c = ctx.alg.c_elt(w)
-            assert ctx.alg.bar_h(c) == c
+            assert bar_h(ctx.alg, c) == c
 
 
 def test_h_struct_examples(a2):
@@ -174,18 +176,69 @@ def test_h_struct_support_constraint(a2):
             assert rebuilt == prod
 
 
+@pytest.fixture(scope="module")
+def oracle_contexts(a3, b2, g2):
+    """(label, algebra, module, x rows) for the two-route comparisons: every
+    row on the small systems, {e, s_i, w0} on B3."""
+    out = [(ctx.sys.describe(), ctx.alg, ctx.inv, ctx.sys.elements()) for ctx in (a3, b2, g2)]
+    for label, star in (("I2(5)", None), ("A2", [1, 0]), ("B3", None)):
+        alg = HeckeAlgebra(CoxeterSystem.from_label(label, star=star))
+        els = alg.system.elements()
+        rows = els if label != "B3" else [els[0], *alg.system.generators(), els[-1]]
+        out.append((label, alg, InvolutionModule(alg), rows))
+    return out
+
+
+def test_h_struct_recursion_equals_t_basis_product(oracle_contexts):
+    for label, alg, _, rows in oracle_contexts:
+        for x in rows:
+            for y in alg.system.elements():
+                assert alg.h_struct(x, y) == h_struct_t_basis(alg, x, y), (label, str(x), str(y))
+
+
+def test_f_constants_recursion_equals_t_action(oracle_contexts):
+    for label, _, inv, rows in oracle_contexts:
+        for x in rows:
+            for w in inv.basis:
+                assert inv.f_constants(x, w) == f_constants_t_basis(inv, x, w), (label, str(x), str(w))
+
+
+def test_c_gen_mult_is_the_generator_row(a3, monkeypatch):
+    # c_s c_w by the mu-rule equals the T-basis product, and mu_down lists
+    # exactly the z < w with s in D_L(z) and mu(z, w) != 0
+    for w in a3.sys.elements():
+        for i in range(a3.sys.rank):
+            s = a3.sys.generator(i)
+            assert a3.alg.c_gen_mult(i, {w: ONE}) == h_struct_t_basis(a3.alg, s, w)
+            expected = {
+                z: a3.alg.kl.mu(z, w)
+                for z in a3.sys.lower_interval(w)
+                if i in a3.sys.left_descents(z) and a3.alg.kl.mu(z, w)
+            }
+            assert dict(a3.alg.mu_down(i, w)) == expected
+    # mu is 0 or 1 on every system small enough for these tests, so scale it
+    # by hand: c_z enters c_s c_w with coefficient mu(z, w)
+    mu_down = a3.alg.mu_down
+    monkeypatch.setattr(a3.alg, "mu_down", lambda i, w: [(z, 3 * m) for z, m in mu_down(i, w)])
+    for w in a3.sys.elements():
+        for i in set(range(a3.sys.rank)) - a3.sys.left_descents(w):
+            got = a3.alg.c_gen_mult(i, {w: ONE})
+            for z, m in mu_down(i, w):
+                assert got[z] == LaurentPoly.const(3 * m)
+
+
 def test_triple_h(a2):
     e = a2.sys.identity
     inv = a2.sys.twisted_involutions()
     for w in inv:
         for wp in inv:
             expected = ONE if w == wp else ZERO
-            assert a2.alg.triple_H(e, w, wp) == expected
+            assert triple_H(a2.alg, e, w, wp) == expected
     # two-way agreement is asserted inside triple_H; run it exhaustively
     for x in a2.sys.elements():
         for w in inv:
             for wp in inv:
-                a2.alg.triple_H(x, w, wp)
+                triple_H(a2.alg, x, w, wp)
 
 
 def test_kl_cache_roundtrip(tmp_path):
@@ -241,10 +294,10 @@ def test_triple_h_distinguished_leading_term(a2):
     cd = a2.cells
     dist = set(cd.distinguished_involutions())
     for w in a2.inv.basis:
-        lam = cd.partition.left_cells[cd.partition.left_index(w.inverse())]
+        lam = next(c for c in cd.partition.left_cells if w.inverse() in c)
         (d0,) = tuple(lam & dist)
         for wp in a2.inv.basis:
-            h = a2.alg.triple_H(d0, w, wp)
+            h = triple_H(a2.alg, d0, w, wp)
             expected = 1 if w == wp else 0
             assert h.coeff_of_v(2 * cd.a[wp]) == expected, (str(w), str(wp))
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 from heckework.laurent import LaurentPoly, RationalFn, ONE, ZERO
+from oracles import sign_split_check
 
 U = LaurentPoly({2: 1})
 
@@ -261,14 +262,14 @@ def test_sign_split_against_triple_product(a2, a3):
     for x in a2.cells.elements:
         for w in a2.inv.basis:
             for wp in a2.inv.basis:
-                ok, detail = a2.inv.sign_split_check(x, w, wp)
+                ok, detail = sign_split_check(a2.inv, x, w, wp)
                 assert ok, detail
     rng = random.Random(17)
     for _ in range(60):
         x = rng.choice(a3.cells.elements)
         w = rng.choice(a3.inv.basis)
         wp = rng.choice(a3.inv.basis)
-        ok, detail = a3.inv.sign_split_check(x, w, wp)
+        ok, detail = sign_split_check(a3.inv, x, w, wp)
         assert ok, detail
 
 
@@ -276,6 +277,23 @@ def test_verify_section1_reports(a2, a3, b2):
     for ctx in (a2, a3, b2):
         rep = ctx.inv.verify_section1(ctx.cells, n_random=300)
         assert rep.passed, [c.to_json() for c in rep.checks]
+
+
+def test_missing_distinguished_involution_fails_left_cell_restriction(b2, monkeypatch):
+    # a *-stable left cell without its distinguished involution is a failed
+    # check with a witness, not a crash of the unpack
+    cd = b2.cells
+    dist = cd.distinguished_involutions()
+    part = cd.partition
+    stable = [lam for lam in part.left_cells if frozenset(w.star() for w in lam) == lam]
+    lam = stable[-1]
+    monkeypatch.setattr(cd, "distinguished_involutions", lambda: tuple(d for d in dist if d not in lam))
+    rep = b2.inv.verify_section1(cd, n_random=50)
+    (check,) = [c for c in rep.checks if c.check_id == "left-cell-restriction"]
+    least = min(lam, key=lambda w: w.sort_key())
+    assert not check.passed
+    assert check.witness == ("distinguished-count", str(least), 0)
+    assert not rep.passed
 
 
 def test_dinf_truncated_bar_and_a_basis(dinf):
