@@ -97,7 +97,6 @@ class CellData:
 
         self.partition = self._build_partition()
         self.a = self._a_function()
-        self._gamma_cache = {}
         self._dist = None
 
     # -- preorders and cells -------------------------------------------------
@@ -147,17 +146,6 @@ class CellData:
                     if d is not None and d > a[z]:
                         a[z] = d
         return a
-
-    def gamma(self, x, y, z):
-        """gamma_{x,y,z}, read from h_{x,y,z^-1} at v^{a(z^-1)}."""
-        key = (x, y, z)
-        got = self._gamma_cache.get(key)
-        if got is None:
-            zi = z.inverse()
-            got = self.algebra.h_struct(x, y).get(zi)
-            got = got.coeff_of_v(self.a[zi]) if got is not None else 0
-            self._gamma_cache[key] = got
-        return got
 
     def distinguished_involutions(self):
         """{z : a(z) = l(z) - 2 deg_u P_{e,z}}, one per left cell."""

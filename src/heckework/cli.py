@@ -9,10 +9,8 @@ or the WORKBENCH_CACHE environment variable.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
 
 from .cache import CacheStore
@@ -29,7 +27,7 @@ from .eqvb import (
 from .hecke import HeckeAlgebra
 from .idealmod import IdealModel
 from .invmod import InvolutionModule
-from .report import Report
+from .report import Report, sample_triples
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,9 +42,6 @@ def _add_common(p):
     p.add_argument("--max-len", type=int, default=None, help="length truncation for infinite systems")
     p.add_argument("--cache-dir", default=None, help="persistent cache directory (or $WORKBENCH_CACHE)")
     p.add_argument("--pretty", action="store_true", help="human-readable output")
-    p.add_argument("--json", dest="json_out", action="store_true", help="JSON output (default)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: verify-all runs its suites sequentially")
 
 
 def _parse_matrix(text):
@@ -284,13 +279,8 @@ def jring_report(sys_, cells):
         ),
     )
     els = cells.elements
-    if len(els) ** 3 <= 4000:
-        triples = itertools.product(els, repeat=3)
-    else:
-        rng = random.Random(0)
-        triples = ((rng.choice(els), rng.choice(els), rng.choice(els)) for _ in range(2000))
     bad = None
-    for a, b, c in triples:
+    for a, b, c in sample_triples(els, els, els):
         if cells.j_mult(cells.j_mult({a: 1}, {b: 1}), {c: 1}) != cells.j_mult(
             {a: 1}, cells.j_mult({b: 1}, {c: 1})
         ):
@@ -559,8 +549,6 @@ def make_parser():
 
     sp = sub.add_parser("verify-all", help="run every suite for one system")
     _add_common(sp)
-    sp.add_argument("--tables", action="store_true", help=argparse.SUPPRESS)
-    sp.add_argument("--struct", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_verify_all)
 
     return parser

@@ -50,8 +50,6 @@ INF = 0  # Coxeter-matrix encoding of m(i,j) = infinity
 # a_ij, a_ji with a_ij * a_ji = 4 cos^2(pi/m); keeps the matrix model integral
 _CARTAN_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INF: (-2, -2)}
 
-_FINITE_LABELS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "G2": 12}
-
 
 class InfiniteGroupError(ValueError):
     """Raised when a full enumeration of an infinite group is requested."""
@@ -220,9 +218,6 @@ class CoxeterElement:
 
     def left_descents(self):
         return self.system.left_descents(self)
-
-    def right_descents(self):
-        return self.system.right_descents(self)
 
     def bruhat_leq(self, other):
         return self.system.bruhat_leq(self, other)
@@ -491,18 +486,10 @@ class CoxeterSystem:
     def left_descents(self, w):
         return frozenset(bits(self._descents(self._id(w))))
 
-    def right_descents(self, w):
-        x = self._id(w)
-        return frozenset(
-            i for i in range(self.rank) if self._len[self._rstep(i, x)] < self._len[x]
-        )
-
     # -- enumeration -------------------------------------------------------------
 
     @property
     def is_finite(self):
-        if self.label in _FINITE_LABELS or (self.label or "").startswith("I2("):
-            return True
         if self.rank == 1:
             return True
         orders = [self.matrix[i][j] for i in range(self.rank)
@@ -512,9 +499,9 @@ class CoxeterSystem:
         if self.rank == 2:
             return True
         if self.rank == 3:
-            # spherical triangle condition
-            from fractions import Fraction
-            return sum(Fraction(1, m) for m in orders) > 1
+            # spherical triangle condition 1/a + 1/b + 1/c > 1
+            a, b, c = orders
+            return a * b + b * c + c * a > a * b * c
         return None  # unknown; enumeration will probe with a cap
 
     def _next_layer(self):

@@ -96,10 +96,6 @@ class GammaSet:
     def trivial(cls, n):
         return cls(0, n, (tuple(range(n)),))
 
-    def to_config(self):
-        return {"rank": self.rank, "points": self.size,
-                "action": [list(r) for r in self.action]}
-
     @classmethod
     def from_config(cls, cfg):
         if "action" in cfg:

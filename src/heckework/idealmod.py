@@ -56,9 +56,6 @@ class CompletionElement:
     coeffs: dict
     exact_len: object = None  # None or int
 
-    def support(self):
-        return sorted(self.coeffs, key=lambda w: w.sort_key())
-
     def trimmed(self, n):
         """Restrict to l(x) <= n (n must not exceed the exactness window)."""
         if self.exact_len is not None and n > self.exact_len:

@@ -29,9 +29,6 @@ are LaurentPoly, or RationalFn inside the bar recursion.
 
 from __future__ import annotations
 
-import itertools
-import random
-
 from .laurent import LaurentPoly, ZERO, ONE, as_laurent
 from .hecke import (
     add_into,
@@ -41,7 +38,7 @@ from .hecke import (
     strip_off,
     t_inv_gen_action,
 )
-from .report import Report
+from .report import Report, sample_triples
 
 # v-units scalars of the four-case action (u = v^2)
 _U = LaurentPoly.monomial(2)
@@ -62,7 +59,6 @@ class InvolutionModule:
         self.system = algebra.system
         self.max_len = max_len
         self.basis = tuple(self.system.twisted_involutions(max_len=max_len))
-        self._basis_set = frozenset(self.basis)
         self._bar_a = {}
         self._a_upper = {}
         self._psigma = {}
@@ -254,7 +250,7 @@ class InvolutionModule:
 
     # -- the verifier suite -------------------------------------------------------------
 
-    def verify_section1(self, cells, n_random=2000, seed=0):
+    def verify_section1(self, cells, n_random=2000):
         """Pass/fail report for the leading-term law, support constraints,
         associativity and unit laws of the induced module, and its block and
         left-cell restrictions."""
@@ -300,17 +296,8 @@ class InvolutionModule:
                     bad = (str(w), str(wp), total)
         rep.add("unit-identity", bad is None, bad)
 
-        triples = len(els) * len(els) * len(inv)
-        if triples <= 4000:
-            it = itertools.product(els, els, inv)
-        else:
-            rng = random.Random(seed)
-            it = (
-                (rng.choice(els), rng.choice(els), rng.choice(inv))
-                for _ in range(n_random)
-            )
         bad = None
-        for x, y, w in it:
+        for x, y, w in sample_triples(els, els, inv, n_random):
             lhs = self.cm_action(cells.j_mult({x: 1}, {y: 1}), {w: 1}, cells)
             rhs = self.cm_action({x: 1}, self.cm_action({y: 1}, {w: 1}, cells), cells)
             if lhs != rhs:

@@ -14,6 +14,8 @@ Conventions used throughout the package:
   for intermediate divisions (bar recursions, row reduction over Q(u)).
   Every published value is converted back to Z[v, v^-1] with an exactness
   check.
+- Exact division (`try_divide`) and `poly_gcd` use only Python ints: long
+  division over Z, and Euclid on primitive pseudo-remainders.
 
 >>> p = LaurentPoly({3: 1, -1: 1})
 >>> p.bar()
@@ -24,7 +26,6 @@ LaurentPoly({-3: 1, 1: 1})
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -51,11 +52,6 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exp, coeff=1):
         return cls({exp: coeff})
-
-    @classmethod
-    def u_power(cls, k, coeff=1):
-        """coeff * u^k as a v-Laurent polynomial (u = v^2)."""
-        return cls({2 * k: coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -146,18 +142,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers only via RationalFn")
-        out = LaurentPoly({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def shifted(self, k):
         """v^k * self."""
         return LaurentPoly({e + k: a for e, a in self._c.items()})
@@ -235,7 +219,11 @@ class LaurentPoly:
     # -- exact division ------------------------------------------------------
 
     def try_divide(self, d):
-        """Exact quotient self/d in Z[v, v^-1], or None if it does not exist."""
+        """Exact quotient self/d in Z[v, v^-1], or None if it does not exist.
+
+        Integer long division from the top: it stops as soon as the leading
+        coefficient of d does not divide, or a remainder is left.
+        """
         d = self._coerce(d)
         if d is None or d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -243,12 +231,21 @@ class LaurentPoly:
             return LaurentPoly()
         num, nval = _dense(self)
         den, dval = _dense(d)
-        q, r = _q_divmod([Fraction(a) for a in num], [Fraction(a) for a in den])
-        if any(r):
+        dd = len(den) - 1
+        lead = den[-1]
+        quot = {}
+        for i in range(len(num) - 1, dd - 1, -1):
+            a = num[i]
+            if a:
+                c, r = divmod(a, lead)
+                if r:
+                    return None
+                quot[i - dd + nval - dval] = c
+                for j in range(dd):
+                    num[i - dd + j] -= c * den[j]
+        if any(num[:dd]):
             return None
-        if any(c.denominator != 1 for c in q):
-            return None
-        return LaurentPoly({i + nval - dval: int(c) for i, c in enumerate(q) if c})
+        return LaurentPoly(quot)
 
 
 ZERO = LaurentPoly()
@@ -265,71 +262,57 @@ def _dense(p):
     return out, lo
 
 
-def _q_divmod(num, den):
-    """Long division of dense Fraction lists (ascending); returns (quot, rem)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        quot[i - dd] = c
-        if c:
-            for j, b in enumerate(den):
-                num[i - dd + j] -= c * b
-    return quot, num
-
-
-def _primitive_from_fractions(cs):
-    """Scale a Fraction list to a primitive integer list with positive lead."""
-    from math import lcm
-
-    m = 1
-    for c in cs:
-        m = lcm(m, c.denominator)
-    vals = [int(c * m) for c in cs]
+def _primitive(a):
+    """A nonzero dense list divided by the gcd of its entries."""
     g = 0
-    for a in vals:
-        g = gcd(g, abs(a))
-    if g:
-        vals = [a // g for a in vals]
-    # strip trailing zeros; normalization assumes a nonzero input
-    while vals and vals[-1] == 0:
-        vals.pop()
-    if vals and vals[-1] < 0:
-        vals = [-a for a in vals]
-    return vals
+    for x in a:
+        g = gcd(g, x)
+    return a if g == 1 else [x // g for x in a]
+
+
+def _prem(a, b):
+    """Primitive part of a pseudo-remainder of a by b over Z ([] for 0).
+
+    Each step scales a by lead(b) / g and subtracts lead(a) / g times the
+    shifted b, g = gcd(lead(a), lead(b)): a nonzero integer multiple of the
+    remainder over Q, which is all Euclid needs.
+    """
+    a = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(a) > db:
+        la = a[-1]
+        g = gcd(la, lb)
+        m, k = lb // g, la // g
+        s = len(a) - 1 - db
+        if m != 1:
+            a = [m * x for x in a]
+        for j, y in enumerate(b):
+            a[s + j] -= k * y
+        while a and not a[-1]:
+            a.pop()
+    return _primitive(a) if a else a
 
 
 def poly_gcd(p, q):
     """gcd in Z[v, v^-1] up to units, normalized: valuation 0, positive lead.
 
-    Gauss: gcd = gcd(contents) * gcd(primitive parts); the primitive gcd is
-    computed by Euclid over Q and scaled back to a primitive integer poly.
+    Gauss: gcd = gcd(contents) * gcd(primitive parts).  The primitive gcd is
+    the last primitive pseudo-remainder of Euclid over Z (Knuth, TAOCP vol. 2,
+    4.6.1), so only integers are used.
     """
-    if p.is_zero() and q.is_zero():
-        return ZERO
     if p.is_zero():
-        return poly_gcd(q, q)
-    if q.is_zero():
-        p0, _ = _dense(p)
-        vals = _primitive_from_fractions([Fraction(a) for a in p0])
-        c = p.content()
-        return LaurentPoly({i: a * c for i, a in enumerate(vals)})
-    a, _ = _dense(p)
-    b, _ = _dense(q)
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    while any(fb):
-        _, r = _q_divmod(fa, fb)
-        while r and not r[-1]:
-            r.pop()
-        fa, fb = fb, r
-    vals = _primitive_from_fractions(fa)
+        p, q = q, p
+    if p.is_zero():
+        return ZERO
+    a = _primitive(_dense(p)[0])
+    b = _primitive(_dense(q)[0]) if q else []
+    while b:
+        a, b = b, _prem(a, b)
     c = gcd(p.content(), q.content())
-    return LaurentPoly({i: x * c for i, x in enumerate(vals)})
+    if a[-1] < 0:
+        c = -c
+    return LaurentPoly({i: x * c for i, x in enumerate(a)})
 
 
 class RationalFn:
@@ -376,9 +359,6 @@ class RationalFn:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_laurent(self):
-        return self.den == ONE
 
     def as_laurent(self):
         """Convert back to Z[v, v^-1]; raises when a denominator survives."""

@@ -6,7 +6,18 @@ check order is fixed by construction so reports are byte-stable.
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass, field
+
+
+def sample_triples(xs, ys, zs, n_random=2000):
+    """The triples a three-variable law is checked on: every triple when there
+    are at most 4000, else n_random seeded draws (from xs, then ys, then zs)."""
+    if len(xs) * len(ys) * len(zs) <= 4000:
+        return itertools.product(xs, ys, zs)
+    rng = random.Random(0)
+    return ((rng.choice(xs), rng.choice(ys), rng.choice(zs)) for _ in range(n_random))
 
 
 @dataclass

@@ -215,19 +215,14 @@ def test_verify_all_a2(capsys):
             "specialization", "eqvb-count"} <= suites
 
 
-def test_verify_all_parallel_deterministic(capsys):
-    code1, out1 = run(capsys, "verify-all", "--type", "A2", "--jobs", "1")
-    code2, out2 = run(capsys, "verify-all", "--type", "A2", "--jobs", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_usage_errors(capsys):
     assert main(["kl"]) == 2  # no system given
     assert main(["kl", "--type", "A2", "--y", "1"]) == 2  # --y without --w
     assert main(["nonsense"]) == 2
     assert main(["group", "--type", "Z9"]) == 2
     assert main(["conj34", "--type", "Dinf"]) == 2  # needs --max-len
+    assert main(["verify-all", "--type", "A2", "--jobs", "4"]) == 2  # no such option
+    assert main(["verify-all", "--type", "A2", "--json"]) == 2  # JSON is the default
 
 
 _NO_CELLS = {"gamma": 1}
@@ -364,11 +359,19 @@ def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
          "0f2bad20fb1d1c7d0af5697d877b018024dcf4a30e31ddf5fd51ee50abc9c39c"),
         (["invmod", "--type", "B3", "--tables"],
          "b9abdd3dab837d221821b843a75c91c1fa753c8d9ec2c473450b293983fad391"),
+        (["verify-all", "--type", "B3"],
+         "214dbf2f8c72c4799f9d2d5ff5fc512b2e33ae52351831c913322f5f8b46a6c4"),
+        (["conj34", "--type", "B3"],
+         "f47dc50a42125b2ddffd0a52902af516de175bb2af8c985d8792121eddfcae30"),
+        # the truncated completion keeps non-Laurent RationalFn coefficients
+        (["conj34", "--type", "Dinf", "--max-len", "9"],
+         "15924c4de960ef11db8ab2ab5a6bdd56e707134e875995a497a5476d332a21c9"),
     ],
-    ids=["cells-B3", "invmod-B3-tables"],
+    ids=["cells-B3", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9"],
 )
 def test_b3_stdout_is_unchanged(capsys, argv, digest):
-    # recorded from the T-basis route, before the generator recursion
+    # cells and invmod recorded from the T-basis route, before the generator
+    # recursion; the other three while division and gcd still ran over Q
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -286,6 +286,17 @@ def test_config_roundtrip():
     assert m.is_finite is False
 
 
+def test_is_finite_from_the_matrix():
+    for label in ("A1", "A2", "A3", "B2", "B3", "G2", "I2(7)"):
+        assert CoxeterSystem.from_label(label).is_finite is True, label
+    assert CoxeterSystem.from_label("Dinf").is_finite is False
+    assert CoxeterSystem.from_label("A4").is_finite is None  # probed by enumeration
+    # affine rank 3: 1/a + 1/b + 1/c = 1 exactly, so not finite
+    for a, b, c in ((3, 3, 3), (4, 4, 2), (6, 3, 2)):
+        m = [[1, a, b], [a, 1, c], [b, c, 1]]
+        assert CoxeterSystem(m).is_finite is False, (a, b, c)
+
+
 def test_element_parsing_and_display(a3):
     assert str(a3.sys.element("")) == "e"
     assert str(a3.sys.element("e")) == "e"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ def rand_poly(rng, max_terms=5, span=6, coeff=9):
 def test_zero_and_construction():
     assert LaurentPoly({3: 0}).is_zero()
     assert LaurentPoly.const(0) == ZERO
-    assert LaurentPoly.u_power(-2) == LaurentPoly({-4: 1})
+    assert LaurentPoly({-2: 1}).subst_v_to_u() == LaurentPoly({-4: 1})  # u^-2
 
 
 def test_ring_axioms_randomized():
@@ -104,8 +105,19 @@ def test_try_divide_roundtrip():
     assert (p * q + ONE).try_divide(q) is None
     # non-integral quotient
     assert LaurentPoly.const(2).try_divide(LaurentPoly.const(3)) is None
+    # (2v^2+3v+1) / (2v+2) = (2v+1)/2 exists over Q but not over Z
+    assert LaurentPoly({2: 2, 1: 3, 0: 1}).try_divide(LaurentPoly({1: 2, 0: 2})) is None
     with pytest.raises(ZeroDivisionError):
         ONE.try_divide(ZERO)
+
+
+def dense_poly(rng, degree, coeff=9):
+    """Degree `degree`, nonzero constant term and lead, random in between."""
+    def nonzero():
+        return rng.choice([-1, 1]) * rng.randint(1, coeff)
+
+    c = {e: rng.randint(-coeff, coeff) for e in range(1, degree)}
+    return LaurentPoly(c | {0: nonzero(), degree: nonzero()})
 
 
 def test_poly_gcd_against_sympy():
@@ -114,19 +126,40 @@ def test_poly_gcd_against_sympy():
     rng = random.Random(7)
 
     def to_sympy(p):
+        if p.is_zero():
+            return sympy.Poly(0, v, domain="ZZ")
         lo = p.valuation()
-        return sympy.Poly(
-            {e - lo: c for e, c in p.items()}, v, domain="ZZ"
-        ).as_expr()
+        return sympy.Poly({(e - lo,): c for e, c in p.items()}, v, domain="ZZ")
 
-    for _ in range(60):
-        p, q = rand_poly(rng), rand_poly(rng)
-        if p.is_zero() or q.is_zero():
-            continue
+    v1 = LaurentPoly({1: 1, 0: 1})
+    pairs = [(rand_poly(rng), rand_poly(rng)) for _ in range(60)]
+    pairs += [
+        (ZERO, ZERO),
+        (ZERO, LaurentPoly({3: -6, 5: -4})),
+        (LaurentPoly({-2: 3, 0: -9}), ZERO),
+        (LaurentPoly.const(-4), LaurentPoly.const(6)),
+        (LaurentPoly.const(-4), LaurentPoly({1: 6, 0: 2})),
+        (LaurentPoly.const(-6) * v1 * LaurentPoly({1: 1, 0: -2}), LaurentPoly.const(-4) * v1),
+        (v1.shifted(3), (v1 * v1).shifted(5)),
+        (LaurentPoly({-3: 2}), LaurentPoly({4: -4})),
+    ]
+    for _ in range(20):  # degree >= 8, with a common factor of degree 0..4
+        k = rng.randint(0, 4)
+        common = dense_poly(rng, k)
+        pairs.append((dense_poly(rng, rng.randint(8 - k, 10 - k)) * common,
+                      dense_poly(rng, rng.randint(8 - k, 10 - k)) * common))
+    for p, q in pairs:
         g = poly_gcd(p, q)
-        expected = sympy.gcd(to_sympy(p), to_sympy(q))
-        got = to_sympy(g)
-        assert sympy.simplify(got - expected) == 0 or sympy.simplify(got + expected) == 0
+        if p.is_zero() and q.is_zero():
+            assert g == ZERO
+            continue
+        assert g.valuation() == 0
+        assert g.coeff_of_v(g.degree()) > 0
+        assert g.content() == math.gcd(p.content(), q.content())
+        expected = to_sympy(p).gcd(to_sympy(q))
+        if expected.LC() < 0:
+            expected = -expected
+        assert to_sympy(g) == expected, (p, q, g, expected)
 
 
 def test_rationalfn_normalization_canonical():
@@ -166,7 +199,7 @@ def test_rationalfn_embeds_laurent():
     p = rand_poly(random.Random(10))
     assert RationalFn(p).as_laurent() == p
     nonint = RationalFn(ONE, LaurentPoly({2: 1, 0: 1}))
-    assert not nonint.is_laurent()
+    assert nonint.den != ONE
     with pytest.raises(ValueError):
         nonint.as_laurent()
 
