@@ -215,13 +215,22 @@ def test_verify_all_a2(capsys):
             "specialization", "eqvb-count"} <= suites
 
 
+def test_verify_all_parallel_deterministic(capsys):
+    # verify-all runs serially: repeated runs print the same report, and the
+    # former --jobs option is a usage error rather than silently ignored.
+    code1, out1 = run(capsys, "verify-all", "--type", "A2")
+    code2, out2 = run(capsys, "verify-all", "--type", "A2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert main(["verify-all", "--type", "A2", "--jobs", "4"]) == 2
+
+
 def test_usage_errors(capsys):
     assert main(["kl"]) == 2  # no system given
     assert main(["kl", "--type", "A2", "--y", "1"]) == 2  # --y without --w
     assert main(["nonsense"]) == 2
     assert main(["group", "--type", "Z9"]) == 2
     assert main(["conj34", "--type", "Dinf"]) == 2  # needs --max-len
-    assert main(["verify-all", "--type", "A2", "--jobs", "4"]) == 2  # no such option
     assert main(["verify-all", "--type", "A2", "--json"]) == 2  # JSON is the default
 
 
