@@ -6,7 +6,9 @@ z <=_L w whenever c_z occurs in some c_x c_w (and symmetrically on the
 right), then closed transitively.  No generation theorem is assumed; the
 full structure-constant table comes from the generator recursion of
 `HeckeAlgebra.h_struct` and doubles as the data source for the a-function
-and the gamma-table.
+and the gamma-table.  Each preorder is a list of int-bitset rows, one per
+element in enumeration order (bit j of row i: element i is below element
+j), closed by Warshall's algorithm (J. ACM 9, 1962).
 
 Conventions (all read off the v-variable structure constants h_{x,y,z}):
 
@@ -22,23 +24,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import InfiniteGroupError
+from .coxeter import InfiniteGroupError, bits
 from .hecke import add_into
 
 
-def _closure(n, adj):
-    """Reflexive-transitive closure of a boolean adjacency matrix (in place)."""
-    for i in range(n):
-        adj[i][i] = True
-    for k in range(n):
-        row_k = adj[k]
-        for i in range(n):
-            if adj[i][k]:
-                row_i = adj[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return adj
+def _closure(rows):
+    """Reflexive-transitive closure of a relation given by int-bitset rows
+    (bit j of rows[i] set when i relates to j), in place: Warshall's
+    algorithm, one row union per pair (i, k) with k in row i."""
+    for i in range(len(rows)):
+        rows[i] |= 1 << i
+    for k, row_k in enumerate(rows):
+        for i, row_i in enumerate(rows):
+            if row_i >> k & 1:
+                rows[i] = row_i | row_k
+    return rows
 
 
 @dataclass
@@ -75,25 +75,20 @@ class CellData:
         self.algebra = algebra
         self.system = system
         self.elements = system.elements()
-        self._index = {w: i for i, w in enumerate(self.elements)}
-        n = len(self.elements)
+        index = self._index = {w: i for i, w in enumerate(self.elements)}
 
-        leq_l = [[False] * n for _ in range(n)]
-        leq_r = [[False] * n for _ in range(n)]
-        leq_lr = [[False] * n for _ in range(n)]
+        leq_l = [0] * len(self.elements)
+        leq_lr = [0] * len(self.elements)
         for x in self.elements:
+            bx = 1 << index[x]
             for w in self.elements:
-                iw = self._index[w]
+                bw = 1 << index[w]
                 for z in algebra.h_struct(x, w):
                     # c_z occurs in c_x c_w: z <=_L w; and z <=_R x
-                    leq_l[self._index[z]][iw] = True
-                    leq_r[self._index[z]][self._index[x]] = True
-        for i in range(n):
-            for j in range(n):
-                leq_lr[i][j] = leq_l[i][j] or leq_r[i][j]
-        self._leq_l = _closure(n, leq_l)
-        self._leq_r = _closure(n, leq_r)
-        self._leq_lr = _closure(n, leq_lr)
+                    leq_l[index[z]] |= bw
+                    leq_lr[index[z]] |= bw | bx
+        self._leq_l = _closure(leq_l)
+        self._leq_lr = _closure(leq_lr)
 
         self.partition = self._build_partition()
         self.a = self._a_function()
@@ -102,18 +97,18 @@ class CellData:
     # -- preorders and cells -------------------------------------------------
 
     def leq_lr(self, z, w):
-        return self._leq_lr[self._index[z]][self._index[w]]
+        return bool(self._leq_lr[self._index[z]] >> self._index[w] & 1)
 
     def _classes(self, leq):
-        n = len(self.elements)
-        seen = [False] * n
+        """The equivalence classes of a closed preorder, by least member."""
+        seen = 0
         classes = []
-        for i in range(n):
-            if seen[i]:
+        for i, row in enumerate(leq):
+            if seen >> i & 1:
                 continue
-            cls = [j for j in range(n) if leq[i][j] and leq[j][i]]
+            cls = [j for j in bits(row) if leq[j] >> i & 1]
             for j in cls:
-                seen[j] = True
+                seen |= 1 << j
             classes.append(frozenset(self.elements[j] for j in cls))
         return classes
 

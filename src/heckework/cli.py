@@ -27,7 +27,7 @@ from .eqvb import (
 from .hecke import HeckeAlgebra
 from .idealmod import IdealModel
 from .invmod import InvolutionModule
-from .report import Report, sample_triples
+from .report import Check, Report, sample_triples
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -410,55 +410,35 @@ def cmd_eqvb(args):
 def cmd_verify_all(args):
     sys_, alg, cells, inv = _context(args, need_cells=True, need_inv=True)
     ideal = IdealModel(alg, inv)
-
-    def kl_suite():
-        rep = Report("kl-oracle", sys_.describe())
-        bad = None
-        for w in cells.elements:
-            for y in sys_.lower_interval(w):
-                if alg.kl.p(y, w) != alg.kl_solved(y, w):
-                    bad = (str(y), str(w))
-        rep.add("recursion-equals-solver", bad is None, bad)
-        return [rep]
-
-    def cells_suite():
-        rep = _cells_report(sys_, cells)
-        rep.add(
-            "support-constraint",
-            all(
-                cells.partition.preceq(z, x) and cells.partition.preceq(z, y)
-                for x in cells.elements
-                for y in cells.elements
-                for z in alg.h_struct(x, y)
-            ),
-        )
-        return [rep]
-
-    def jring_suite():
-        return [jring_report(sys_, cells)]
-
-    def invmod_suite():
-        return [inv.verify_section1(cells)]
-
-    def conj_suite():
-        rep, _ = ideal.eta_check()
-        return [rep]
-
-    def pi_suite():
-        if sys_.star_perm != tuple(range(sys_.rank)):
-            rep = Report("specialization", sys_.describe())
-            rep.add("skipped-nontrivial-star", True)
-            return [rep]
-        return [ideal.specialization_check()]
-
-    def eqvb_suite():
-        return [count_check(gs, name) for name, gs in standard_pairs()]
-
+    kl = Report("kl-oracle", sys_.describe())
+    bad = None
+    for w in cells.elements:
+        for y in sys_.lower_interval(w):
+            if alg.kl.p(y, w) != alg.kl_solved(y, w):
+                bad = (str(y), str(w))
+    kl.add("recursion-equals-solver", bad is None, bad)
+    cells_rep = _cells_report(sys_, cells)
+    cells_rep.add(
+        "support-constraint",
+        all(
+            cells.partition.preceq(z, x) and cells.partition.preceq(z, y)
+            for x in cells.elements
+            for y in cells.elements
+            for z in alg.h_struct(x, y)
+        ),
+    )
     # sequential over the one context: its lazily filled tables are not
     # thread-safe, and the suites are GIL-bound pure Python anyway
-    suites = [kl_suite, cells_suite, jring_suite, invmod_suite, conj_suite,
-              pi_suite, eqvb_suite]
-    reports = [r for f in suites for r in f()]
+    reports = [
+        kl,
+        cells_rep,
+        jring_report(sys_, cells),
+        inv.verify_section1(cells),
+        ideal.eta_check()[0],
+        ideal.specialization_check() if sys_.star_perm == tuple(range(sys_.rank))
+        else Report("specialization", sys_.describe(), [Check("skipped-nontrivial-star", True)]),
+        *(count_check(gs, name) for name, gs in standard_pairs()),
+    ]
     return {"system": sys_.describe()}, reports
 
 

@@ -30,10 +30,10 @@ Two backend models:
 - an exact dihedral word model for rank <= 2 and arbitrary bond order
   (covers I2(5), I2(7), ... where the matrix entries are irrational).
 
-`CoxeterElement` objects carry their id and stay the public currency.  Ids
-belong to one system instance: an element of another instance of an equal
-system is translated by its normal form.  The lazily filled tables are not
-thread-safe.
+`CoxeterElement` objects carry their id and stay the public currency.  An
+element belongs to the one system instance that interned it, so equality is
+identity; a system rejects the elements of any other instance, even of an
+equal one, with ValueError.  The lazily filled tables are not thread-safe.
 
 Bond order infinity is encoded as 0, matching the external matrix format.
 Words are displayed as digit strings over 1..n ("121321"); the identity
@@ -98,12 +98,6 @@ class ReflectionRep:
         self.n = n
         self.gens = tuple(gens)
         self.identity = _identity_mat(n)
-
-    def matrix_of_word(self, word):
-        m = self.identity
-        for g in word:
-            m = _mat_mul(m, self.gens[g])
-        return m
 
     @staticmethod
     def _column_nonpositive(mat, i):
@@ -203,10 +197,6 @@ class CoxeterElement:
         self._hash = hash((system._ckey, word))
         self._str = "".join(str(i + 1) for i in word) if word else "e"
 
-    @property
-    def length(self):
-        return len(self.word)
-
     def __mul__(self, other):
         return self.system.multiply(self, other)
 
@@ -225,14 +215,9 @@ class CoxeterElement:
     def sort_key(self):
         return (len(self.word), self.word)
 
-    def __eq__(self, other):
-        if not isinstance(other, CoxeterElement):
-            return NotImplemented
-        if self.system is other.system:
-            return self.id == other.id
-        return self.word == other.word and self.system._ckey == other.system._ckey
-
     def __hash__(self):
+        # by word, not by address, so that set order and every printed
+        # witness are the same from run to run
         return self._hash
 
     def __str__(self):
@@ -240,9 +225,6 @@ class CoxeterElement:
 
     def __repr__(self):
         return "<%s>" % self
-
-    def __len__(self):
-        return len(self.word)
 
 
 class CoxeterSystem:
@@ -334,25 +316,6 @@ class CoxeterSystem:
                 return cls([[1, INF], [INF, 1]], star=star, label="Dinf")
         raise ValueError("unknown type label %r" % label)
 
-    @classmethod
-    def from_config(cls, cfg):
-        """Config document: {"type": label} or {"matrix": rows}; optional "star"."""
-        star = cfg.get("star")
-        if star is not None:
-            star = [i - 1 for i in star]
-        if "type" in cfg:
-            return cls.from_label(cfg["type"], star=star)
-        if "matrix" in cfg:
-            return cls(cfg["matrix"], star=star)
-        raise ValueError("config needs a 'type' or a 'matrix' field")
-
-    def to_config(self):
-        cfg = {"matrix": [list(r) for r in self.matrix],
-               "star": [i + 1 for i in self.star_perm]}
-        if self.label:
-            cfg["type"] = self.label
-        return cfg
-
     def content_hash(self):
         blob = json.dumps(
             {"matrix": [list(r) for r in self.matrix],
@@ -401,13 +364,10 @@ class CoxeterSystem:
         return y
 
     def _id(self, w):
-        """The id of w here; an element of another instance of an equal system
-        is translated by its word, never by its id."""
-        if w.system is self:
-            return w.id
-        if w.system._ckey != self._ckey:
+        """The id of w, which must have been interned here."""
+        if w.system is not self:
             raise ValueError("element belongs to a different Coxeter system")
-        return self._word_id(w.word)
+        return w.id
 
     def _word_id(self, word):
         """The id of the product of the generators in word."""
@@ -461,9 +421,6 @@ class CoxeterSystem:
 
     def generator(self, i):
         return self._gens[i]
-
-    def generators(self):
-        return list(self._gens)
 
     def multiply(self, a, b):
         """a * b, folding the shorter word through the tables."""

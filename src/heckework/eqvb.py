@@ -466,10 +466,6 @@ class KRing:
             add_scaled(out, self.psi_basis(g0, phi), c)
         return out
 
-    @staticmethod
-    def nu(y_class):
-        return sum(y_class.values())
-
     # -- brute-force isomorphism oracle -----------------------------------------------
 
     def trace_signature(self, cls):

@@ -33,7 +33,8 @@ completion (`idealmod`) and the rest of the package, each written once:
 - `HeckeAlgebra.mu_down`: the mu(z, w) with s in D_L(z), behind c_s c_w
   (`c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b)) and the recursion on
   x = s x' for `h_struct` here and `f_constants` in the module.  The T-basis
-  product `mult` with `to_c` is the second route, kept for the tests.
+  product `mult` with `to_c` is the second route: the tests' oracle, and a
+  layer the perfbench trace wraps by name.
 
 KL polynomials are stored in u-units (monomial exponent = power of u);
 `subst_v_to_u` converts them to the ambient v-representation.
@@ -286,13 +287,6 @@ class KLTable:
                         got.append((z, lv - d, m))
             self._mu[v] = got
         return got
-
-    def mu(self, y, w):
-        """The coefficient of u^((l(w)-l(y)-1)/2) in P_{y,w}."""
-        d = len(w.word) - len(y.word)
-        if d <= 0 or d % 2 == 0:
-            return 0
-        return self.p(y, w).coeff_of_v((d - 1) // 2)
 
 
 class HeckeAlgebra:

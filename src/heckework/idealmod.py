@@ -57,7 +57,10 @@ class CompletionElement:
     exact_len: object = None  # None or int
 
     def trimmed(self, n):
-        """Restrict to l(x) <= n (n must not exceed the exactness window)."""
+        """Restrict to l(x) <= n (n must not exceed the exactness window);
+        n = None keeps an exact element whole."""
+        if n is None:
+            return self
         if self.exact_len is not None and n > self.exact_len:
             raise ValueError("window %d exceeds exact length %d" % (n, self.exact_len))
         return CompletionElement(
@@ -67,13 +70,6 @@ class CompletionElement:
     def laurent_coeffs(self):
         """Coefficients as integer Laurent polynomials (exactness check)."""
         return {w: as_laurent(c) for w, c in self.coeffs.items()}
-
-
-def _trimmed(coeffs, window):
-    """The element with these coefficients, cut to l(x) <= window."""
-    if window is not None:
-        coeffs = {x: c for x, c in coeffs.items() if len(x.word) <= window}
-    return CompletionElement(coeffs, window)
 
 
 class IdealModel:
@@ -103,7 +99,8 @@ class IdealModel:
     def t_gen_mult(self, i, elt):
         """Left multiplication by T_{s_i}; shrinks a truncation window by one."""
         out = t_gen_action(self.system, i, elt.coeffs, _U2)
-        return _trimmed(out, None if elt.exact_len is None else elt.exact_len - 1)
+        n = elt.exact_len
+        return CompletionElement(out, n).trimmed(None if n is None else n - 1)
 
     def t_word_mult(self, word, elt):
         for i in reversed(word):
@@ -127,7 +124,8 @@ class IdealModel:
             t = self.t_gen_mult(i, elt)
             if kind == "half":
                 # T_s X is exact one length less far than X, so the difference is too
-                t = _trimmed(half_step(t.coeffs, elt.coeffs, _U), t.exact_len)
+                t = CompletionElement(half_step(t.coeffs, elt.coeffs, _U),
+                                      elt.exact_len).trimmed(t.exact_len)
             elt = t
         return elt
 
@@ -171,19 +169,6 @@ class IdealModel:
 
     # -- row reduction over Q(u) and the eta certificate ----------------------------
 
-    def ideal_basis(self):
-        """Row-reduce {T_x X_empty : x in W}; returns (dim, basis rows)."""
-        sys = self.system
-        if sys.is_finite is False:
-            raise InfiniteGroupError("ideal_basis requires a finite group")
-        els = sys.elements()
-        base = self.x_empty()
-        rows = []
-        for x in els:
-            rows.append(self.t_word_mult(x.word, base).laurent_coeffs())
-        rref = canonical_rref(rows, els)
-        return len(rref), [CompletionElement(dict(r)) for r in rref]
-
     def eta_check(self):
         """Certificate for the module isomorphism onto the involution module.
 
@@ -192,8 +177,7 @@ class IdealModel:
         ideal dimension against the number of twisted involutions, and checks
         that every X_w has coefficients in Z[u^-1].  The ideal dimension is
         the rank of the transposed X_empty matrix, since a matrix and its
-        transpose have equal rank; `ideal_basis` computes it independently.
-        Returns (report, x_table).
+        transpose have equal rank.  Returns (report, x_table).
         """
         sys = self.system
         if sys.is_finite is False:
@@ -203,19 +187,14 @@ class IdealModel:
         inv = self.invmod.basis
         base = self.x_empty()
         images_x = [self.t_word_mult(x.word, base).laurent_coeffs() for x in els]
-        images_a = [
-            {w: c for w, c in self.invmod.t_word_action(x.word, {sys.identity: ONE}).items()}
-            for x in els
-        ]
-        # transposed matrices: rows indexed by target basis, columns by x
-        rows_x = []
-        for y in els:
-            rows_x.append({x_i: img.get(y) for x_i, img in zip(els, images_x) if img.get(y)})
-        rows_a = []
-        for w in inv:
-            rows_a.append({x_i: img.get(w) for x_i, img in zip(els, images_a) if img.get(w)})
-        rref_x = canonical_rref(rows_x, els)
-        rref_a = canonical_rref(rows_a, els)
+        images_a = [self.invmod.t_word_action(x.word, {sys.identity: ONE}) for x in els]
+
+        def transposed(images, targets):
+            # rows indexed by the target basis, columns by x
+            return [{x: img[y] for x, img in zip(els, images) if img.get(y)} for y in targets]
+
+        rref_x = canonical_rref(transposed(images_x, els), els)
+        rref_a = canonical_rref(transposed(images_a, inv), els)
         kernel_equal = rref_x == rref_a
         rep.add(
             "kernel-equality",

@@ -102,21 +102,6 @@ class InvolutionModule:
             m = self.ts_action(i, m)
         return m
 
-    def h_action(self, h, m):
-        """Action of the parameter-u^2 algebra: h is either a group element
-        (acting as T_h through a reduced word) or a T-coordinate dict."""
-        if hasattr(h, "word"):
-            return self.t_word_action(h.word, m)
-        out = {}
-        for x, c in h.items():
-            add_scaled(out, self.t_word_action(x.word, m), c)
-        return out
-
-    def c_act(self, x, m):
-        """Action of the canonical basis element c_x (parameter-u^2 coordinates)."""
-        c_u = {y: c.subst_v_to_u() for y, c in self.algebra.c_elt(x).items()}
-        return self.h_action(c_u, m)
-
     # -- bar operator ---------------------------------------------------------------
 
     def _bar_ts(self, i, m):
@@ -200,14 +185,20 @@ class InvolutionModule:
 
     def f_constants(self, x, w):
         """A-basis coordinates of c_x A_w: a dict w' -> f_{x,w,w'}.  The
-        generator rows strip off c_s A_w; longer x follow `h_struct`'s
-        recursion (exponent doubling is a ring map, mu an integer):
+        rows of x = e and x = s strip off A_w and c_s A_w = u^-1 (T_s + 1) A_w
+        (c_s at parameter u^2); longer x follow `h_struct`'s recursion
+        (exponent doubling is a ring map, mu an integer):
         f(x, w) = sum f(x', w)[w'] f(s, w') - sum mu(z, x') f(z, w)."""
         key = (x, w)
         got = self._f.get(key)
         if got is None:
             if len(x.word) < 2:
-                got = strip_off(self.c_act(x, self.a_upper(w)), self.a_upper)
+                m = aw = self.a_upper(w)
+                if x.word:
+                    m = {}
+                    add_scaled(m, self.ts_action(x.word[0], aw), _UINV)
+                    add_scaled(m, aw, _UINV)
+                got = strip_off(m, self.a_upper)
             else:
                 s = self.system.generator(x.word[0])
                 xp = s * x
@@ -218,10 +209,6 @@ class InvolutionModule:
                     add_scaled(got, self.f_constants(z, w), -m)
             self._f[key] = got
         return got
-
-    def beta(self, x, w, wp, cells):
-        """The leading coefficient of f_{x,w,w'} at v^{2 a(w')}."""
-        return self._beta_row(x, w, cells).get(wp, 0)
 
     def beta_table(self, cells):
         """{(x, w) -> {w' -> beta}} over all x in W, w in I_* (nonzero only)."""

@@ -8,12 +8,14 @@ Reduced words and Bruhat order are recomputed here from scratch.
 
 The Hecke-side oracles compute through the T-basis product and strip-off,
 the route the package's generator recursions for `h_struct` and
-`f_constants` replaced.
+`f_constants` replaced; `ideal_basis` row-reduces the ideal itself, the
+second route to the dimension `eta_check` reads off a transposed matrix.
 """
 
 from __future__ import annotations
 
 from heckework.hecke import add_scaled, strip_off
+from heckework.idealmod import CompletionElement, canonical_rref
 from heckework.laurent import ZERO
 
 
@@ -33,9 +35,35 @@ def h_struct_t_basis(alg, x, y):
     return alg.to_c(alg.mult(alg.c_elt(x), alg.c_elt(y)))
 
 
+def c_act(inv, x, m):
+    """The canonical basis element c_x acting on the module element m: its
+    T-coordinates at parameter u^2, each T_y acting through a reduced word."""
+    out = {}
+    for y, c in inv.algebra.c_elt(x).items():
+        add_scaled(out, inv.t_word_action(y.word, m), c.subst_v_to_u())
+    return out
+
+
 def f_constants_t_basis(inv, x, w):
     """c_x A_w in A-coordinates, through the T-action on the module."""
-    return strip_off(inv.c_act(x, inv.a_upper(w)), inv.a_upper)
+    return strip_off(c_act(inv, x, inv.a_upper(w)), inv.a_upper)
+
+
+def kl_mu(kl, y, w):
+    """The coefficient of u^((l(w)-l(y)-1)/2) in P_{y,w}."""
+    d = len(w.word) - len(y.word)
+    if d <= 0 or d % 2 == 0:
+        return 0
+    return kl.p(y, w).coeff_of_v((d - 1) // 2)
+
+
+def ideal_basis(ideal):
+    """Row-reduce {T_x X_empty : x in W}; returns (dim, basis rows)."""
+    els = ideal.system.elements()
+    base = ideal.x_empty()
+    rows = [ideal.t_word_mult(x.word, base).laurent_coeffs() for x in els]
+    rref = canonical_rref(rows, els)
+    return len(rref), [CompletionElement(dict(r)) for r in rref]
 
 
 def triple_H(alg, x, w, wp):
@@ -74,6 +102,21 @@ def sign_split_check(inv, x, w, wp):
         if hc == 1 and abs(fc) != 1:
             return False, ("unit", e, fc, hc)
     return True, None
+
+
+# -- the reflection representation ---------------------------------------------------
+
+
+def matrix_of_word(rep, word):
+    """The product of the generator matrices of `rep` along word."""
+    m = rep.identity
+    for g in word:
+        b = rep.gens[g]
+        m = tuple(
+            tuple(sum(row[k] * b[k][c] for k in range(len(b))) for c in range(len(b)))
+            for row in m
+        )
+    return m
 
 
 # -- type A: permutations ----------------------------------------------------------

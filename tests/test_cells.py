@@ -4,7 +4,7 @@ import random
 import pytest
 
 from heckework import CoxeterSystem, InfiniteGroupError
-from heckework.cells import CellData
+from heckework.cells import CellData, _closure
 from heckework.hecke import HeckeAlgebra
 
 
@@ -13,6 +13,24 @@ def gamma(cd, x, y, z):
     zi = z.inverse()
     h = cd.algebra.h_struct(x, y).get(zi)
     return h.coeff_of_v(cd.a[zi]) if h is not None else 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33, 64, 65, 130])
+def test_closure_is_reachability(n):
+    # the bitset Warshall closure against a search from every vertex, on
+    # seeded random relations from empty through sparse chains to dense
+    rng = random.Random(n)
+    for density in (0.0, 1 / n, 3 / n, 0.3):
+        succ = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
+        rows = _closure([sum(1 << j for j in out) for out in succ])
+        for i in range(n):
+            seen, stack = {i}, [i]
+            while stack:
+                for j in succ[stack.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            assert rows[i] == sum(1 << j for j in seen), (n, density, i)
 
 
 def cell_strs(cells):

@@ -366,6 +366,8 @@ def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
     [
         (["cells", "--type", "B3"],
          "0f2bad20fb1d1c7d0af5697d877b018024dcf4a30e31ddf5fd51ee50abc9c39c"),
+        (["cells", "--type", "A4"],
+         "6d216e7df11eb4680decbfbc145ba98164fe3be09cb217ab62eec9b3374d3a53"),
         (["invmod", "--type", "B3", "--tables"],
          "b9abdd3dab837d221821b843a75c91c1fa753c8d9ec2c473450b293983fad391"),
         (["verify-all", "--type", "B3"],
@@ -376,11 +378,12 @@ def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
         (["conj34", "--type", "Dinf", "--max-len", "9"],
          "15924c4de960ef11db8ab2ab5a6bdd56e707134e875995a497a5476d332a21c9"),
     ],
-    ids=["cells-B3", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9"],
+    ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9"],
 )
 def test_b3_stdout_is_unchanged(capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
-    # recursion; the other three while division and gcd still ran over Q
+    # recursion (cells-A4 with the boolean-matrix closure); the other three
+    # while division and gcd still ran over Q
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ from heckework.hecke import HeckeAlgebra
 from heckework.idealmod import IdealModel, canonical_rref
 from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly, ONE
+from oracles import ideal_basis
 
 
 def u_poly(items):
@@ -54,16 +55,16 @@ def test_x_empty_star_fixed_only():
 
 
 def test_ideal_dimensions(a1, a2, a3):
-    assert a1.ideal.ideal_basis()[0] == 2
-    assert a2.ideal.ideal_basis()[0] == 4
-    assert a3.ideal.ideal_basis()[0] == 10
+    assert ideal_basis(a1.ideal)[0] == 2
+    assert ideal_basis(a2.ideal)[0] == 4
+    assert ideal_basis(a3.ideal)[0] == 10
 
 
 def test_ideal_basis_spans_x_elements(a1, a2):
     # the row space of {T_x X_empty} equals the span of the X_w
     for ctx in (a1, a2):
         els = ctx.sys.elements()
-        _, basis = ctx.ideal.ideal_basis()
+        _, basis = ideal_basis(ctx.ideal)
         rows_basis = [b.laurent_coeffs() for b in basis]
         _, x_table = ctx.ideal.eta_check()
         rows_x = [x_table[w].laurent_coeffs() for w in ctx.inv.basis]
@@ -242,7 +243,7 @@ def test_specialize_x1_a1(a1):
 
 def test_infinite_guards(dinf):
     with pytest.raises(InfiniteGroupError):
-        dinf.ideal.ideal_basis()
+        ideal_basis(dinf.ideal)
     with pytest.raises(InfiniteGroupError):
         dinf.ideal.eta_check()
     with pytest.raises(InfiniteGroupError):
@@ -257,7 +258,7 @@ def test_dihedral_ideal_dimensions():
         inv = InvolutionModule(alg)
         assert len(inv.basis) == expected
         ideal = IdealModel(alg, inv)
-        assert ideal.ideal_basis()[0] == expected
+        assert ideal_basis(ideal)[0] == expected
         rep, _ = ideal.eta_check()
         assert rep.passed, (label, [c.to_json() for c in rep.checks])
 
@@ -275,7 +276,7 @@ def test_eta_check_dimension_equals_ideal_basis(label, star, expected):
     ideal = IdealModel(alg, InvolutionModule(alg))
     rep, _ = ideal.eta_check()
     (dim,) = [c.witness["dim"] for c in rep.checks if c.check_id == "ideal-dimension"]
-    assert dim == ideal.ideal_basis()[0] == expected
+    assert dim == ideal_basis(ideal)[0] == expected
 
 
 def test_conj34_row_reduces_twice(monkeypatch, capsys):

@@ -194,7 +194,7 @@ def test_beta_unit_sum(a2, a3):
         dist = ctx.cells.distinguished_involutions()
         for w in ctx.inv.basis:
             for wp in ctx.inv.basis:
-                total = sum(ctx.inv.beta(d, w, wp, ctx.cells) for d in dist)
+                total = sum(ctx.inv._beta_row(d, w, ctx.cells).get(wp, 0) for d in dist)
                 assert total == (1 if w == wp else 0)
 
 
@@ -204,7 +204,7 @@ def test_beta_cell_constraint(a2, a3):
         for x in ctx.cells.elements:
             for w in ctx.inv.basis:
                 for wp in ctx.inv.basis:
-                    if ctx.inv.beta(x, w, wp, ctx.cells):
+                    if ctx.inv._beta_row(x, w, ctx.cells).get(wp, 0):
                         assert part.same_two_sided(x, w)
                         assert part.same_two_sided(w, wp)
 
@@ -222,7 +222,7 @@ def test_beta_table_a2_middle_cell(a2):
     for x in a2.cells.elements:
         for w in a2.inv.basis:
             for wp in a2.inv.basis:
-                b = a2.inv.beta(x, w, wp, a2.cells)
+                b = a2.inv._beta_row(x, w, a2.cells).get(wp, 0)
                 if b and len(x.word) in (1, 2):
                     got[(str(x), str(w), str(wp))] = b
     assert got == expected
@@ -306,11 +306,3 @@ def test_dinf_truncated_bar_and_a_basis(dinf):
         assert dinf.inv.bar_m(aw) == aw
         for y, c in aw.items():
             assert isinstance(c, LaurentPoly)  # integral coefficients
-
-
-def test_h_action_accepts_group_element(a2):
-    w0 = a2.sys.element("121")
-    m = {a2.sys.identity: ONE}
-    via_elt = a2.inv.h_action(w0, m)
-    via_dict = a2.inv.h_action({w0: ONE}, m)
-    assert via_elt == via_dict
