@@ -79,6 +79,9 @@ def _context(args, need_cells=False, need_inv=False):
     if args.max_len is not None and args.max_len < 0:
         raise UsageError("--max-len must be at least 0")
     sys_ = build_system(args)
+    if need_inv and args.max_len is not None and sys_.is_finite is not False:
+        raise UsageError("--max-len bounds infinite systems only, and %s is not known "
+                         "to be infinite" % sys_.describe())
     alg = HeckeAlgebra(sys_, store=_store(args))
     cells = CellData(alg) if need_cells else None
     inv = InvolutionModule(alg, max_len=args.max_len) if need_inv else None
@@ -348,7 +351,7 @@ def cmd_conj34(args):
         payload["ideal_dimension"] = dim
     for w in sorted(x_table, key=lambda w: w.sort_key()):
         elt = x_table[w]
-        entry = {"w": str(w), "terms": _elt_terms(elt.laurent_coeffs())}
+        entry = {"w": str(w), "terms": _elt_terms(elt.coeffs)}
         if elt.exact_len is not None:
             entry["exact_up_to_length"] = elt.exact_len
         payload["x_elements"].append(entry)
@@ -358,8 +361,7 @@ def cmd_conj34(args):
 def cmd_pi(args):
     sys_, alg, _, inv = _context(args, need_inv=True)
     ideal = IdealModel(alg, inv)
-    rep = ideal.specialization_check(max_len=args.max_len, window=args.max_len)
-    pi = ideal.pi_map(max_len=args.max_len)
+    rep, pi = ideal.specialization_check(max_len=args.max_len, window=args.max_len)
     fibers = ideal.pi_fibers(pi)
     payload = {
         "system": sys_.describe(),
@@ -435,7 +437,7 @@ def cmd_verify_all(args):
         jring_report(sys_, cells),
         inv.verify_section1(cells),
         ideal.eta_check()[0],
-        ideal.specialization_check() if sys_.star_perm == tuple(range(sys_.rank))
+        ideal.specialization_check()[0] if sys_.star_perm == tuple(range(sys_.rank))
         else Report("specialization", sys_.describe(), [Check("skipped-nontrivial-star", True)]),
         *(count_check(gs, name) for name, gs in standard_pairs()),
     ]

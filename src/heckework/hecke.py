@@ -22,8 +22,8 @@ completion (`idealmod`) and the rest of the package, each written once:
 - `t_inv_gen_action`: the inverse generator T_s^-1 = q^-1 T_s + (q^-1 - 1),
   which is bar(T_s) (in `bar_t` here and `_bar_ts` in the module);
 - `half_step`: the descent half step (u + 1)^-1 (T_s - u), in the module's
-  bar recursion (with u^-1 and bar(T_s)) and on the descent chains of the
-  completion;
+  `bar_a` (with u^-1 and bar(T_s)) and the completion's `x_elt`; the
+  division is exact in Z[v, v^-1];
 - `bar_invariant_solve`: the certifying triangular solve for the canonical
   basis element (c_w here, A_w in the module);
 - `strip_off`: coordinates in a unitriangular canonical basis (`to_c` here,
@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 
 from .coxeter import bits
-from .laurent import LaurentPoly, RationalFn, ZERO, ONE
+from .laurent import LaurentPoly, ZERO, ONE
 
 # v-units scalars for the T-basis quadratic relation
 U_V = LaurentPoly.monomial(2)                    # u = v^2
@@ -104,11 +104,17 @@ def t_inv_gen_action(ts_coeffs, coeffs, qinv):
 
 def half_step(ts_coeffs, coeffs, u):
     """(u + 1)^-1 (T_s - u) applied to coeffs, given ts_coeffs = T_s applied
-    to coeffs; the coefficients come back as RationalFn."""
+    to coeffs.  T_s a_v = u a_v + (u + 1) a_w makes the division exact;
+    a coefficient u + 1 does not divide raises ValueError naming its x."""
     num = dict(ts_coeffs)
     add_scaled(num, coeffs, -u)
-    scale = RationalFn(ONE, u + ONE)
-    return {x: RationalFn._coerce(c) * scale for x, c in num.items()}
+    den = u + ONE
+    out = {}
+    for x, c in num.items():
+        q = out[x] = c.try_divide(den)
+        if q is None:
+            raise ValueError("not divisible by %r at %s: %r" % (den, x, c))
+    return out
 
 
 def strip_off(coeffs, basis_elt):

@@ -4,18 +4,18 @@ module, the u^-1 -> 0 specialization, and the inductive projection from the
 group onto its twisted involutions.
 
 All of this lives in the parameter-u^2 convention: T_s T_x = T_{sx} when
-lengths add and T_s^2 = (u^2-1) T_s + u^2, with coefficients in Q(u) (u =
-v^2 as everywhere else).
+lengths add and T_s^2 = (u^2-1) T_s + u^2, with coefficients in Z[v, v^-1]
+(u = v^2 as everywhere else).
 
 Key objects:
 
 - X_empty = sum over *-fixed x of u^{-l(x)} T_x (a formal series for
   infinite groups; truncations carry an explicit exactness window);
-- X_w, built by replaying the involution-module descent chain on X_empty:
-  X_w = (u+1)^{-1}(T_s - u) X_{sw} when sw = ws* < w, X_w = T_s X_{sws*}
-  otherwise.  The same chain is replayed on a_empty in the involution
-  module and asserted to land exactly on a_w, so X_w = eta^{-1}(a_w)
-  whenever eta exists;
+- X_w, built by one descent step from the memoized X_v of the involution
+  module's descent: X_w = (u+1)^{-1}(T_s - u) X_{sw} when sw = ws* < w,
+  X_w = T_s X_{sws*} otherwise.  Each step is asserted to send a_v exactly
+  to a_w in the involution module, so X_w = eta^{-1}(a_w) whenever eta
+  exists;
 - eta_check: for finite W, compares the kernels of h -> h X_empty and
   h -> h a_empty via canonical fraction-free reduced row echelon forms and
   reports ranks — a certificate that the unique module map X_empty -> a_empty
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, RationalFn, ZERO, ONE, poly_gcd, as_laurent
+from .laurent import LaurentPoly, ZERO, ONE, poly_gcd
 from .coxeter import InfiniteGroupError
 from .hecke import half_step, t_gen_action
 from .report import Report
@@ -47,7 +47,7 @@ _U2 = LaurentPoly.monomial(4)
 
 @dataclass
 class CompletionElement:
-    """A (possibly truncated) formal sum of T_x with Q(u) coefficients.
+    """A (possibly truncated) formal sum of T_x with Laurent coefficients.
 
     exact_len None means exact (finitely supported); otherwise coefficients
     of T_x are guaranteed exact for l(x) <= exact_len and dropped beyond.
@@ -66,10 +66,6 @@ class CompletionElement:
         return CompletionElement(
             {w: c for w, c in self.coeffs.items() if len(w.word) <= n}, n
         )
-
-    def laurent_coeffs(self):
-        """Coefficients as integer Laurent polynomials (exactness check)."""
-        return {w: as_laurent(c) for w, c in self.coeffs.items()}
 
 
 class IdealModel:
@@ -109,55 +105,31 @@ class IdealModel:
 
     # -- the X_w elements ------------------------------------------------------------
 
-    def _descent_chain(self, w):
-        """The descent chain from w down to the identity: a list of
-        ("half", i) / ("conj", i) steps, innermost first."""
-        steps = []
-        while w.word:
-            i = w.word[0]
-            half, w = self.invmod._case(i, w)
-            steps.append(("half" if half else "conj", i))
-        return list(reversed(steps))
-
-    def _apply_chain_x(self, steps, elt):
-        for kind, i in steps:
-            t = self.t_gen_mult(i, elt)
-            if kind == "half":
-                # T_s X is exact one length less far than X, so the difference is too
-                t = CompletionElement(half_step(t.coeffs, elt.coeffs, _U),
-                                      elt.exact_len).trimmed(t.exact_len)
-            elt = t
-        return elt
-
-    def _apply_chain_m(self, steps, m):
-        for kind, i in steps:
-            t = self.invmod.ts_action(i, m)
-            m = half_step(t, m, _U) if kind == "half" else t
-        return m
-
     def x_elt(self, w, max_len=None):
-        """X_w = eta^{-1}(a_w), by replaying the descent chain of a_w on
-        X_empty.  The same chain applied to a_empty must reproduce a_w
-        exactly; that is asserted, certifying the chain."""
+        """X_w = eta^{-1}(a_w), exact to l(x) <= max_len (None for finite W):
+        one descent step from the memoized X_v, taken one length further.
+        The same step must send a_v exactly to a_w in the involution module;
+        that is asserted, and by induction certifies the whole chain."""
         key = (w, max_len)
         got = self._x_memo.get(key)
-        if got is not None:
-            return got
-        steps = self._descent_chain(w)
-        buffer = None
-        if max_len is not None:
-            buffer = max_len + len(steps)
-        base = self.x_empty(max_len=buffer)
-        out = self._apply_chain_x(steps, base)
-        mside = self._apply_chain_m(steps, {self.system.identity: ONE})
-        if {x: RationalFn._coerce(c) for x, c in mside.items()} != {
-            w: RationalFn._coerce(ONE)
-        }:
-            raise AssertionError("descent chain does not reproduce a_%s" % w)
-        if max_len is not None and out.exact_len is not None:
-            out = out.trimmed(min(max_len, out.exact_len))
-        self._x_memo[key] = out
-        return out
+        if got is None:
+            if not w.word:
+                got = self.x_empty(max_len=max_len)
+            else:
+                i = w.word[0]
+                half, v = self.invmod._case(i, w)
+                prev = self.x_elt(v, None if max_len is None else max_len + 1)
+                got = self.t_gen_mult(i, prev)
+                m = self.invmod.ts_action(i, {v: ONE})
+                if half:
+                    # T_s X_v is exact one length less far than X_v: trim X_v first
+                    num = prev.trimmed(got.exact_len).coeffs
+                    got = CompletionElement(half_step(got.coeffs, num, _U), got.exact_len)
+                    m = half_step(m, {v: ONE}, _U)
+                if m != {w: ONE}:
+                    raise AssertionError("descent step does not send a_%s to a_%s" % (v, w))
+            self._x_memo[key] = got
+        return got
 
     def x_elements(self, max_w_len=None, max_len=None):
         """X_w for every twisted involution w (l(w) <= max_w_len), each exact
@@ -186,7 +158,7 @@ class IdealModel:
         els = sys.elements()
         inv = self.invmod.basis
         base = self.x_empty()
-        images_x = [self.t_word_mult(x.word, base).laurent_coeffs() for x in els]
+        images_x = [self.t_word_mult(x.word, base).coeffs for x in els]
         images_a = [self.invmod.t_word_action(x.word, {sys.identity: ONE}) for x in els]
 
         def transposed(images, targets):
@@ -213,15 +185,13 @@ class IdealModel:
         integral = True
         witness = None
         for w in inv:
-            xw = self.x_elt(w)
             try:
-                for x, c in xw.laurent_coeffs().items():
+                xw = x_table[w] = self.x_elt(w)
+                for c in xw.coeffs.values():
                     c.specialize_uinv_zero()
-                x_table[w] = xw
             except ValueError:
                 integral = False
                 witness = str(w)
-                x_table[w] = xw
         rep.add("x-integrality", integral, witness)
         return rep, x_table
 
@@ -230,7 +200,7 @@ class IdealModel:
     def specialize(self, elt):
         """(elt at u^-1 = 0): an integer combination of T_x."""
         out = {}
-        for x, c in elt.laurent_coeffs().items():
+        for x, c in elt.coeffs.items():
             n = c.specialize_uinv_zero()
             if n:
                 out[x] = n
@@ -303,7 +273,7 @@ class IdealModel:
     def specialization_check(self, max_len=None, window=None):
         """(X_w at u^-1 = 0) = sum over the pi-fiber of w, and the length
         identity on every fiber.  For truncated systems the comparison is
-        restricted to the guaranteed-exact window."""
+        restricted to the guaranteed-exact window.  Returns (report, pi)."""
         sys = self.system
         rep = Report("specialization", sys.describe())
         sub, pi = self.pi_report(max_len=max_len)
@@ -336,7 +306,7 @@ class IdealModel:
                     bad_len = (str(w), str(x))
         rep.add("specialization-identity", bad_spec is None, bad_spec)
         rep.add("length-identity", bad_len is None, bad_len)
-        return rep
+        return rep, pi
 
 
 # -- canonical fraction-free reduced row echelon form ---------------------------------

@@ -19,17 +19,16 @@ The bar operator is defined by the descent recursion
 
 ground case bar(a_e) = a_e, with bar(T_s) = u^-2 T_s + (u^-2 - 1) applied
 semilinearly.  The recursion is well defined independently of the chosen
-descent; that is a tested property, not an assumption.  Intermediate values
-live over Q(u) because of the (u+1)^{-1}; every published coefficient is
-checked back into Z[v, v^-1].
+descent; that is a tested property, not an assumption.  The division by
+u + 1 is exact (T_s a_{sw} = u a_{sw} + (u+1) a_w; Lusztig-Vogan, Bull.
+Inst. Math. Acad. Sinica 7 (2012)), so every value stays in Z[v, v^-1].
 
-Module elements are dicts {twisted involution: coefficient}; coefficients
-are LaurentPoly, or RationalFn inside the bar recursion.
+Module elements are dicts {twisted involution: LaurentPoly}.
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, ZERO, ONE, as_laurent
+from .laurent import LaurentPoly, ZERO, ONE
 from .hecke import (
     add_into,
     add_scaled,
@@ -109,39 +108,27 @@ class InvolutionModule:
         return t_inv_gen_action(self.ts_action(i, m), m, _UINV2)
 
     def bar_a_via(self, w, i):
-        """bar(a_w) computed through the descent i (RationalFn coefficients)."""
+        """bar(a_w) computed through the descent i, from the memoized bar(a_v)."""
         half, v = self._case(i, w)
         if len(v.word) >= len(w.word):
             raise ValueError("%d is not a left descent of %s" % (i + 1, w))
-        prev = self._bar_a_rational(v)
-        if half:
-            # a_w = (u+1)^-1 (T_s - u) a_sw, barred with u -> u^-1
-            return half_step(self._bar_ts(i, prev), prev, _UINV)
-        return self._bar_ts(i, prev)
-
-    def _bar_a_rational(self, w):
-        if not w.word:
-            return {w: ONE}
-        got = self._bar_a.get(w)
-        if got is not None:
-            return got
-        return self.bar_a_via(w, w.word[0])
+        prev = self.bar_a(v)
+        ts = self._bar_ts(i, prev)
+        # a_w = (u+1)^-1 (T_s - u) a_sw, barred with u -> u^-1
+        return half_step(ts, prev, _UINV) if half else ts
 
     def bar_a(self, w):
-        """bar(a_w) with integral (Laurent) coefficients, memoized."""
+        """bar(a_w), memoized: a_e at e, else through the first letter of w."""
         got = self._bar_a.get(w)
         if got is None:
-            raw = self._bar_a_rational(w)
-            got = {x: as_laurent(c) for x, c in raw.items()}
-            self._bar_a[w] = got
+            got = self._bar_a[w] = self.bar_a_via(w, w.word[0]) if w.word else {w: ONE}
         return got
 
     def bar_m(self, m):
         """The semilinear bar operator on a module element."""
         out = {}
         for w, c in m.items():
-            cl = as_laurent(c) if not isinstance(c, LaurentPoly) else c
-            add_scaled(out, self.bar_a(w), cl.bar())
+            add_scaled(out, self.bar_a(w), c.bar())
         return out
 
     # -- the upper canonical basis ----------------------------------------------------

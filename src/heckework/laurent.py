@@ -10,10 +10,9 @@ Conventions used throughout the package:
 - Kazhdan-Lusztig-style tables store polynomials "in u-units": the exponent
   of a monomial means a power of u.  Converting such a table entry to the
   ambient v-representation is exactly `subst_v_to_u`.
-- `RationalFn` is a reduced quotient of Laurent polynomials over Q, needed
-  for intermediate divisions (bar recursions, row reduction over Q(u)).
-  Every published value is converted back to Z[v, v^-1] with an exactness
-  check.
+- Every computed value stays in Z[v, v^-1]: each division the package
+  makes (the descent half step, row normalization) is an exact
+  `try_divide`, and a quotient that does not exist raises.
 - Exact division (`try_divide`) and `poly_gcd` use only Python ints: long
   division over Z, and Euclid on primitive pseudo-remainders.
 
@@ -319,9 +318,9 @@ class RationalFn:
     """A reduced fraction of integer Laurent polynomials (the field Q(v)).
 
     Canonical form: gcd(num, den) = 1 including integer content, denominator
-    has valuation 0 and positive leading coefficient.  Used only where the
-    algebra genuinely divides (bar recursions, row reduction over Q(u)); all
-    published coefficients are checked back into Z[v, v^-1].
+    has valuation 0 and positive leading coefficient.  No computation in the
+    package divides through it; it is the ring of the tests' second route
+    for the descent recursions.
     """
 
     __slots__ = ("num", "den")
@@ -435,10 +434,3 @@ def _as_poly(x):
     if isinstance(x, int):
         return LaurentPoly({0: x})
     raise TypeError("cannot coerce %r to LaurentPoly" % (x,))
-
-
-def as_laurent(x):
-    """Coerce an int / LaurentPoly / integral RationalFn to LaurentPoly."""
-    if isinstance(x, RationalFn):
-        return x.as_laurent()
-    return _as_poly(x)

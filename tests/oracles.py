@@ -10,13 +10,19 @@ The Hecke-side oracles compute through the T-basis product and strip-off,
 the route the package's generator recursions for `h_struct` and
 `f_constants` replaced; `ideal_basis` row-reduces the ideal itself, the
 second route to the dimension `eta_check` reads off a transposed matrix.
+`bar_a_by_chain` and `x_elt_by_chain` replay the whole descent chain over
+Q(v), dividing by u + 1 through `RationalFn`, where the package takes one
+memoized step that divides exactly in Z[v, v^-1].
 """
 
 from __future__ import annotations
 
 from heckework.hecke import add_scaled, strip_off
 from heckework.idealmod import CompletionElement, canonical_rref
-from heckework.laurent import ZERO
+from heckework.laurent import ONE, ZERO, LaurentPoly, RationalFn
+
+U = LaurentPoly.monomial(2)
+UINV = LaurentPoly.monomial(-2)
 
 
 # -- the T-basis route in H and M -----------------------------------------------------
@@ -35,18 +41,71 @@ def h_struct_t_basis(alg, x, y):
     return alg.to_c(alg.mult(alg.c_elt(x), alg.c_elt(y)))
 
 
-def c_act(inv, x, m):
-    """The canonical basis element c_x acting on the module element m: its
+def t_act(inv, h, m):
+    """The T-basis element h acting on the module element m: its
     T-coordinates at parameter u^2, each T_y acting through a reduced word."""
     out = {}
-    for y, c in inv.algebra.c_elt(x).items():
+    for y, c in h.items():
         add_scaled(out, inv.t_word_action(y.word, m), c.subst_v_to_u())
     return out
 
 
 def f_constants_t_basis(inv, x, w):
     """c_x A_w in A-coordinates, through the T-action on the module."""
-    return strip_off(c_act(inv, x, inv.a_upper(w)), inv.a_upper)
+    return strip_off(t_act(inv, inv.algebra.c_elt(x), inv.a_upper(w)), inv.a_upper)
+
+
+def half_step_q(ts_coeffs, coeffs, u):
+    """(u + 1)^-1 (T_s - u) applied to coeffs over Q(v), given ts_coeffs = T_s
+    applied to coeffs; the coefficients come back as RationalFn."""
+    num = dict(ts_coeffs)
+    add_scaled(num, coeffs, -u)
+    scale = RationalFn(ONE, u + ONE)
+    return {x: scale * c for x, c in num.items()}
+
+
+def descent_chain(inv, w):
+    """(half, i) steps from the identity up to w along first letters."""
+    steps = []
+    while w.word:
+        i = w.word[0]
+        half, w = inv._case(i, w)
+        steps.append((half, i))
+    return steps[::-1]
+
+
+def _laurent(coeffs):
+    """RationalFn coefficients back in Z[v, v^-1]; raises if one is not."""
+    return {x: c if isinstance(c, LaurentPoly) else c.as_laurent() for x, c in coeffs.items()}
+
+
+def bar_a_by_chain(inv, w):
+    """bar(a_w) by replaying w's whole descent chain on a_e, nothing stored."""
+    m = {inv.system.identity: RationalFn(ONE)}
+    for half, i in descent_chain(inv, w):
+        t = inv._bar_ts(i, m)
+        m = half_step_q(t, m, UINV) if half else t
+    return _laurent(m)
+
+
+def x_elt_by_chain(ideal, w, max_len=None):
+    """X_w by replaying w's whole descent chain on X_empty, taken exact far
+    enough that the chain leaves the window max_len; the same chain must
+    send a_e to a_w."""
+    steps = descent_chain(ideal.invmod, w)
+    elt = ideal.x_empty(max_len=None if max_len is None else max_len + len(steps))
+    m = {ideal.system.identity: RationalFn(ONE)}
+    for half, i in steps:
+        t = ideal.t_gen_mult(i, elt)
+        tm = ideal.invmod.ts_action(i, m)
+        if half:
+            # a quotient past the window of T_s X need not be Laurent
+            t = CompletionElement(half_step_q(t.coeffs, elt.coeffs, U),
+                                  elt.exact_len).trimmed(t.exact_len)
+            tm = half_step_q(tm, m, U)
+        elt, m = t, tm
+    assert _laurent(m) == {w: ONE}, str(w)
+    return CompletionElement(_laurent(elt.coeffs), elt.exact_len)
 
 
 def kl_mu(kl, y, w):
@@ -61,7 +120,7 @@ def ideal_basis(ideal):
     """Row-reduce {T_x X_empty : x in W}; returns (dim, basis rows)."""
     els = ideal.system.elements()
     base = ideal.x_empty()
-    rows = [ideal.t_word_mult(x.word, base).laurent_coeffs() for x in els]
+    rows = [ideal.t_word_mult(x.word, base).coeffs for x in els]
     rref = canonical_rref(rows, els)
     return len(rref), [CompletionElement(dict(r)) for r in rref]
 

@@ -253,10 +253,16 @@ _INT_SUBGROUPS = {"cells": [{"representative": "1", "gamma_rank": 1, "subgroups"
         (["eqvb", "--type", "B2", "--cell-data"], _INT_SUBGROUPS),
         (["eqvb", "--gamma-config"], {"rank": 1}),
         (["group", "--type", "A2", "--max-len", "-1"], None),
+        # --max-len truncates only the module basis, never a finite W
+        (["invmod", "--type", "A3", "--max-len", "2"], None),
+        (["conj34", "--type", "A3", "--max-len", "5"], None),
+        (["pi", "--type", "A3", "--max-len", "2"], None),
+        (["verify-all", "--type", "B2", "--max-len", "3"], None),
     ],
     ids=["cell-data-no-cells", "cell-data-no-gamma-rank", "cell-data-index-99",
          "cell-data-index-true", "cell-data-gamma-rank-str", "cell-data-subgroups-int",
-         "gamma-config-no-subgroups", "negative-max-len"],
+         "gamma-config-no-subgroups", "negative-max-len", "invmod-finite-max-len",
+         "conj34-finite-max-len", "pi-finite-max-len", "verify-all-finite-max-len"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if config is not None:
@@ -374,7 +380,8 @@ def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
          "214dbf2f8c72c4799f9d2d5ff5fc512b2e33ae52351831c913322f5f8b46a6c4"),
         (["conj34", "--type", "B3"],
          "f47dc50a42125b2ddffd0a52902af516de175bb2af8c985d8792121eddfcae30"),
-        # the truncated completion keeps non-Laurent RationalFn coefficients
+        # the truncated completion: X_v is trimmed to the window before the
+        # half step divides, so no quotient past it is ever formed
         (["conj34", "--type", "Dinf", "--max-len", "9"],
          "15924c4de960ef11db8ab2ab5a6bdd56e707134e875995a497a5476d332a21c9"),
     ],

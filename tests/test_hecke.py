@@ -9,7 +9,7 @@ from heckework.cache import CacheStore
 from heckework.hecke import HeckeAlgebra, KLTable, bar_invariant_solve
 from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly, ONE, ZERO
-from oracles import bar_h, f_constants_t_basis, h_struct_t_basis, kl_mu, triple_H
+from oracles import bar_h, f_constants_t_basis, h_struct_t_basis, kl_mu, t_act, triple_H
 
 U = LaurentPoly({2: 1})
 UM1 = LaurentPoly({2: 1, 0: -1})
@@ -226,6 +226,50 @@ def test_c_gen_mult_is_the_generator_row(a3, monkeypatch):
             got = a3.alg.c_gen_mult(i, {w: ONE})
             for z, m in mu_down(i, w):
                 assert got[z] == LaurentPoly.const(3 * m)
+
+
+@pytest.fixture
+def a3_mu_tripled():
+    """A fresh A3 algebra and module whose mu_down lists 3 mu(z, w): mu is 0
+    or 1 on A3, so only a scaled list shows that the recursions carry it."""
+    alg = HeckeAlgebra(CoxeterSystem.from_label("A3"))
+    mu_down = alg.mu_down
+    alg.mu_down = lambda i, w: [(z, 3 * m) for z, m in mu_down(i, w)]
+    return alg, InvolutionModule(alg)
+
+
+def test_h_struct_unit_law_holds_for_a_scaled_mu(a3_mu_tripled):
+    # c_gen_mult adds the listed mu c_z and h_struct takes it off again
+    alg, _ = a3_mu_tripled
+    e = alg.system.identity
+    for x in alg.system.elements():
+        assert alg.h_struct(x, e) == {x: ONE}, str(x)
+
+
+def test_f_constants_follow_a_scaled_mu(a3_mu_tripled):
+    # f(x, w) strips off C'_x A_w, where C'_x = c_s C'_x' - sum m C'_z over
+    # the scaled list, built in the T-basis by the same recursion
+    alg, inv = a3_mu_tripled
+    sys = alg.system
+    cp = {}
+    for x in sys.elements():  # by length: x' and every listed z come first
+        if not x.word:
+            cp[x] = {x: ONE}
+            continue
+        i = x.word[0]
+        xp = sys.generator(i) * x
+        cp[x] = alg.mult(alg.c_elt(sys.generator(i)), cp[xp])
+        for z, m in alg.mu_down(i, xp):
+            hecke.add_scaled(cp[x], cp[z], -m)
+        for w in inv.basis:
+            want = hecke.strip_off(t_act(inv, cp[x], inv.a_upper(w)), inv.a_upper)
+            assert inv.f_constants(x, w) == want, (str(x), str(w))
+
+
+def test_half_step_rejects_an_inexact_quotient(a2):
+    # T_s-part {} and a_e leave -u a_e, and -u / (u + 1) is not Laurent
+    with pytest.raises(ValueError, match="not divisible"):
+        hecke.half_step({}, {a2.sys.identity: ONE}, U)
 
 
 def test_triple_h(a2):

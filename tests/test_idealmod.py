@@ -7,7 +7,7 @@ from heckework.hecke import HeckeAlgebra
 from heckework.idealmod import IdealModel, canonical_rref
 from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly, ONE
-from oracles import ideal_basis
+from oracles import bar_a_by_chain, ideal_basis, x_elt_by_chain
 
 
 def u_poly(items):
@@ -16,7 +16,7 @@ def u_poly(items):
 
 
 def table(elt, sys):
-    return {str(x): c for x, c in elt.laurent_coeffs().items()}
+    return {str(x): c for x, c in elt.coeffs.items()}
 
 
 def expand(sys, factor, terms):
@@ -65,9 +65,9 @@ def test_ideal_basis_spans_x_elements(a1, a2):
     for ctx in (a1, a2):
         els = ctx.sys.elements()
         _, basis = ideal_basis(ctx.ideal)
-        rows_basis = [b.laurent_coeffs() for b in basis]
+        rows_basis = [b.coeffs for b in basis]
         _, x_table = ctx.ideal.eta_check()
-        rows_x = [x_table[w].laurent_coeffs() for w in ctx.inv.basis]
+        rows_x = [x_table[w].coeffs for w in ctx.inv.basis]
         assert canonical_rref(rows_basis, els) == canonical_rref(rows_x, els)
 
 
@@ -156,8 +156,28 @@ def test_window_bookkeeping(dinf):
 def test_x_integrality(a3):
     for w in a3.inv.basis:
         xw = a3.ideal.x_elt(w)
-        for x, c in xw.laurent_coeffs().items():
+        for x, c in xw.coeffs.items():
             c.specialize_uinv_zero()  # raises if not in Z[u^-1]
+
+
+def test_an_inexact_step_fails_x_integrality(monkeypatch):
+    # the ValueError of a quotient u + 1 does not divide is a failed check
+    # with its w as witness, not an error of the whole call
+    alg = HeckeAlgebra(CoxeterSystem.from_label("A2"))
+    ideal = IdealModel(alg, InvolutionModule(alg))
+    w0 = alg.system.element("121")
+    x_elt = ideal.x_elt
+
+    def inexact_at_w0(w, max_len=None):
+        if w is w0:
+            raise ValueError("not divisible")
+        return x_elt(w, max_len)
+
+    monkeypatch.setattr(ideal, "x_elt", inexact_at_w0)
+    rep, x_table = ideal.eta_check()
+    (check,) = [c for c in rep.checks if c.check_id == "x-integrality"]
+    assert (check.passed, check.witness) == (False, "121")
+    assert sorted(map(str, x_table)) == ["1", "2", "e"]
 
 
 def test_pi_fibers_a2(a2):
@@ -227,12 +247,12 @@ def test_pi_requires_trivial_star():
 
 def test_specialization_checks(a1, a2, a3):
     for ctx in (a1, a2, a3):
-        rep = ctx.ideal.specialization_check()
+        rep, _ = ctx.ideal.specialization_check()
         assert rep.passed, [c.to_json() for c in rep.checks]
 
 
 def test_specialization_check_dinf(dinf):
-    rep = dinf.ideal.specialization_check(max_len=12, window=7)
+    rep, _ = dinf.ideal.specialization_check(max_len=12, window=7)
     assert rep.passed, [c.to_json() for c in rep.checks]
 
 
@@ -291,3 +311,20 @@ def test_conj34_row_reduces_twice(monkeypatch, capsys):
     assert main(["conj34", "--type", "A2"]) == 0
     assert "ideal_dimension" in capsys.readouterr().out
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "label, star, window",
+    [("A3", None, None), ("B3", None, None), ("G2", None, None), ("A2", [1, 0], None),
+     ("Dinf", None, 7), ("Dinf", None, 9), ("Dinf", None, 12)],
+    ids=["A3", "B3", "G2", "A2-star21", "Dinf-7", "Dinf-9", "Dinf-12"],
+)
+def test_descent_step_equals_chain_replay(label, star, window):
+    # one memoized step per w that divides exactly, against the whole chain
+    # replayed from the identity over Q(v)
+    alg = HeckeAlgebra(CoxeterSystem.from_label(label, star=star))
+    inv = InvolutionModule(alg, max_len=window)
+    ideal = IdealModel(alg, inv)
+    for w in inv.basis:
+        assert inv.bar_a(w) == bar_a_by_chain(inv, w), str(w)
+        assert ideal.x_elt(w, max_len=window) == x_elt_by_chain(ideal, w, window), str(w)

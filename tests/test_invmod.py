@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from heckework.laurent import LaurentPoly, RationalFn, ONE, ZERO
+from heckework.laurent import LaurentPoly, ONE, ZERO
 from oracles import sign_split_check
 
 U = LaurentPoly({2: 1})
@@ -112,10 +112,6 @@ def test_bar_commutes_with_bar_h_action(a2):
         for i in range(a2.sys.rank):
             lhs = a2.inv.bar_m(a2.inv.ts_action(i, {w: ONE}))
             rhs = a2.inv._bar_ts(i, a2.inv.bar_m({w: ONE}))
-            rhs = {
-                x: c if isinstance(c, LaurentPoly) else c.as_laurent()
-                for x, c in rhs.items()
-            }
             assert lhs == rhs
 
 
@@ -124,12 +120,7 @@ def test_bar_descent_independence(a3, b2):
         for w in ctx.inv.basis:
             if not w.word:
                 continue
-            results = []
-            for i in sorted(ctx.sys.left_descents(w)):
-                got = ctx.inv.bar_a_via(w, i)
-                results.append(
-                    {x: RationalFn._coerce(c) for x, c in got.items()}
-                )
+            results = [ctx.inv.bar_a_via(w, i) for i in sorted(ctx.sys.left_descents(w))]
             assert all(r == results[0] for r in results[1:])
 
 
