@@ -5,8 +5,8 @@ The preorders are generated directly from canonical-basis multiplication:
 z <=_L w whenever c_z occurs in some c_x c_w (and symmetrically on the
 right), then closed transitively.  No generation theorem is assumed; the
 full structure-constant table comes from the generator recursion of
-`HeckeAlgebra.h_struct` and doubles as the data source for the a-function
-and the gamma-table.  Each preorder is a list of int-bitset rows, one per
+`HeckeAlgebra.h_struct`; the one pass over it that builds the preorders
+also takes the a-function, and the gamma-table reads it.  Each preorder is a list of int-bitset rows, one per
 element in enumeration order (bit j of row i: element i is below element
 j), closed by Warshall's algorithm (J. ACM 9, 1962).
 
@@ -79,19 +79,22 @@ class CellData:
 
         leq_l = [0] * len(self.elements)
         leq_lr = [0] * len(self.elements)
+        a = self.a = {z: 0 for z in self.elements}
         for x in self.elements:
             bx = 1 << index[x]
             for w in self.elements:
                 bw = 1 << index[w]
-                for z in algebra.h_struct(x, w):
+                for z, h in algebra.h_struct(x, w).items():
                     # c_z occurs in c_x c_w: z <=_L w; and z <=_R x
                     leq_l[index[z]] |= bw
                     leq_lr[index[z]] |= bw | bx
+                    d = h.degree()
+                    if d is not None and d > a[z]:
+                        a[z] = d
         self._leq_l = _closure(leq_l)
         self._leq_lr = _closure(leq_lr)
 
         self.partition = self._build_partition()
-        self.a = self._a_function()
         self._dist = None
 
     # -- preorders and cells -------------------------------------------------
@@ -131,16 +134,6 @@ class CellData:
         return CellPartition(tuple(left), tuple(two), frozenset(order))
 
     # -- a-function, gamma, distinguished involutions ---------------------------
-
-    def _a_function(self):
-        a = {z: 0 for z in self.elements}
-        for x in self.elements:
-            for y in self.elements:
-                for z, h in self.algebra.h_struct(x, y).items():
-                    d = h.degree()
-                    if d is not None and d > a[z]:
-                        a[z] = d
-        return a
 
     def distinguished_involutions(self):
         """{z : a(z) = l(z) - 2 deg_u P_{e,z}}, one per left cell."""

@@ -79,7 +79,7 @@ def _context(args, need_cells=False, need_inv=False):
     if args.max_len is not None and args.max_len < 0:
         raise UsageError("--max-len must be at least 0")
     sys_ = build_system(args)
-    if need_inv and args.max_len is not None and sys_.is_finite is not False:
+    if (need_inv or need_cells) and args.max_len is not None and sys_.is_finite is not False:
         raise UsageError("--max-len bounds infinite systems only, and %s is not known "
                          "to be infinite" % sys_.describe())
     alg = HeckeAlgebra(sys_, store=_store(args))
@@ -119,17 +119,36 @@ def _cell_data_entries(data, sys_, cells):
         if not _is_int(idx) or not 0 <= idx < n_cells:
             raise UsageError("--cell-data: no two-sided cell %r (there are %d)" % (idx, n_cells))
         rank, subgroups = entry["gamma_rank"], entry["subgroups"]
-        if not _is_int(rank) or rank < 0:
-            raise UsageError("--cell-data: gamma_rank %r is not an integer >= 0" % (rank,))
-        if not isinstance(subgroups, list) or not all(
-            isinstance(gens, list)
-            and all(_is_int(g) and g >= 0 and g.bit_length() <= rank for g in gens)
-            for gens in subgroups
-        ):
-            raise UsageError("--cell-data: subgroups %r is not a list of lists of "
-                             "integers in 0..2^gamma_rank - 1" % (subgroups,))
+        _check_gamma("--cell-data", "gamma_rank", rank, subgroups)
         entries.append((idx, rank, subgroups))
     return entries
+
+
+def _check_gamma(flag, field, rank, subgroups):
+    """UsageError unless rank is an int r >= 0 and subgroups a list of lists
+    of ints in 0..2^r - 1 (generators of subgroups of (Z/2)^r)."""
+    if not _is_int(rank) or rank < 0:
+        raise UsageError("%s: %s %r is not an integer >= 0" % (flag, field, rank))
+    if not isinstance(subgroups, list) or not all(
+        isinstance(gens, list)
+        and all(_is_int(g) and g >= 0 and g.bit_length() <= rank for g in gens)
+        for gens in subgroups
+    ):
+        raise UsageError("%s: subgroups %r is not a list of lists of integers "
+                         "in 0..2^%s - 1" % (flag, subgroups, field))
+
+
+def _gamma_config(cfg):
+    """The --gamma-config Gamma-set: {"rank", "subgroups"}, or {"rank",
+    "points", "action"} with the action table checked by GammaSet."""
+    if "action" in cfg:
+        _check_gamma("--gamma-config", "rank", cfg["rank"], [])
+        if not _is_int(cfg["points"]) or cfg["points"] < 0:
+            raise UsageError("--gamma-config: points %r is not an integer >= 0"
+                             % (cfg["points"],))
+    else:
+        _check_gamma("--gamma-config", "rank", cfg["rank"], cfg["subgroups"])
+    return GammaSet.from_config(cfg)
 
 
 def _poly_json(p):
@@ -381,8 +400,7 @@ def cmd_eqvb(args):
     reports = []
     payload = {"pairs": []}
     if args.gamma_config:
-        pairs = [("config", _read_config(args.gamma_config, "--gamma-config",
-                                         GammaSet.from_config))]
+        pairs = [("config", _read_config(args.gamma_config, "--gamma-config", _gamma_config))]
     else:
         pairs = standard_pairs()
     for name, gs in pairs:

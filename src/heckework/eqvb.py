@@ -32,12 +32,13 @@ from .hecke import add_into, add_scaled
 from .report import Report
 
 
-def _popcount(x):
-    return bin(x).count("1")
-
-
 def char_value(phi, h):
-    return -1 if _popcount(phi & h) % 2 else 1
+    return -1 if (phi & h).bit_count() % 2 else 1
+
+
+def _restriction(phi, stab):
+    """The values of chi_phi on a subgroup: phi up to its annihilator."""
+    return tuple(char_value(phi, h) for h in stab)
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,7 @@ def characters_of(rank, stab):
     phi in each coset modulo the annihilator of the subgroup."""
     seen = {}
     for phi in range(1 << rank):
-        key = tuple(char_value(phi, h) for h in stab)
-        seen.setdefault(key, phi)
+        seen.setdefault(_restriction(phi, stab), phi)
     return sorted(seen.values())
 
 
@@ -193,10 +193,21 @@ class KRing:
             for p in o.points:
                 self._pair_orbit_of[p] = oi
         self.basis = []  # (orbit index, phi)
+        self._chars = []  # per orbit: [(basis index, phi)]
+        self._restrict = {}  # (orbit index, restriction of phi) -> basis index
         for oi, o in enumerate(self.pair_orbits):
+            chars = []
             for phi in characters_of(gs.rank, o.stabilizer):
+                self._restrict[oi, _restriction(phi, o.stabilizer)] = len(self.basis)
+                chars.append((len(self.basis), phi))
                 self.basis.append((oi, phi))
-        self._basis_index = {b: i for i, b in enumerate(self.basis)}
+            self._chars.append(chars)
+        swapped = [self._pair_orbit_of[self._sigma_point(o.base)] for o in self.pair_orbits]
+        self._sigma_stable = [ot for ot, oj in enumerate(swapped) if oj == ot]
+        # the sigma-twist of each basis element: orbit swapped, character
+        # carried along (stabilizers agree since the group is abelian)
+        self.sigma_of = [self._restricted(swapped[oi], phi) for oi, phi in self.basis]
+        self.kbar = [i for i, j in enumerate(self.sigma_of) if i == j]  # self-dual
         self._conv_memo = {}
         self._circ_memo = {}
         self._kappa_memo = {}
@@ -225,25 +236,20 @@ class KRing:
     def _restricted(self, oi, phi):
         """Index of the basis element on orbit oi whose character agrees with
         phi on the orbit's stabilizer."""
-        stab = self.pair_orbits[oi].stabilizer
-        key = tuple(char_value(phi, h) for h in stab)
-        for psi in characters_of(self.gs.rank, stab):
-            if tuple(char_value(psi, h) for h in stab) == key:
-                return self._basis_index[(oi, psi)]
-        raise AssertionError("no character restricts like %d on orbit %d" % (phi, oi))
+        return self._restrict[oi, _restriction(phi, self.pair_orbits[oi].stabilizer)]
 
     def _multiplicities(self, ot, traces):
         """{basis index: multiplicity} of the characters of orbit ot's
         stabilizer in the virtual representation with these traces."""
         stab = self.pair_orbits[ot].stabilizer
         out = {}
-        for phi in characters_of(self.gs.rank, stab):
+        for i, phi in self._chars[ot]:
             m = sum(char_value(phi, h) * traces[h] for h in stab)
             if m % len(stab):
                 raise AssertionError("non-integral multiplicity on orbit %d" % ot)
             m //= len(stab)
             if m:
-                out[self._basis_index[(ot, phi)]] = m
+                out[i] = m
         return out
 
     # -- the ring K(C_0) -----------------------------------------------------------
@@ -253,7 +259,7 @@ class KRing:
         out = {}
         for oi, o in enumerate(self.pair_orbits):
             if o.base // self.gs.size == o.base % self.gs.size:
-                out[self._basis_index[(oi, characters_of(self.gs.rank, o.stabilizer)[0])]] = 1
+                out[self._chars[oi][0][0]] = 1
         return out
 
     def convolve_basis(self, i, j):
@@ -294,25 +300,13 @@ class KRing:
                 add_scaled(out, self.convolve_basis(i, j), ca * cb)
         return out
 
-    def sigma_basis(self, i):
-        """Index of the sigma-twist of a basis element (orbit swapped,
-        character carried along — stabilizers agree since the group is
-        abelian)."""
-        (oi, phi) = self.basis[i]
-        oj = self._pair_orbit_of[self._sigma_point(self.pair_orbits[oi].base)]
-        return self._restricted(oj, phi)
-
     def sigma(self, a):
         out = {}
         for i, c in a.items():
-            add_into(out, self.sigma_basis(i), c)
+            add_into(out, self.sigma_of[i], c)
         return out
 
-    # -- the signed quotient Kbar(C) ---------------------------------------------------
-
-    def kbar_basis(self):
-        """Indices of the sigma-self-dual basis elements."""
-        return [i for i in range(len(self.basis)) if self.sigma_basis(i) == i]
+    # -- the signed quotient Kbar(C), on the self-dual indices kbar --------------------
 
     def _kappa(self, i):
         """Canonical kappa signs eps: point -> +-1 for a self-dual basis
@@ -351,7 +345,7 @@ class KRing:
         got = self._circ_memo.get(key)
         if got is not None:
             return got
-        if self.sigma_basis(j) != j:
+        if self.sigma_of[j] != j:
             raise ValueError("circ acts on the signed (self-dual) basis")
         (ov, phi_v) = self.basis[i]
         (ou, phi_u) = self.basis[j]
@@ -360,10 +354,8 @@ class KRing:
         pts_v = set(self.pair_orbits[ov].points)
         pts_u = set(self.pair_orbits[ou].points)
         out = {}
-        for ot in {self._pair_orbit_of[p] for p in self._pair_orbit_of}:
+        for ot in self._sigma_stable:
             o = self.pair_orbits[ot]
-            if self._pair_orbit_of[self._sigma_point(o.base)] != ot:
-                continue
             x0, y0 = o.base // n, o.base % n
             pairs = [
                 (z, zp)
@@ -412,12 +404,11 @@ class KRing:
         empty set — and every signed multiplicity comes out zero, i.e. the
         class dies in the quotient as the construction demands.
         """
-        lines = (i, self.sigma_basis(i))
+        lines = (i, self.sigma_of[i])
         swap = {0: 1, 1: 0}
         out = {}
-        for ot, o in enumerate(self.pair_orbits):
-            if self._pair_orbit_of[self._sigma_point(o.base)] != ot:
-                continue
+        for ot in self._sigma_stable:
+            o = self.pair_orbits[ot]
             traces = {}
             for h in o.stabilizer:
                 tr = 0
@@ -504,20 +495,16 @@ def count_check(gs, name=""):
     self-dual count, and the scalar action of every C_Gamma generator."""
     kr = KRing(gs)
     rep = Report("eqvb-count", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
-    rank = len(kr.kbar_basis())
+    rank = len(kr.kbar)
     expected = (1 << gs.rank) * len(kr.x_orbits)
     rep.add("rank-formula", rank == expected, {"rank": rank, "expected": expected})
     brute = kr.selfdual_count_bruteforce()
     rep.add("rank-bruteforce", brute == rank, {"brute": brute, "rank": rank})
-    bad = None
-    for (g0, phi) in kr.cgamma_basis():
-        v = kr.psi_basis(g0, phi)
-        for j in kr.kbar_basis():
-            if kr.circ(v, {j: 1}) != {j: 1}:
-                bad = {"g": g0, "phi": phi, "basis": j}
-                break
-        if bad:
-            break
+    bad = next(({"g": g0, "phi": phi, "basis": j}
+                for (g0, phi) in kr.cgamma_basis()
+                for v in [kr.psi_basis(g0, phi)]
+                for j in kr.kbar
+                if kr.circ(v, {j: 1}) != {j: 1}), None)
     rep.add("scalar-action", bad is None, bad)
     return rep
 
@@ -526,45 +513,21 @@ def star_axioms_report(gs, name=""):
     """Exhaustive associativity/unit/sigma checks for the convolution ring."""
     kr = KRing(gs)
     rep = Report("eqvb-star", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
-    nb = len(kr.basis)
+    nb = range(len(kr.basis))
     one = kr.unit()
-    bad = None
-    for i in range(nb):
-        if kr.convolve(one, {i: 1}) != {i: 1} or kr.convolve({i: 1}, one) != {i: 1}:
-            bad = i
-            break
+    bad = next((i for i in nb
+                if kr.convolve(one, {i: 1}) != {i: 1} or kr.convolve({i: 1}, one) != {i: 1}),
+               None)
     rep.add("unit", bad is None, bad)
-    bad = None
-    for i in range(nb):
-        for j in range(nb):
-            ij = kr.convolve_basis(i, j)
-            for k in range(nb):
-                lhs = kr.convolve(ij, {k: 1})
-                rhs = kr.convolve({i: 1}, kr.convolve_basis(j, k))
-                if lhs != rhs:
-                    bad = (i, j, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = next(((i, j, k) for i in nb for j in nb for k in nb
+                if kr.convolve(kr.convolve_basis(i, j), {k: 1})
+                != kr.convolve({i: 1}, kr.convolve_basis(j, k))), None)
     rep.add("associativity", bad is None, bad)
-    bad = None
-    for i in range(nb):
-        if kr.sigma({kr.sigma_basis(i): 1}) != {i: 1}:
-            bad = i
-            break
+    bad = next((i for i in nb if kr.sigma({kr.sigma_of[i]: 1}) != {i: 1}), None)
     rep.add("sigma-involutive", bad is None, bad)
-    bad = None
-    for i in range(nb):
-        for j in range(nb):
-            if kr.sigma(kr.convolve_basis(i, j)) != kr.convolve(
-                kr.sigma({j: 1}), kr.sigma({i: 1})
-            ):
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = next(((i, j) for i in nb for j in nb
+                if kr.sigma(kr.convolve_basis(i, j))
+                != kr.convolve(kr.sigma({j: 1}), kr.sigma({i: 1}))), None)
     rep.add("sigma-antiautomorphism", bad is None, bad)
     return rep
 
@@ -574,56 +537,26 @@ def circ_axioms_report(gs, name=""):
     centrality of the Psi image."""
     kr = KRing(gs)
     rep = Report("eqvb-circ", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
-    nb = len(kr.basis)
-    sd = kr.kbar_basis()
+    nb = range(len(kr.basis))
     one = kr.unit()
-    bad = None
-    for j in sd:
-        if kr.circ(one, {j: 1}) != {j: 1}:
-            bad = j
-            break
+    bad = next((j for j in kr.kbar if kr.circ(one, {j: 1}) != {j: 1}), None)
     rep.add("unit-action", bad is None, bad)
-    bad = None
-    for i in range(nb):
-        for ip in range(nb):
-            prod = kr.convolve_basis(ip, i)
-            for j in sd:
-                lhs = kr.circ(prod, {j: 1})
-                rhs = kr.circ({ip: 1}, kr.circ_basis(i, j))
-                if lhs != rhs:
-                    bad = (ip, i, j)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = next(((ip, i, j) for i in nb for ip in nb for j in kr.kbar
+                if kr.circ(kr.convolve_basis(ip, i), {j: 1})
+                != kr.circ({ip: 1}, kr.circ_basis(i, j))), None)
     rep.add("composition", bad is None, bad)
-    bad = None
-    for i in range(nb):
-        if kr.theta_signed(i):
-            bad = i
-            break
+    bad = next((i for i in nb if kr.theta_signed(i)), None)
     rep.add("theta-kill", bad is None, bad)
-    bad = None
-    for (g0, phi) in kr.cgamma_basis():
-        v = kr.psi_basis(g0, phi)
-        for i in range(nb):
-            if kr.convolve(v, {i: 1}) != kr.convolve({i: 1}, v):
-                bad = {"g": g0, "phi": phi, "basis": i}
-                break
-        if bad:
-            break
+    bad = next(({"g": g0, "phi": phi, "basis": i}
+                for (g0, phi) in kr.cgamma_basis()
+                for v in [kr.psi_basis(g0, phi)]
+                for i in nb
+                if kr.convolve(v, {i: 1}) != kr.convolve({i: 1}, v)), None)
     rep.add("psi-central", bad is None, bad)
-    bad = None
-    for (g1, p1) in kr.cgamma_basis():
-        for (g2, p2) in kr.cgamma_basis():
-            lhs = kr.psi(kr.cgamma_mult({(g1, p1): 1}, {(g2, p2): 1}))
-            rhs = kr.convolve(kr.psi_basis(g1, p1), kr.psi_basis(g2, p2))
-            if lhs != rhs:
-                bad = ((g1, p1), (g2, p2))
-                break
-        if bad:
-            break
+    bad = next((((g1, p1), (g2, p2))
+                for (g1, p1) in kr.cgamma_basis() for (g2, p2) in kr.cgamma_basis()
+                if kr.psi(kr.cgamma_mult({(g1, p1): 1}, {(g2, p2): 1}))
+                != kr.convolve(kr.psi_basis(g1, p1), kr.psi_basis(g2, p2))), None)
     rep.add("psi-ring-hom", bad is None, bad)
     return rep
 
@@ -652,8 +585,7 @@ def cell_consistency(cells, invmod, cell_index, gamma_rank, left_cell_subgroups)
         {"involutions": n_inv, "expected": expected},
     )
     gs = GammaSet.from_subgroups(gamma_rank, left_cell_subgroups)
-    kr = KRing(gs)
-    rank = len(kr.kbar_basis())
+    rank = len(KRing(gs).kbar)
     rep.add("kbar-rank-matches", rank == n_inv, {"rank": rank, "involutions": n_inv})
     # +-1-valued characters are self-dual, so dual-bundle self-duality is automatic
     rep.add("selfdual-characters", True)

@@ -31,10 +31,12 @@ completion (`idealmod`) and the rest of the package, each written once:
 - `add_into` / `add_scaled`: the sparse accumulator for every dict-of-
   coefficients sum;
 - `HeckeAlgebra.mu_down`: the mu(z, w) with s in D_L(z), behind c_s c_w
-  (`c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b)) and the recursion on
-  x = s x' for `h_struct` here and `f_constants` in the module.  The T-basis
-  product `mult` with `to_c` is the second route: the tests' oracle, and a
-  layer the perfbench trace wraps by name.
+  (`c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b));
+- `HeckeAlgebra.c_left`: the recursion c_x = c_s c_{x'} - sum mu(z, x') c_z
+  on x = s x', given the action of c_s: `h_struct` here (with
+  `c_gen_mult`) and `f_constants` in the module.  The T-basis product
+  `mult` with `to_c` is the second route: the tests' oracle, and a layer
+  the perfbench trace wraps by name.
 
 KL polynomials are stored in u-units (monomial exponent = power of u);
 `subst_v_to_u` converts them to the ambient v-representation.
@@ -390,23 +392,29 @@ class HeckeAlgebra:
                     add_into(out, z, c * m)
         return out
 
-    def h_struct(self, x, y):
-        """All structure constants of c_x c_y: a dict z -> coefficient, by
-        c_x = c_s c_{x'} - sum mu(z, x') c_z over mu_down(s, x') for
-        x = s x' > x', and h(e, y) = {y: 1}."""
+    def c_left(self, x, y, c_gen, memo):
+        """c_x applied to the basis element at y, in that basis: {y: 1} at
+        x = e, else c_x = c_s c_{x'} - sum mu(z, x') c_z over mu_down(s, x')
+        for x = s x' > x'.  `c_gen(i, coeffs)` is c_{s_i} on a fresh dict
+        and `memo` holds the (x, y) results."""
         key = (x, y)
-        got = self._h_struct.get(key)
+        got = memo.get(key)
         if got is None:
             if not x.word:
                 got = {y: ONE}
             else:
                 i = x.word[0]
                 xp = self.system.generator(i) * x
-                got = self.c_gen_mult(i, self.h_struct(xp, y))
+                got = c_gen(i, self.c_left(xp, y, c_gen, memo))
                 for z, m in self.mu_down(i, xp):
-                    add_scaled(got, self.h_struct(z, y), -m)
-            self._h_struct[key] = got
+                    add_scaled(got, self.c_left(z, y, c_gen, memo), -m)
+            memo[key] = got
         return got
+
+    def h_struct(self, x, y):
+        """All structure constants of c_x c_y: a dict z -> coefficient,
+        by `c_left` with `c_gen_mult`."""
+        return self.c_left(x, y, self.c_gen_mult, self._h_struct)
 
     # -- independent bar-invariance solver ----------------------------------------
 

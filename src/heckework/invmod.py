@@ -62,6 +62,7 @@ class InvolutionModule:
         self._a_upper = {}
         self._psigma = {}
         self._f = {}
+        self._cs_rows = {}
 
     # -- the four-case generator action ------------------------------------------
 
@@ -171,31 +172,25 @@ class InvolutionModule:
     # -- leading-coefficient constants and the induced module ---------------------------
 
     def f_constants(self, x, w):
-        """A-basis coordinates of c_x A_w: a dict w' -> f_{x,w,w'}.  The
-        rows of x = e and x = s strip off A_w and c_s A_w = u^-1 (T_s + 1) A_w
-        (c_s at parameter u^2); longer x follow `h_struct`'s recursion
-        (exponent doubling is a ring map, mu an integer):
-        f(x, w) = sum f(x', w)[w'] f(s, w') - sum mu(z, x') f(z, w)."""
-        key = (x, w)
-        got = self._f.get(key)
-        if got is None:
-            if len(x.word) < 2:
-                m = aw = self.a_upper(w)
-                if x.word:
-                    m = {}
-                    add_scaled(m, self.ts_action(x.word[0], aw), _UINV)
-                    add_scaled(m, aw, _UINV)
-                got = strip_off(m, self.a_upper)
-            else:
-                s = self.system.generator(x.word[0])
-                xp = s * x
-                got = {}
-                for wp, c in self.f_constants(xp, w).items():
-                    add_scaled(got, self.f_constants(s, wp), c)
-                for z, m in self.algebra.mu_down(x.word[0], xp):
-                    add_scaled(got, self.f_constants(z, w), -m)
-            self._f[key] = got
-        return got
+        """A-basis coordinates of c_x A_w: a dict w' -> f_{x,w,w'}, by
+        `HeckeAlgebra.c_left` (exponent doubling is a ring map, mu an
+        integer) with c_s A_w = u^-1 (T_s + 1) A_w (c_s at parameter u^2)."""
+        return self.algebra.c_left(x, w, self._cs_action, self._f)
+
+    def _cs_action(self, i, m):
+        """c_{s_i} on A-basis coordinates: the sum of the rows
+        u^-1 (T_s + 1) A_w, each stripped off once."""
+        out = {}
+        for w, c in m.items():
+            row = self._cs_rows.get((i, w))
+            if row is None:
+                aw = self.a_upper(w)
+                row = {}
+                add_scaled(row, self.ts_action(i, aw), _UINV)
+                add_scaled(row, aw, _UINV)
+                row = self._cs_rows[i, w] = strip_off(row, self.a_upper)
+            add_scaled(out, row, c)
+        return out
 
     def beta_table(self, cells):
         """{(x, w) -> {w' -> beta}} over all x in W, w in I_* (nonzero only)."""

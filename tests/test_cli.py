@@ -252,17 +252,30 @@ _INT_SUBGROUPS = {"cells": [{"representative": "1", "gamma_rank": 1, "subgroups"
         (["eqvb", "--type", "B2", "--cell-data"], _STR_GAMMA_RANK),
         (["eqvb", "--type", "B2", "--cell-data"], _INT_SUBGROUPS),
         (["eqvb", "--gamma-config"], {"rank": 1}),
+        # generators outside (Z/2)^1, and a bool rank, as --cell-data rejects them
+        (["eqvb", "--gamma-config"], {"rank": 1, "subgroups": [[5]]}),
+        (["eqvb", "--gamma-config"], {"rank": 1, "subgroups": [[-1]]}),
+        (["eqvb", "--gamma-config"], {"rank": 1, "subgroups": [[3]]}),
+        (["eqvb", "--gamma-config"], {"rank": True, "subgroups": [[]]}),
+        (["eqvb", "--gamma-config"], {"rank": True, "points": 2, "action": [[0, 1], [1, 0]]}),
+        (["eqvb", "--gamma-config"], {"rank": 0, "points": True, "action": [[0]]}),
         (["group", "--type", "A2", "--max-len", "-1"], None),
         # --max-len truncates only the module basis, never a finite W
         (["invmod", "--type", "A3", "--max-len", "2"], None),
         (["conj34", "--type", "A3", "--max-len", "5"], None),
         (["pi", "--type", "A3", "--max-len", "2"], None),
         (["verify-all", "--type", "B2", "--max-len", "3"], None),
+        (["cells", "--type", "A3", "--max-len", "2"], None),
+        (["jring", "--type", "A2", "--max-len", "1"], None),
     ],
     ids=["cell-data-no-cells", "cell-data-no-gamma-rank", "cell-data-index-99",
          "cell-data-index-true", "cell-data-gamma-rank-str", "cell-data-subgroups-int",
-         "gamma-config-no-subgroups", "negative-max-len", "invmod-finite-max-len",
-         "conj34-finite-max-len", "pi-finite-max-len", "verify-all-finite-max-len"],
+         "gamma-config-no-subgroups", "gamma-config-generator-5",
+         "gamma-config-generator-minus-1", "gamma-config-generator-3", "gamma-config-rank-true",
+         "gamma-config-action-rank-true", "gamma-config-action-points-true",
+         "negative-max-len", "invmod-finite-max-len",
+         "conj34-finite-max-len", "pi-finite-max-len", "verify-all-finite-max-len",
+         "cells-finite-max-len", "jring-finite-max-len"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if config is not None:
@@ -384,13 +397,22 @@ def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
         # half step divides, so no quotient past it is ever formed
         (["conj34", "--type", "Dinf", "--max-len", "9"],
          "15924c4de960ef11db8ab2ab5a6bdd56e707134e875995a497a5476d332a21c9"),
+        (["eqvb"],
+         "644ea93e600845effe0ce842797977879309ec5a46fcf7e3dcd0ec489211b06f"),
+        (["jring", "--type", "A3", "--struct"],
+         "424b242e7e46f5c4a6c9525069f602cdec9856158591b8bc70cd91f903d1785d"),
+        (["invmod", "--type", "A2", "--star", "21", "--tables"],
+         "75c08f3d869a7ffd8f51976795b1f4e0f15bdc497df3672b6a3405459938032e"),
     ],
-    ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9"],
+    ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
+         "eqvb", "jring-A3-struct", "invmod-A2-star-tables"],
 )
 def test_b3_stdout_is_unchanged(capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
-    # recursion (cells-A4 with the boolean-matrix closure); the other three
-    # while division and gcd still ran over Q
+    # recursion (cells-A4 with the boolean-matrix closure); verify-all and
+    # conj34 while division and gcd still ran over Q; eqvb, jring --struct
+    # and invmod with a nontrivial star before the K-ring tables were built
+    # once and h_struct and f_constants shared one recursion
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -113,14 +113,31 @@ def test_sigma_twist():
 
 
 def test_kbar_ranks():
-    assert len(KRing(GammaSet.trivial(4)).kbar_basis()) == 4
-    assert len(KRing(GammaSet.from_subgroups(1, [[]])).kbar_basis()) == 2
-    assert len(KRing(GammaSet.from_subgroups(2, [[1, 2]])).kbar_basis()) == 4
+    assert len(KRing(GammaSet.trivial(4)).kbar) == 4
+    assert len(KRing(GammaSet.from_subgroups(1, [[]])).kbar) == 2
+    assert len(KRing(GammaSet.from_subgroups(2, [[1, 2]])).kbar) == 4
     # two fixed points plus one regular orbit: rank 2 * 3
     gs = GammaSet.from_subgroups(1, [[1], [1], []])
-    assert len(KRing(gs).kbar_basis()) == 6
+    assert len(KRing(gs).kbar) == 6
     gs = GammaSet.from_subgroups(2, [[1], [2], [3]])
-    assert len(KRing(gs).kbar_basis()) == 12
+    assert len(KRing(gs).kbar) == 12
+
+
+def test_sigma_table_is_an_involution_fixing_kbar():
+    # sigma_of permutes the basis indices and squares to the identity, and
+    # kbar is the set of i whose materialized trace signature is symmetric
+    # under the swap (x, y) -> (y, x)
+    for name, gs in standard_pairs():
+        kr = KRing(gs)
+        nb = len(kr.basis)
+        assert sorted(kr.sigma_of) == list(range(nb)), name
+        assert all(kr.sigma_of[kr.sigma_of[i]] == i for i in range(nb)), name
+        symmetric = set()
+        for i in range(nb):
+            sig = kr.trace_signature({i: 1})
+            if sig == {(kr._sigma_point(p), g): v for (p, g), v in sig.items()}:
+                symmetric.add(i)
+        assert set(kr.kbar) == symmetric, name
 
 
 def test_circ_unit_and_composition():
@@ -129,12 +146,12 @@ def test_circ_unit_and_composition():
             continue
         kr = KRing(gs)
         one = kr.unit()
-        for j in kr.kbar_basis():
+        for j in kr.kbar:
             assert kr.circ(one, {j: 1}) == {j: 1}
         nb = len(kr.basis)
         for i, ip in itertools.product(range(nb), repeat=2):
             prod = kr.convolve_basis(ip, i)
-            for j in kr.kbar_basis():
+            for j in kr.kbar:
                 assert kr.circ(prod, {j: 1}) == kr.circ({ip: 1}, kr.circ_basis(i, j))
 
 
@@ -151,7 +168,7 @@ def test_signed_negation_cancels():
     # (U, kappa) + (U, -kappa) = 0 in the quotient: the class of the negated
     # twist is the negated class, so the sum vanishes
     kr = KRing(GammaSet.from_subgroups(1, [[1], []]))
-    for j in kr.kbar_basis():
+    for j in kr.kbar:
         total = {}
         for k, v in {j: 1}.items():
             total[k] = total.get(k, 0) + v
@@ -185,7 +202,7 @@ def test_scalar_action_2_4d():
         kr = KRing(gs)
         for (g0, phi) in kr.cgamma_basis():
             v = kr.psi_basis(g0, phi)
-            for j in kr.kbar_basis():
+            for j in kr.kbar:
                 assert kr.circ(v, {j: 1}) == {j: 1}
 
 
