@@ -18,6 +18,7 @@ from .cells import CellData
 from .coxeter import CoxeterSystem
 from .eqvb import (
     GammaSet,
+    KRing,
     cell_consistency,
     circ_axioms_report,
     count_check,
@@ -404,7 +405,8 @@ def cmd_eqvb(args):
     else:
         pairs = standard_pairs()
     for name, gs in pairs:
-        rep = count_check(gs, name)
+        kr = KRing(gs)
+        rep = count_check(kr, name)
         reports.append(rep)
         payload["pairs"].append(
             {
@@ -415,8 +417,8 @@ def cmd_eqvb(args):
             }
         )
         if gs.size <= 4:
-            reports.append(star_axioms_report(gs, name))
-            reports.append(circ_axioms_report(gs, name))
+            reports.append(star_axioms_report(kr, name))
+            reports.append(circ_axioms_report(kr, name))
     if args.cell_data:
         sys_, alg, cells, inv = _context(args, need_cells=True, need_inv=True)
         entries = _read_config(args.cell_data, "--cell-data",
@@ -457,7 +459,7 @@ def cmd_verify_all(args):
         ideal.eta_check()[0],
         ideal.specialization_check()[0] if sys_.star_perm == tuple(range(sys_.rank))
         else Report("specialization", sys_.describe(), [Check("skipped-nontrivial-star", True)]),
-        *(count_check(gs, name) for name, gs in standard_pairs()),
+        *(count_check(KRing(gs), name) for name, gs in standard_pairs()),
     ]
     return {"system": sys_.describe()}, reports
 

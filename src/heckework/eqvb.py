@@ -490,10 +490,10 @@ class KRing:
 # -- reports -------------------------------------------------------------------------
 
 
-def count_check(gs, name=""):
+def count_check(kr, name=""):
     """Rank of Kbar(C) against |Gamma| x #orbits(X), the brute-force
     self-dual count, and the scalar action of every C_Gamma generator."""
-    kr = KRing(gs)
+    gs = kr.gs
     rep = Report("eqvb-count", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
     rank = len(kr.kbar)
     expected = (1 << gs.rank) * len(kr.x_orbits)
@@ -509,9 +509,9 @@ def count_check(gs, name=""):
     return rep
 
 
-def star_axioms_report(gs, name=""):
+def star_axioms_report(kr, name=""):
     """Exhaustive associativity/unit/sigma checks for the convolution ring."""
-    kr = KRing(gs)
+    gs = kr.gs
     rep = Report("eqvb-star", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
     nb = range(len(kr.basis))
     one = kr.unit()
@@ -532,10 +532,10 @@ def star_axioms_report(gs, name=""):
     return rep
 
 
-def circ_axioms_report(gs, name=""):
+def circ_axioms_report(kr, name=""):
     """Module axioms of the circ action on the signed quotient, and
     centrality of the Psi image."""
-    kr = KRing(gs)
+    gs = kr.gs
     rep = Report("eqvb-circ", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
     nb = range(len(kr.basis))
     one = kr.unit()

@@ -57,9 +57,6 @@ U_V = LaurentPoly.monomial(2)                    # u = v^2
 UINV_V = LaurentPoly.monomial(-2)                # u^-1
 V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})         # v + v^-1
 
-# u-units scalar for the KL recursion
-U_U = LaurentPoly.monomial(1)
-
 
 def add_into(acc, w, coeff):
     """acc[w] += coeff, dropping exact zeros."""
@@ -188,7 +185,8 @@ class KLTable:
     stays in `_p` as raw key bytes -> value bytes; a record is decoded on
     first use, each distinct value once, and a record that fails
     `_decode_record` counts as absent: it is recomputed and appended again,
-    never served.
+    never served.  Each distinct computed P is likewise one shared object
+    whose record value bytes are encoded once (`_shared`).
     """
 
     def __init__(self, system, store=None):
@@ -199,6 +197,7 @@ class KLTable:
         self._syshash = system.content_hash()
         self._p = {} if store is None else store.load_table("kl", self._syshash)
         self._decoded = {}  # value bytes -> (P, deg P), or None if malformed
+        self._shared = {}  # computed P -> (the one shared P, its value bytes)
         self._word_keys = {}  # id -> json.dumps(list(word)), for record keys
 
     def p(self, y, w):
@@ -233,9 +232,9 @@ class KLTable:
         v = sys._lstep(s, w)  # shorter; the normal form starts with a left descent
         sy = sys._lstep(s, y)
         if sys._len[sy] < ly:
-            res = self._pid(sy, v) + U_U * self._pid(y, v)
+            res = self._pid(sy, v) + self._pid(y, v).shifted(1)
         else:
-            res = U_U * self._pid(sy, v) + self._pid(y, v)
+            res = self._pid(sy, v).shifted(1) + self._pid(y, v)
         # l(v) - l(z) is odd for every listed z, so l(w) - l(z) is even
         for z, lz, m in self._mu_list(v):
             if lz < ly or not sys._descents(z) >> s & 1 or not sys._lower_bits(z) >> y & 1:
@@ -247,9 +246,12 @@ class KLTable:
                 "KL degree bound violated at (%s, %s): %r"
                 % (sys._elts[y], sys._elts[w], res)
             )
-        col[y] = res
+        got = self._shared.get(res)
+        if got is None:
+            got = self._shared[res] = (res, _record_value(res))
+        res = col[y] = got[0]
         if key is not None:
-            self._store.append("kl", self._syshash, key, _record_value(res))
+            self._store.append("kl", self._syshash, key, got[1])
         return res
 
     def _word_key(self, x):

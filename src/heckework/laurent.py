@@ -15,6 +15,11 @@ Conventions used throughout the package:
   `try_divide`, and a quotient that does not exist raises.
 - Exact division (`try_divide`) and `poly_gcd` use only Python ints: long
   division over Z, and Euclid on primitive pseudo-remainders.
+- The public constructor validates: it copies its dict, coerces every
+  exponent and coefficient with `int()` and drops zeros.  Only the private
+  `_wrap` skips that; its callers are the ring operations in this module,
+  each of which hands over a fresh dict of nonzero ints that it built
+  itself and never touches again.
 
 >>> p = LaurentPoly({3: 1, -1: 1})
 >>> p.bar()
@@ -104,46 +109,61 @@ class LaurentPoly:
             if s:
                 c[e] = s
             else:
-                c.pop(e, None)
-        return LaurentPoly(c)
+                del c[e]
+        return _wrap(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -a for e, a in self._c.items()})
+        return _wrap({e: -a for e, a in self._c.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        c = dict(self._c)
+        for e, a in o._c.items():
+            s = c.get(e, 0) - a
+            if s:
+                c[e] = s
+            else:
+                del c[e]
+        return _wrap(c)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        """The product; an int or a one-term factor scales and shifts."""
+        if isinstance(other, int):
+            return _wrap({e: a * other for e, a in self._c.items()} if other else {})
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
+        p, q = self._c, other._c
+        if len(p) < len(q):
+            p, q = q, p
+        if len(q) == 1:
+            ((k, b),) = q.items()
+            return _wrap({e + k: a * b for e, a in p.items()})
         c = {}
-        for e1, a1 in self._c.items():
-            for e2, a2 in o._c.items():
+        for e1, a1 in p.items():
+            for e2, a2 in q.items():
                 e = e1 + e2
                 s = c.get(e, 0) + a1 * a2
                 if s:
                     c[e] = s
                 else:
-                    c.pop(e, None)
-        return LaurentPoly(c)
+                    del c[e]
+        return _wrap(c)
 
     __rmul__ = __mul__
 
     def shifted(self, k):
         """v^k * self."""
-        return LaurentPoly({e + k: a for e, a in self._c.items()})
+        return _wrap({e + k: a for e, a in self._c.items()})
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -163,17 +183,17 @@ class LaurentPoly:
 
     def bar(self):
         """The bar involution v -> v^-1 (exponent negation)."""
-        return LaurentPoly({-e: a for e, a in self._c.items()})
+        return _wrap({-e: a for e, a in self._c.items()})
 
     def subst_v_to_u(self):
         """Evaluate p(v) at v = u = v^2, i.e. double all exponents."""
-        return LaurentPoly({2 * e: a for e, a in self._c.items()})
+        return _wrap({2 * e: a for e, a in self._c.items()})
 
     def halve_exponents(self):
         """Inverse of subst_v_to_u; rejects odd-supported polynomials."""
         if any(e % 2 for e in self._c):
             raise ValueError("polynomial has odd v-exponents: %r" % self)
-        return LaurentPoly({e // 2: a for e, a in self._c.items()})
+        return _wrap({e // 2: a for e, a in self._c.items()})
 
     def specialize_uinv_zero(self):
         """The specialization u^-1 -> 0 of an element of Z[u^-1].
@@ -227,7 +247,7 @@ class LaurentPoly:
         if d is None or d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return LaurentPoly()
+            return _wrap({})
         num, nval = _dense(self)
         den, dval = _dense(d)
         dd = len(den) - 1
@@ -244,7 +264,16 @@ class LaurentPoly:
                     num[i - dd + j] -= c * den[j]
         if any(num[:dd]):
             return None
-        return LaurentPoly(quot)
+        return _wrap(quot)
+
+
+def _wrap(c):
+    """A LaurentPoly owning c, unchecked: c must be a fresh dict of int
+    exponents and nonzero int coefficients that no one else holds."""
+    p = object.__new__(LaurentPoly)
+    p._c = c
+    p._hash = None
+    return p
 
 
 ZERO = LaurentPoly()

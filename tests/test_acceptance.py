@@ -13,6 +13,7 @@ import time
 from heckework import CoxeterSystem
 from heckework.cells import CellData
 from heckework.eqvb import (
+    KRing,
     cell_consistency,
     circ_axioms_report,
     count_check,
@@ -367,15 +368,16 @@ def test_acceptance_7_equivariant_counting():
     assert len(pairs) >= 10
     for name, gs in pairs:
         assert gs.rank <= 2 and gs.size <= 12
-        rep = count_check(gs, name)  # rank formula + brute force + 2.4(d)
+        rep = count_check(KRing(gs), name)  # rank formula + brute force + 2.4(d)
         assert rep.passed, (name, [c.to_json() for c in rep.checks])
     # star/circ module axioms and Psi-centrality, exhaustive at |X| <= 6
     for name, gs in pairs:
         if gs.size > 6:
             continue
-        rep = star_axioms_report(gs, name)
+        kr = KRing(gs)
+        rep = star_axioms_report(kr, name)
         assert rep.passed, (name, [c.to_json() for c in rep.checks])
-        rep = circ_axioms_report(gs, name)
+        rep = circ_axioms_report(kr, name)
         assert rep.passed, (name, [c.to_json() for c in rep.checks])
     elapsed_ok(t0, 60, 7, "Kbar ranks, scalar action, star/circ axioms")
 

@@ -1,5 +1,6 @@
 """The KL cache file format and concurrent writers."""
 
+import hashlib
 import json
 import os
 import struct
@@ -127,6 +128,23 @@ def test_new_records_keep_the_format(tmp_path):
     blob = store._path("kl", system.content_hash()).read_bytes()
     assert blob.startswith(HEADER)
     assert len(blob) == len(HEADER) + sum(len(record(k, v)) for k, v in expected.items())
+
+
+def test_computed_values_are_shared(tmp_path):
+    # a cold fill keeps one object per distinct P, with a store or without,
+    # and the store's file keeps the bytes recorded before values were shared
+    for store in (None, CacheStore(tmp_path)):
+        system = CoxeterSystem.from_label("B3")
+        cold = KLTable(system, store=store)
+        for w in system.elements():
+            for y in system.lower_interval(w):
+                cold.p(y, w)
+        got = [cold.p(y, w) for y, w in bruhat_pairs(system)]
+        assert len({id(p) for p in got}) == len(set(got)) == len(cold._shared)
+    store.close()
+    blob = store._path("kl", system.content_hash()).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "04d7aadc7f56b54588934d5a25033a99b43fbeb458f9be996c26953a30233d1f")
 
 
 def test_two_stores_share_one_header(tmp_path):

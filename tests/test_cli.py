@@ -403,16 +403,21 @@ def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
          "424b242e7e46f5c4a6c9525069f602cdec9856158591b8bc70cd91f903d1785d"),
         (["invmod", "--type", "A2", "--star", "21", "--tables"],
          "75c08f3d869a7ffd8f51976795b1f4e0f15bdc497df3672b6a3405459938032e"),
+        (["kl", "--type", "B3"],
+         "834d8a9903a533d4b7d8023b98535b2958cdde40211a0f5c64b7bf7ce82832a8"),
+        (["kl", "--type", "A4"],
+         "e1c82a0f7a44f1e6c98a32236dd9bc48e0bfef0aff907619c0165faf74badb29"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
-         "eqvb", "jring-A3-struct", "invmod-A2-star-tables"],
+         "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4"],
 )
 def test_b3_stdout_is_unchanged(capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
     # recursion (cells-A4 with the boolean-matrix closure); verify-all and
     # conj34 while division and gcd still ran over Q; eqvb, jring --struct
     # and invmod with a nontrivial star before the K-ring tables were built
-    # once and h_struct and f_constants shared one recursion
+    # once and h_struct and f_constants shared one recursion; kl before the
+    # LaurentPoly fast paths and the shared KL values
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

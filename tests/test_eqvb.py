@@ -193,7 +193,7 @@ def test_psi_ring_hom_and_central():
     for name, gs in standard_pairs():
         if gs.size > 4:
             continue
-        rep = circ_axioms_report(gs, name)
+        rep = circ_axioms_report(KRing(gs), name)
         assert rep.passed, (name, [c.to_json() for c in rep.checks])
 
 
@@ -211,7 +211,7 @@ def test_count_check_library():
     assert len(pairs) >= 10
     for name, gs in pairs:
         assert gs.rank <= 2 and gs.size <= 12
-        rep = count_check(gs, name)
+        rep = count_check(KRing(gs), name)
         assert rep.passed, (name, [c.to_json() for c in rep.checks])
 
 
@@ -219,7 +219,7 @@ def test_star_axioms_library():
     for name, gs in standard_pairs():
         if gs.size > 6:
             continue
-        rep = star_axioms_report(gs, name)
+        rep = star_axioms_report(KRing(gs), name)
         assert rep.passed, (name, [c.to_json() for c in rep.checks])
 
 

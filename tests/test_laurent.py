@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heckework
 from heckework.laurent import LaurentPoly, RationalFn, ONE, ZERO, poly_gcd
@@ -35,6 +36,60 @@ def test_ring_axioms_randomized():
         assert p * (q + r) == p * q + p * r
         assert p * ONE == p
         assert p + ZERO == p
+
+
+def dense_product(p, q):
+    """p * q by dense convolution, built through the public constructor."""
+    if not p or not q:
+        return LaurentPoly()
+    a, b = [[x.coeff_of_v(e) for e in range(x.valuation(), x.degree() + 1)] for x in (p, q)]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    lo = p.valuation() + q.valuation()
+    return LaurentPoly({lo + i: c for i, c in enumerate(out)})
+
+
+def termwise(p, q, sign):
+    """p + sign * q, coefficient by coefficient."""
+    keys = set(p.support()) | set(q.support())
+    return LaurentPoly({e: p.coeff_of_v(e) + sign * q.coeff_of_v(e) for e in keys})
+
+
+# sparse dicts, zero coefficients included; one-term ones drawn on their own
+TERMS = st.one_of(
+    st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6),
+    st.dictionaries(st.integers(-6, 6), st.integers(-9, 9).filter(bool), min_size=1, max_size=1),
+)
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(TERMS, TERMS, st.integers(-4, 4), st.integers(-5, 5))
+def test_fast_paths_equal_the_generic_product(dp, dq, k, shift):
+    p = LaurentPoly(dp)
+    q = LaurentPoly(dq)
+    before = p.items()
+    dp[0] = 99  # the constructor copied the caller's dict
+    assert p.items() == before
+    cases = [
+        (p * q, dense_product(p, q)),
+        (p * k, dense_product(p, LaurentPoly({0: k}))),
+        (k * p, dense_product(LaurentPoly({0: k}), p)),
+        (p - q, termwise(p, q, -1)),
+        (p - p, ZERO),
+        (p + q, termwise(p, q, 1)),
+        (p + (-p), ZERO),
+        (k - p, termwise(LaurentPoly({0: k}), p, -1)),
+        (-p, LaurentPoly({e: -a for e, a in p.items()})),
+        (p.shifted(shift), LaurentPoly({e + shift: a for e, a in p.items()})),
+        (p.bar(), LaurentPoly({-e: a for e, a in p.items()})),
+        (p.subst_v_to_u().halve_exponents(), p),
+    ]
+    for got, want in cases:
+        assert got.items() == want.items()
+        assert all(type(e) is int and type(a) is int and a for e, a in got._c.items())
+        assert got._c is not p._c and got._c is not q._c
 
 
 def test_bar_is_ring_automorphism():
