@@ -22,8 +22,6 @@ J-ring elements are plain integer dicts {CoxeterElement: int}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coxeter import InfiniteGroupError, bits
 from .hecke import add_into
 
@@ -41,18 +39,15 @@ def _closure(rows):
     return rows
 
 
-@dataclass
 class CellPartition:
-    """Left and two-sided cells plus the partial order on two-sided cells."""
+    """Left and two-sided cells plus the partial order on two-sided cells;
+    order_pairs holds (i, j) with cell_i preceq cell_j."""
 
-    left_cells: tuple
-    two_sided_cells: tuple
-    order_pairs: frozenset  # (i, j) with cell_i preceq cell_j
-
-    _two_sided: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._two_sided = {w: i for i, c in enumerate(self.two_sided_cells) for w in c}
+    def __init__(self, left_cells, two_sided_cells, order_pairs):
+        self.left_cells = left_cells
+        self.two_sided_cells = two_sided_cells
+        self.order_pairs = order_pairs
+        self._two_sided = {w: i for i, c in enumerate(two_sided_cells) for w in c}
 
     def two_sided_index(self, w):
         return self._two_sided[w]

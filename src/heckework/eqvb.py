@@ -26,8 +26,6 @@ explicitly materialized bundles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hecke import add_into, add_scaled
 from .report import Report
 
@@ -41,15 +39,13 @@ def _restriction(phi, stab):
     return tuple(char_value(phi, h) for h in stab)
 
 
-@dataclass(frozen=True)
 class GammaSet:
     """A finite set with an action of (Z/2)^r; action[g][x] is g . x."""
 
-    rank: int
-    size: int
-    action: tuple
-
-    def __post_init__(self):
+    def __init__(self, rank, size, action):
+        self.rank = rank
+        self.size = size
+        self.action = action
         n_g = 1 << self.rank
         if len(self.action) != n_g:
             raise ValueError("action table needs %d rows" % n_g)
@@ -112,12 +108,15 @@ def _span(rank, gens):
     return frozenset(h)
 
 
-@dataclass
 class Orbit:
-    points: tuple
-    base: int
-    transporter: dict  # point -> g with g . base = point
-    stabilizer: tuple  # sorted subgroup elements
+    """An orbit's points, its base point, the transporter dict point -> g
+    with g . base = point, and the sorted stabilizer subgroup of the base."""
+
+    def __init__(self, points, base, transporter, stabilizer):
+        self.points = points
+        self.base = base
+        self.transporter = transporter
+        self.stabilizer = stabilizer
 
 
 def _orbits(gs, points, act, prefer=None):

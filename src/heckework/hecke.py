@@ -58,6 +58,10 @@ UINV_V = LaurentPoly.monomial(-2)                # u^-1
 V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})         # v + v^-1
 
 
+class InexactDivision(ValueError):
+    """A descent half step met a coefficient that u + 1 does not divide."""
+
+
 def add_into(acc, w, coeff):
     """acc[w] += coeff, dropping exact zeros."""
     if not coeff:
@@ -104,7 +108,7 @@ def t_inv_gen_action(ts_coeffs, coeffs, qinv):
 def half_step(ts_coeffs, coeffs, u):
     """(u + 1)^-1 (T_s - u) applied to coeffs, given ts_coeffs = T_s applied
     to coeffs.  T_s a_v = u a_v + (u + 1) a_w makes the division exact;
-    a coefficient u + 1 does not divide raises ValueError naming its x."""
+    a coefficient u + 1 does not divide raises InexactDivision naming its x."""
     num = dict(ts_coeffs)
     add_scaled(num, coeffs, -u)
     den = u + ONE
@@ -112,7 +116,7 @@ def half_step(ts_coeffs, coeffs, u):
     for x, c in num.items():
         q = out[x] = c.try_divide(den)
         if q is None:
-            raise ValueError("not divisible by %r at %s: %r" % (den, x, c))
+            raise InexactDivision("not divisible by %r at %s: %r" % (den, x, c))
     return out
 
 

@@ -16,10 +16,12 @@ Key objects:
   X_w = T_s X_{sws*} otherwise.  Each step is asserted to send a_v exactly
   to a_w in the involution module, so X_w = eta^{-1}(a_w) whenever eta
   exists;
-- eta_check: for finite W, compares the kernels of h -> h X_empty and
-  h -> h a_empty via canonical fraction-free reduced row echelon forms and
-  reports ranks — a certificate that the unique module map X_empty -> a_empty
-  is an isomorphism;
+- eta_check: for finite W, certifies that the unique module map
+  X_empty -> a_empty is an isomorphism from the X_w alone: X_e = X_empty,
+  T_s X_w = sum m_w' X_w' whenever T_s a_w = sum m_w' a_w', and the X_w
+  are independent (a rank over F_p, p = 2^61 - 1, at v = v0).  The
+  fraction-free row echelon form `canonical_rref` below is the tests'
+  second route to the same facts;
 - pi_map: the length-inductive projection onto involutions, with its
   well-definedness tested (every choice of first letter must agree), never
   assumed;
@@ -34,18 +36,20 @@ tagged with the window it is exact in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import LaurentPoly, ZERO, ONE, poly_gcd
 from .coxeter import InfiniteGroupError
-from .hecke import half_step, t_gen_action
+from .hecke import InexactDivision, add_scaled, half_step, t_gen_action
 from .report import Report
 
 _U = LaurentPoly.monomial(2)                    # u = v^2
 _U2 = LaurentPoly.monomial(4)
 
+# the rank certificate works in F_p at v = v0: the first point, then the rest
+# only if it drops rank
+PRIME = (1 << 61) - 1
+SPECIALIZATION_POINTS = (12345, 271828, 314159, 161803)
 
-@dataclass
+
 class CompletionElement:
     """A (possibly truncated) formal sum of T_x with Laurent coefficients.
 
@@ -53,8 +57,17 @@ class CompletionElement:
     of T_x are guaranteed exact for l(x) <= exact_len and dropped beyond.
     """
 
-    coeffs: dict
-    exact_len: object = None  # None or int
+    def __init__(self, coeffs, exact_len=None):
+        self.coeffs = coeffs
+        self.exact_len = exact_len
+
+    def __eq__(self, other):
+        if not isinstance(other, CompletionElement):
+            return NotImplemented
+        return (self.coeffs, self.exact_len) == (other.coeffs, other.exact_len)
+
+    def __repr__(self):
+        return "CompletionElement(%r, %r)" % (self.coeffs, self.exact_len)
 
     def trimmed(self, n):
         """Restrict to l(x) <= n (n must not exceed the exactness window);
@@ -98,11 +111,6 @@ class IdealModel:
         n = elt.exact_len
         return CompletionElement(out, n).trimmed(None if n is None else n - 1)
 
-    def t_word_mult(self, word, elt):
-        for i in reversed(word):
-            elt = self.t_gen_mult(i, elt)
-        return elt
-
     # -- the X_w elements ------------------------------------------------------------
 
     def x_elt(self, w, max_len=None):
@@ -139,61 +147,91 @@ class IdealModel:
             out[w] = self.x_elt(w, max_len=max_len)
         return out
 
-    # -- row reduction over Q(u) and the eta certificate ----------------------------
+    # -- the eta certificate ----------------------------------------------------------
 
     def eta_check(self):
         """Certificate for the module isomorphism onto the involution module.
 
-        Compares the kernels of h -> h X_empty and h -> h a_empty (equal row
-        echelon forms of the transposed coefficient matrices), reports the
-        ideal dimension against the number of twisted involutions, and checks
-        that every X_w has coefficients in Z[u^-1].  The ideal dimension is
-        the rank of the transposed X_empty matrix, since a matrix and its
-        transpose have equal rank.  Returns (report, x_table).
+        Builds the X_w of every twisted involution w once and certifies
+        (a) X_e = X_empty; (b) T_s X_w = sum m_w' X_w' for every generator s
+        and every w, where T_s a_w = sum m_w' a_w' in the involution module;
+        (c) the |I| x |W| matrix of the X_w has rank |I|.  By (b),
+        psi: a_w -> X_w is H-linear, and by (a) psi(h a_e) = h X_empty, so
+        h a_e = 0 implies h X_empty = 0.  By (c) psi is injective, so the
+        converse holds too: the kernels of h -> h X_empty and h -> h a_e
+        agree.  `x_elt` asserts at every step that the step sends a_v to
+        a_w, so each a_w lies in H a_e (module surjectivity), and then the
+        ideal H X_empty = psi(M) has dimension |I|.
+
+        (c) is checked over F_p at v = v0: v -> v0 is a ring map
+        Z[v, v^-1] -> F_p, so a nonzero |I|-minor mod p is nonzero over
+        Q(v), and a pass is never wrong.  A point can only lose rank, when
+        it is a root of every |I|-minor, which for a random v0 has chance at
+        most deg/p (Schwartz, J. ACM 27 (1980)); then the next point of
+        SPECIALIZATION_POINTS is tried, and if all lose rank the check fails
+        with the points as witness.  Last, every X_w must have coefficients
+        in Z[u^-1].  Returns (report, x_table).
         """
         sys = self.system
         if sys.is_finite is False:
             raise InfiniteGroupError("eta_check requires a finite group")
         rep = Report("conj-eta", sys.describe())
-        els = sys.elements()
         inv = self.invmod.basis
-        base = self.x_empty()
-        images_x = [self.t_word_mult(x.word, base).coeffs for x in els]
-        images_a = [self.invmod.t_word_action(x.word, {sys.identity: ONE}) for x in els]
-
-        def transposed(images, targets):
-            # rows indexed by the target basis, columns by x
-            return [{x: img[y] for x, img in zip(els, images) if img.get(y)} for y in targets]
-
-        rref_x = canonical_rref(transposed(images_x, els), els)
-        rref_a = canonical_rref(transposed(images_a, inv), els)
-        kernel_equal = rref_x == rref_a
-        rep.add(
-            "kernel-equality",
-            kernel_equal,
-            None if kernel_equal else "row spaces of the two action matrices differ",
-        )
-        dim_ideal = len(rref_x)
-        rep.add(
-            "ideal-dimension",
-            dim_ideal == len(inv),
-            {"dim": dim_ideal, "involutions": len(inv)},
-        )
-        rep.add("module-surjectivity", len(rref_a) == len(inv),
-                {"rank": len(rref_a), "involutions": len(inv)})
         x_table = {}
         integral = True
         witness = None
         for w in inv:
             try:
                 xw = x_table[w] = self.x_elt(w)
-                for c in xw.coeffs.values():
-                    c.specialize_uinv_zero()
-            except ValueError:
-                integral = False
-                witness = str(w)
+            except InexactDivision:
+                integral, witness = False, str(w)
+                continue
+            if not all(c.in_z_uinv() for c in xw.coeffs.values()):
+                integral, witness = False, str(w)
+        n = len(inv)
+        missing = [str(w) for w in inv if w not in x_table]
+        if missing:
+            fault = {"missing": missing}
+        elif x_table[sys.identity] != self.x_empty():
+            fault = {"pin": "X_e differs from X_empty"}
+        else:
+            fault = self.equivariance_fault(x_table)
+        if fault is None:
+            rank, points = self.specialized_rank(x_table)
+            if rank < n:
+                fault = {"rank": rank, "points": points}
+        rep.add("kernel-equality", fault is None, fault)
+        rep.add("ideal-dimension", fault is None,
+                {"dim": n if fault is None else None, "involutions": n, **(fault or {})})
+        rep.add("module-surjectivity", not missing, {"rank": len(x_table), "involutions": n})
         rep.add("x-integrality", integral, witness)
         return rep, x_table
+
+    def equivariance_fault(self, x_table):
+        """The first (s, w) with T_s X_w != sum m_w' X_w', where
+        T_s a_w = sum m_w' a_w', as a witness; None when every pair holds."""
+        sys = self.system
+        for w, xw in x_table.items():
+            for i in range(sys.rank):
+                rhs = {}
+                for wp, c in self.invmod.ts_action(i, {w: ONE}).items():
+                    add_scaled(rhs, x_table[wp].coeffs, c)
+                if t_gen_action(sys, i, xw.coeffs, _U2) != rhs:
+                    return {"equivariance": [i + 1, str(w)]}
+        return None
+
+    def specialized_rank(self, x_table):
+        """(rank, points): the rank over F_p of the matrix of the X_w at the
+        first point of SPECIALIZATION_POINTS that gives full rank, else the
+        largest rank seen; points lists the points tried."""
+        best, tried = 0, []
+        for v0 in SPECIALIZATION_POINTS:
+            tried.append(v0)
+            rows = [{x: _at(c, v0) for x, c in xw.coeffs.items()} for xw in x_table.values()]
+            best = max(best, _rank_mod_p(rows))
+            if best == len(rows):
+                break
+        return best, tried
 
     # -- specialization and the projection ----------------------------------------------
 
@@ -309,7 +347,31 @@ class IdealModel:
         return rep, pi
 
 
-# -- canonical fraction-free reduced row echelon form ---------------------------------
+# -- ranks over F_p and the canonical fraction-free row echelon form -----------------
+
+
+def _at(c, v0):
+    """The Laurent polynomial c at v = v0 in F_p (v0 nonzero mod p)."""
+    return sum(a * pow(v0, e, PRIME) for e, a in c.items()) % PRIME
+
+
+def _rank_mod_p(rows):
+    """Rank over F_p of sparse rows (dicts column -> residue): each row is
+    reduced against the pivot rows in the order they were found."""
+    pivots = {}  # pivot column -> row scaled to 1 there
+    for row in rows:
+        row = dict(row)
+        for col, prow in pivots.items():
+            c = row.get(col)
+            if c:
+                for k, a in prow.items():
+                    row[k] = (row.get(k, 0) - c * a) % PRIME
+        row = {k: a for k, a in row.items() if a}
+        if row:
+            col, a = next(iter(row.items()))
+            inv = pow(a, -1, PRIME)
+            pivots[col] = {k: b * inv % PRIME for k, b in row.items()}
+    return len(pivots)
 
 
 def _row_normalize(row, order):
@@ -351,7 +413,8 @@ def _eliminate(r, pivot_row, col, order):
 
 def canonical_rref(rows, order):
     """Canonical reduced row echelon form over Q(u) of rows of Laurent
-    polynomials, computed fraction-free.  `order` fixes the column order
+    polynomials, computed fraction-free: the tests' second route to the
+    facts `eta_check` certifies.  `order` fixes the column order
     (lexicographic pivoting); rows come back sorted by pivot column, each
     the unique primitive representative of its echelon row.
     """

@@ -97,11 +97,6 @@ class InvolutionModule:
                 add_into(out, v, c * _U2)
         return out
 
-    def t_word_action(self, word, m):
-        for i in reversed(word):
-            m = self.ts_action(i, m)
-        return m
-
     # -- bar operator ---------------------------------------------------------------
 
     def _bar_ts(self, i, m):

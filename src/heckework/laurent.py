@@ -195,14 +195,17 @@ class LaurentPoly:
             raise ValueError("polynomial has odd v-exponents: %r" % self)
         return _wrap({e // 2: a for e, a in self._c.items()})
 
+    def in_z_uinv(self):
+        """Whether self lies in Z[u^-1]: even, nonpositive v-exponents only."""
+        return not any(e % 2 or e > 0 for e in self._c)
+
     def specialize_uinv_zero(self):
         """The specialization u^-1 -> 0 of an element of Z[u^-1].
 
         Rejects input outside Z[u^-1] (odd or positive v-exponents).
         """
-        for e in self._c:
-            if e % 2 or e > 0:
-                raise ValueError("not in Z[u^-1]: %r" % self)
+        if not self.in_z_uinv():
+            raise ValueError("not in Z[u^-1]: %r" % self)
         return self._c.get(0, 0)
 
     # -- display and serialization ------------------------------------------

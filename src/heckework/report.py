@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 
 def sample_triples(xs, ys, zs, n_random=2000):
@@ -20,11 +19,11 @@ def sample_triples(xs, ys, zs, n_random=2000):
     return ((rng.choice(xs), rng.choice(ys), rng.choice(zs)) for _ in range(n_random))
 
 
-@dataclass
 class Check:
-    check_id: str
-    passed: bool
-    witness: object = None
+    def __init__(self, check_id, passed, witness=None):
+        self.check_id = check_id
+        self.passed = passed
+        self.witness = witness
 
     def to_json(self):
         out = {"id": self.check_id, "pass": self.passed}
@@ -33,11 +32,11 @@ class Check:
         return out
 
 
-@dataclass
 class Report:
-    suite: str
-    system: str
-    checks: list = field(default_factory=list)
+    def __init__(self, suite, system, checks=None):
+        self.suite = suite
+        self.system = system
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id, passed, witness=None):
         self.checks.append(Check(check_id, bool(passed), witness))

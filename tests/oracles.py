@@ -8,8 +8,10 @@ Reduced words and Bruhat order are recomputed here from scratch.
 
 The Hecke-side oracles compute through the T-basis product and strip-off,
 the route the package's generator recursions for `h_struct` and
-`f_constants` replaced; `ideal_basis` row-reduces the ideal itself, the
-second route to the dimension `eta_check` reads off a transposed matrix.
+`f_constants` replaced.  `eta_by_rref` is the row-reduction route to the
+facts `eta_check` certifies by H-equivariance and a rank over F_p: it
+compares the canonical echelon forms of the |W| images h X_empty and
+h a_empty, and `ideal_basis` row-reduces the ideal itself.
 `bar_a_by_chain` and `x_elt_by_chain` replay the whole descent chain over
 Q(v), dividing by u + 1 through `RationalFn`, where the package takes one
 memoized step that divides exactly in Z[v, v^-1].
@@ -41,12 +43,26 @@ def h_struct_t_basis(alg, x, y):
     return alg.to_c(alg.mult(alg.c_elt(x), alg.c_elt(y)))
 
 
+def t_word_action(inv, word, m):
+    """T_word acting on the module element m, one generator at a time."""
+    for i in reversed(word):
+        m = inv.ts_action(i, m)
+    return m
+
+
+def t_word_mult(ideal, word, elt):
+    """T_word times the completion element elt, one generator at a time."""
+    for i in reversed(word):
+        elt = ideal.t_gen_mult(i, elt)
+    return elt
+
+
 def t_act(inv, h, m):
     """The T-basis element h acting on the module element m: its
     T-coordinates at parameter u^2, each T_y acting through a reduced word."""
     out = {}
     for y, c in h.items():
-        add_scaled(out, inv.t_word_action(y.word, m), c.subst_v_to_u())
+        add_scaled(out, t_word_action(inv, y.word, m), c.subst_v_to_u())
     return out
 
 
@@ -120,9 +136,29 @@ def ideal_basis(ideal):
     """Row-reduce {T_x X_empty : x in W}; returns (dim, basis rows)."""
     els = ideal.system.elements()
     base = ideal.x_empty()
-    rows = [ideal.t_word_mult(x.word, base).coeffs for x in els]
+    rows = [t_word_mult(ideal, x.word, base).coeffs for x in els]
     rref = canonical_rref(rows, els)
     return len(rref), [CompletionElement(dict(r)) for r in rref]
+
+
+def eta_by_rref(ideal):
+    """The three facts of the eta certificate by row reduction over Q(u):
+    whether the kernels of h -> h X_empty and h -> h a_empty agree (equal
+    echelon forms of the transposed image matrices), the ideal dimension
+    (the rank of the X_empty images) and the rank of the a_empty images."""
+    sys = ideal.system
+    els = sys.elements()
+    base = ideal.x_empty()
+    images_x = [t_word_mult(ideal, x.word, base).coeffs for x in els]
+    images_a = [t_word_action(ideal.invmod, x.word, {sys.identity: ONE}) for x in els]
+
+    def transposed(images, targets):
+        # rows indexed by the target basis, columns by x
+        return [{x: img[y] for x, img in zip(els, images) if img.get(y)} for y in targets]
+
+    rref_x = canonical_rref(transposed(images_x, els), els)
+    rref_a = canonical_rref(transposed(images_a, ideal.invmod.basis), els)
+    return rref_x == rref_a, len(rref_x), len(rref_a)
 
 
 def triple_H(alg, x, w, wp):

@@ -1,13 +1,15 @@
+import json
+
 import pytest
 
 import heckework.idealmod as idealmod
 from heckework import CoxeterSystem, InfiniteGroupError
 from heckework.cli import main
-from heckework.hecke import HeckeAlgebra
-from heckework.idealmod import IdealModel, canonical_rref
+from heckework.hecke import HeckeAlgebra, InexactDivision
+from heckework.idealmod import CompletionElement, IdealModel, canonical_rref
 from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly, ONE
-from oracles import bar_a_by_chain, ideal_basis, x_elt_by_chain
+from oracles import UINV, bar_a_by_chain, eta_by_rref, ideal_basis, x_elt_by_chain
 
 
 def u_poly(items):
@@ -160,24 +162,61 @@ def test_x_integrality(a3):
             c.specialize_uinv_zero()  # raises if not in Z[u^-1]
 
 
-def test_an_inexact_step_fails_x_integrality(monkeypatch):
-    # the ValueError of a quotient u + 1 does not divide is a failed check
-    # with its w as witness, not an error of the whole call
-    alg = HeckeAlgebra(CoxeterSystem.from_label("A2"))
-    ideal = IdealModel(alg, InvolutionModule(alg))
-    w0 = alg.system.element("121")
+def _ideal(label, star=None):
+    alg = HeckeAlgebra(CoxeterSystem.from_label(label, star=star))
+    return IdealModel(alg, InvolutionModule(alg))
+
+
+def _inexact_at_w0(monkeypatch, ideal):
+    w0 = ideal.system.element("121")
     x_elt = ideal.x_elt
 
     def inexact_at_w0(w, max_len=None):
         if w is w0:
-            raise ValueError("not divisible")
+            raise InexactDivision("not divisible")
         return x_elt(w, max_len)
 
     monkeypatch.setattr(ideal, "x_elt", inexact_at_w0)
+
+
+def _checks(rep):
+    return {c.check_id: c for c in rep.checks}
+
+
+def test_an_inexact_step_fails_x_integrality(monkeypatch):
+    # the InexactDivision of a quotient u + 1 does not divide is a failed
+    # check with its w as witness, not an error of the whole call
+    ideal = _ideal("A2")
+    _inexact_at_w0(monkeypatch, ideal)
     rep, x_table = ideal.eta_check()
     (check,) = [c for c in rep.checks if c.check_id == "x-integrality"]
     assert (check.passed, check.witness) == (False, "121")
     assert sorted(map(str, x_table)) == ["1", "2", "e"]
+
+
+def test_a_missing_x_fails_the_kernel_and_dimension_checks(monkeypatch):
+    # without X_w there is nothing to certify: both checks fail naming w
+    ideal = _ideal("A2")
+    _inexact_at_w0(monkeypatch, ideal)
+    checks = _checks(ideal.eta_check()[0])
+    assert not checks["kernel-equality"].passed
+    assert checks["kernel-equality"].witness == {"missing": ["121"]}
+    assert not checks["ideal-dimension"].passed
+    assert checks["ideal-dimension"].witness == {
+        "dim": None, "involutions": 4, "missing": ["121"]}
+    assert not checks["module-surjectivity"].passed
+
+
+def test_only_an_inexact_division_is_caught(monkeypatch):
+    # any other ValueError is a fault of the program, not a failed check
+    ideal = _ideal("A2")
+
+    def broken(w, max_len=None):
+        raise ValueError("not an inexact division")
+
+    monkeypatch.setattr(ideal, "x_elt", broken)
+    with pytest.raises(ValueError, match="not an inexact division"):
+        ideal.eta_check()
 
 
 def test_pi_fibers_a2(a2):
@@ -289,7 +328,7 @@ def test_dihedral_ideal_dimensions():
      ("B2", None, 6), ("G2", None, 8), ("I2(5)", None, 6)],
 )
 def test_eta_check_dimension_equals_ideal_basis(label, star, expected):
-    # eta_check takes the dimension from the rank of the transposed matrix;
+    # eta_check certifies the dimension by equivariance and a rank over F_p;
     # ideal_basis row-reduces the images themselves
     sys = CoxeterSystem.from_label(label, star=star)
     alg = HeckeAlgebra(sys)
@@ -299,18 +338,125 @@ def test_eta_check_dimension_equals_ideal_basis(label, star, expected):
     assert dim == ideal_basis(ideal)[0] == expected
 
 
-def test_conj34_row_reduces_twice(monkeypatch, capsys):
+def test_eta_check_makes_no_row_reduction(monkeypatch, capsys):
     calls = []
-    real = idealmod.canonical_rref
-
-    def counting(rows, order):
-        calls.append(len(rows))
-        return real(rows, order)
-
-    monkeypatch.setattr(idealmod, "canonical_rref", counting)
+    monkeypatch.setattr(idealmod, "canonical_rref", lambda rows, order: calls.append(rows))
     assert main(["conj34", "--type", "A2"]) == 0
-    assert "ideal_dimension" in capsys.readouterr().out
-    assert len(calls) == 2
+    assert json.loads(capsys.readouterr().out)["ideal_dimension"] == 4
+    assert calls == []
+
+
+CERTIFIED = [("A1", None), ("A2", None), ("A3", None), ("A4", None), ("B2", None),
+             ("B3", None), ("G2", None), ("I2(5)", None), ("A2", [1, 0]),
+             ("A3", [2, 1, 0])]
+
+
+@pytest.mark.parametrize("label, star", CERTIFIED,
+                         ids=["A1", "A2", "A3", "A4", "B2", "B3", "G2", "I2(5)",
+                              "A2-star21", "A3-star321"])
+def test_certificate_equals_row_reduction(label, star):
+    # the same dim, rank and pass bits as the row-reduction route
+    ideal = _ideal(label, star)
+    checks = _checks(ideal.eta_check()[0])
+    kernel_equal, dim, rank = eta_by_rref(ideal)
+    n = len(ideal.invmod.basis)
+    assert checks["kernel-equality"].passed == kernel_equal
+    assert checks["ideal-dimension"].witness == {"dim": dim, "involutions": n}
+    assert checks["ideal-dimension"].passed == (dim == n)
+    assert checks["module-surjectivity"].witness == {"rank": rank, "involutions": n}
+    assert checks["module-surjectivity"].passed == (rank == n)
+    assert all(c.passed for c in checks.values())
+
+
+def _tampered(monkeypatch, ideal, change):
+    """eta_check over the X_w table as `change` rewrites it."""
+    table = change(dict(ideal.x_elements()))
+    monkeypatch.setattr(ideal, "x_elt", lambda w, max_len=None: table[w])
+    return _checks(ideal.eta_check()[0])
+
+
+def _scaled(elt, c):
+    return CompletionElement({x: a * c for x, a in elt.coeffs.items()})
+
+
+def test_swapped_x_elements_fail(monkeypatch):
+    ideal = _ideal("A3")
+    a, b = ideal.system.element("1"), ideal.system.element("2")
+
+    def swap(table):
+        table[a], table[b] = table[b], table[a]
+        return table
+
+    checks = _tampered(monkeypatch, ideal, swap)
+    assert not checks["kernel-equality"].passed
+    assert "equivariance" in checks["kernel-equality"].witness
+    assert not checks["ideal-dimension"].passed
+
+
+def test_a_perturbed_x_e_fails(monkeypatch):
+    ideal = _ideal("A3")
+    e = ideal.system.identity
+
+    def perturb(table):
+        coeffs = dict(table[e].coeffs)
+        coeffs[e] = coeffs[e] + UINV
+        table[e] = CompletionElement(coeffs)
+        return table
+
+    checks = _tampered(monkeypatch, ideal, perturb)
+    assert not checks["kernel-equality"].passed
+    assert "pin" in checks["kernel-equality"].witness
+
+
+def test_scaled_x_elements_fail_only_the_pin(monkeypatch):
+    ideal = _ideal("A3")
+    table = {w: _scaled(x, UINV) for w, x in ideal.x_elements().items()}
+    # equivariance and rank are blind to a common scalar ...
+    assert ideal.equivariance_fault(table) is None
+    assert ideal.specialized_rank(table)[0] == len(table)
+    # ... so the pin to X_empty is what rejects it
+    checks = _tampered(monkeypatch, ideal, lambda _: table)
+    assert not checks["kernel-equality"].passed
+    assert "pin" in checks["kernel-equality"].witness
+
+
+def test_a_dropped_term_of_the_equivariance_fails(monkeypatch):
+    ideal = _ideal("A3")
+    ideal.x_elements()  # memoized before ts_action is tampered with
+    ts_action = ideal.invmod.ts_action
+    w = ideal.system.element("1")
+
+    def dropped(i, m):
+        out = ts_action(i, m)
+        if i == 0 and m == {w: ONE}:
+            del out[max(out, key=lambda x: x.sort_key())]
+        return out
+
+    monkeypatch.setattr(ideal.invmod, "ts_action", dropped)
+    checks = _checks(ideal.eta_check()[0])
+    assert checks["kernel-equality"].witness == {"equivariance": [1, "1"]}
+    assert not checks["ideal-dimension"].passed
+
+
+def test_every_point_dropping_rank_exits_1(monkeypatch, capsys):
+    # at v = +-1 (u = 1) every X_w but X_e vanishes: the rank is
+    # inconclusive at each point, which fails the check, never passes it
+    points = (1, idealmod.PRIME - 1)
+    monkeypatch.setattr(idealmod, "SPECIALIZATION_POINTS", points)
+    assert main(["verify-all", "--type", "A2"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    (eta,) = [r for r in reports if r["suite"] == "conj-eta"]
+    checks = {c["id"]: c for c in eta["checks"]}
+    assert checks["kernel-equality"]["witness"] == {"rank": 1, "points": list(points)}
+    assert not checks["ideal-dimension"]["pass"]
+    assert checks["x-integrality"]["pass"]
+
+
+def test_a_later_point_rescues_a_degenerate_one(monkeypatch):
+    monkeypatch.setattr(idealmod, "SPECIALIZATION_POINTS", (1, 12345))
+    ideal = _ideal("A2")
+    assert ideal.specialized_rank(ideal.x_elements()) == (4, [1, 12345])
+    assert ideal.eta_check()[0].passed
 
 
 @pytest.mark.parametrize(
