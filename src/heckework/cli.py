@@ -443,7 +443,7 @@ def cmd_verify_all(args):
     cells_rep.add(
         "support-constraint",
         all(
-            cells.partition.preceq(z, x) and cells.partition.preceq(z, y)
+            cells.leq_lr(z, x) and cells.leq_lr(z, y)
             for x in cells.elements
             for y in cells.elements
             for z in alg.h_struct(x, y)

@@ -130,6 +130,28 @@ def test_new_records_keep_the_format(tmp_path):
     assert len(blob) == len(HEADER) + sum(len(record(k, v)) for k, v in expected.items())
 
 
+def test_a_half_warm_store_appends_only_the_missing_records(tmp_path):
+    # decoded and computed values meet in one recursion: every pair still
+    # gets the cold table's P, and only the absent records are written
+    plain = KLTable(CoxeterSystem.from_label("B3"))
+    pairs = bruhat_pairs(plain.system)
+    records = [kl_record(y, w, plain.p(y, w)) for y, w in pairs]
+    store = CacheStore(tmp_path)
+    system = CoxeterSystem.from_label("B3")
+    path = store._path("kl", system.content_hash())
+    blob = HEADER + b"".join(record(k, v) for k, v in records[::2])
+    path.write_bytes(blob)
+    warm = KLTable(system, store=store)
+    for y, w in pairs:
+        assert warm.p(system.element(y.word), system.element(w.word)) == plain.p(y, w)
+    store.close()
+    # the kept records stay in place, and the file grew by the others, once
+    grown = path.read_bytes()
+    assert grown.startswith(blob)
+    assert store.load_table("kl", system.content_hash()) == dict(records)
+    assert len(grown) == len(HEADER) + sum(len(record(k, v)) for k, v in records)
+
+
 def test_computed_values_are_shared(tmp_path):
     # a cold fill keeps one object per distinct P, with a store or without,
     # and the store's file keeps the bytes recorded before values were shared

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
+from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
 from heckework.hecke import KLTable
+from heckework.laurent import ONE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -213,6 +215,24 @@ def test_verify_all_a2(capsys):
     suites = {r["suite"] for r in data["reports"]}
     assert {"kl-oracle", "cells", "jring", "invmod", "conj-eta",
             "specialization", "eqvb-count"} <= suites
+
+
+def test_support_constraint_fails_on_a_planted_term(capsys, monkeypatch):
+    # c_e planted in c_w0 c_w0 after the cells are built: e is not <=_LR w0
+    import heckework.cli as cli
+
+    def planted(alg):
+        cells = CellData(alg)
+        w0 = cells.elements[-1]
+        alg.h_struct(w0, w0)[alg.system.identity] = ONE
+        return cells
+
+    monkeypatch.setattr(cli, "CellData", planted)
+    code, data = run_json(capsys, "verify-all", "--type", "A2")
+    assert code == 1
+    failed = {(r["suite"], c["id"]) for r in data["reports"] for c in r["checks"]
+              if not c["pass"]}
+    assert ("cells", "support-constraint") in failed
 
 
 def test_verify_all_parallel_deterministic(capsys):

@@ -115,10 +115,30 @@ def test_kl_nontrivial_a3(a3):
 
 
 def test_kl_recursion_equals_solver(a3, b2, g2):
-    for ctx in (a3, b2, g2):
-        for w in ctx.sys.elements():
-            for y in ctx.sys.lower_interval(w):
-                assert ctx.alg.kl.p(y, w) == ctx.alg.kl_solved(y, w), (str(y), str(w))
+    cases = [(ctx.sys, ctx.alg, None) for ctx in (a3, b2, g2)]
+    for label, max_len in (("B3", None), ("A4", None), ("I2(5)", None), ("Dinf", 8)):
+        system = CoxeterSystem.from_label(label)
+        cases.append((system, HeckeAlgebra(system), max_len))
+    for system, alg, max_len in cases:
+        for w in system.elements(max_len=max_len):
+            for y in system.lower_interval(w):
+                assert alg.kl.p(y, w) == alg.kl_solved(y, w), (
+                    system.describe(), str(y), str(w))
+
+
+def test_kl_degree_bound_is_checked_per_pair(monkeypatch):
+    # without the mu corrections P_{e,121} = u + 1 meets the bound of its
+    # length gap 3; P_{1,121} is the same combine u * 1 + 1, a memo hit, and
+    # must still fail the bound of gap 2
+    system = CoxeterSystem.from_label("A3")
+    kl = KLTable(system)
+    monkeypatch.setattr(kl, "_mu_down", lambda v, s: [])
+    w = system.element("121")
+    assert kl.p(system.identity, w) == LaurentPoly({0: 1, 1: 1})
+    combines = dict(kl._add)
+    with pytest.raises(AssertionError, match=r"degree bound violated at \(1, 121\)"):
+        kl.p(system.element("1"), w)
+    assert kl._add == combines
 
 
 def test_kl_degree_bound(a3):
