@@ -7,25 +7,25 @@ is harmless (loads keep the last record, and values for a key are required
 to be deterministic).  A file appears with its header already in place: the
 header is written to a fresh temporary file that is then hard-linked to the
 table's name, so of two racing writers exactly one creates it.  Each store
-holds one O_APPEND descriptor per table and writes each record with a single
-os.write, so records of concurrent writers do not interleave.  Readers
-simply re-scan the file.
+holds one O_APPEND descriptor per table and makes one os.write per batch of
+whole records, so the batches of concurrent writers do not interleave.
+Readers simply re-scan the file.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import threading
 from pathlib import Path
 
 MAGIC = b"HWBC"
 SCHEMA_VERSION = 1
 
+_pack_len = struct.Struct("<I").pack
+
 
 class CacheStore:
     def __init__(self, root):
-        self._lock = threading.Lock()
         self._fds = {}
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -77,19 +77,25 @@ class CacheStore:
                 os.unlink(tmp)
         return os.open(path, os.O_WRONLY | os.O_APPEND)
 
+    def extend(self, kind, syshash, records):
+        """Append (key, value) byte pairs in order, with one os.write."""
+        parts = []
+        for key, value in records:
+            parts += (_pack_len(len(key)), key, _pack_len(len(value)), value)
+        if not parts:
+            return
+        fd = self._fds.get((kind, syshash))
+        if fd is None:
+            fd = self._fds[(kind, syshash)] = self._open(kind, syshash)
+        os.write(fd, b"".join(parts))
+
     def append(self, kind, syshash, key, value):
-        rec = struct.pack("<I", len(key)) + key + struct.pack("<I", len(value)) + value
-        with self._lock:
-            fd = self._fds.get((kind, syshash))
-            if fd is None:
-                fd = self._fds[(kind, syshash)] = self._open(kind, syshash)
-            os.write(fd, rec)
+        self.extend(kind, syshash, ((key, value),))
 
     def close(self):
-        with self._lock:
-            for fd in self._fds.values():
-                os.close(fd)
-            self._fds.clear()
+        for fd in self._fds.values():
+            os.close(fd)
+        self._fds.clear()
 
     def __del__(self):
         self.close()

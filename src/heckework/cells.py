@@ -186,7 +186,12 @@ class CellData:
                 continue
             lam_inv = frozenset(w.inverse() for w in lam)
             inter = lam & lam_inv
-            (d,) = tuple(lam & dist)
+            found = lam & dist
+            if len(found) != 1:
+                raise AssertionError(
+                    "left cell %s holds the distinguished involutions %s, not one"
+                    % (sorted(map(str, lam)), sorted(map(str, found))))
+            (d,) = found
             left_blocks.append(
                 {
                     "left_cell": lam,

@@ -182,38 +182,50 @@ def cmd_group(args):
 
 def cmd_kl(args):
     sys_, alg, _, _ = _context(args)
+    kl = alg.kl
+    enc = json.encoder.encode_basestring_ascii
     if args.y or args.w:
         if not (args.y and args.w):
             raise UsageError("--y and --w go together")
-        pairs = [(sys_.element(args.y), sys_.element(args.w))]
-    else:
-        pairs = [(y, w) for w in sys_.elements(max_len=args.max_len)
-                 for y in sys_.lower_interval(w)]
-    # P_{y,w}(0) = 1 for y <= w, so every listed pair has a nonzero entry
-    rows = [(str(y), str(w), alg.kl.p(y, w)) for y, w in pairs]
-    rows.sort(key=lambda r: (len(r[1]), r[1], len(r[0]), r[0]))
-    return _kl_text(sys_.describe(), rows), []
+        y, w = sys_.element(args.y), sys_.element(args.w)
+        parts = [_KL_ENTRY % (_kl_fragment(kl.p(y, w)), enc(str(w)), enc(str(y)))]
+        return _kl_text(sys_.describe(), parts), []
+    # entries sorted by (w, y), each by (len(str), str), filled a column at a
+    # time; P_{y,w}(0) = 1 for y <= w, so every listed pair has a nonzero entry
+    order = sorted(sys_.elements(max_len=args.max_len), key=lambda x: (len(str(x)), str(x)))
+    rank = {x.id: r for r, x in enumerate(order)}
+    label = {x.id: enc(str(x)) for x in order}
+    frags = {}  # handle -> its rendered P
+    parts = []
+    for w in order:
+        col = kl.column(w)
+        lw = label[w.id]
+        for y in sorted(col, key=rank.__getitem__):
+            h = col[y]
+            frag = frags.get(h)
+            if frag is None:
+                frag = frags[h] = _kl_fragment(kl.value(h))
+            parts.append(_KL_ENTRY % (frag, lw, label[y]))
+    return _kl_text(sys_.describe(), parts), []
 
 
 _KL_ENTRY = '\n    {\n      "P": %s,\n      "w": %s,\n      "y": %s\n    }'
 
 
-def _kl_text(system, rows):
+def _kl_fragment(p):
+    """P as json.dumps(..., sort_keys=True, indent=2) writes it inside an
+    entry of the `kl` payload."""
+    return json.dumps(_poly_json(p.subst_v_to_u()), sort_keys=True, indent=2).replace(
+        "\n", "\n      ")
+
+
+def _kl_text(system, parts):
     """The `kl` payload {"entries": [{"P", "w", "y"}...], "system"} exactly as
-    json.dumps(..., sort_keys=True, indent=2) writes it, with each distinct
-    P rendered once and the labels through the C string encoder."""
-    enc = json.encoder.encode_basestring_ascii
-    frags = {}
-    parts = []
-    for y, w, p in rows:
-        frag = frags.get(p)
-        if frag is None:
-            frag = frags[p] = json.dumps(
-                _poly_json(p.subst_v_to_u()), sort_keys=True, indent=2
-            ).replace("\n", "\n      ")
-        parts.append(_KL_ENTRY % (frag, enc(w), enc(y)))
-    entries = "[%s\n  ]" % ",".join(parts) if parts else "[]"
-    return '{\n  "entries": %s,\n  "system": %s\n}' % (entries, enc(system))
+    json.dumps(..., sort_keys=True, indent=2) writes it, from the rendered
+    entries (`_KL_ENTRY`, with labels through the C string encoder), of
+    which there is at least one."""
+    return '{\n  "entries": [%s\n  ],\n  "system": %s\n}' % (
+        ",".join(parts), json.encoder.encode_basestring_ascii(system))
 
 
 def cmd_cells(args):

@@ -10,8 +10,9 @@ never recomputed.
 Kazhdan-Lusztig polynomials are produced by two independent routes that
 serve as each other's oracle:
 
-- `KLTable.p`: the classical multiplication recursion with mu-corrections,
-  run over a pool of distinct polynomials;
+- `KLTable.p` (one pair) and `KLTable.column` (every P_{y,w} of one w):
+  the classical multiplication recursion with mu-corrections, run over a
+  pool of distinct polynomials;
 - `HeckeAlgebra.c_elt_solved` / `kl_solved`: a triangular bar-invariance
   solve that only uses the expansion of bar(T_w) in the T-basis.
 
@@ -208,15 +209,20 @@ class KLTable:
     with a value, because one combine serves pairs of different lengths.
     Handles change only how a value is formed, not which pairs are asked
     for: each pair still asks for P_{sy,v}, P_{y,v}, the mu list of v and
-    then each P_{y,z}, in that order, and its record is appended when it is
-    finished, so the records of a cold fill keep their order and bytes.
+    then each P_{y,z}, in that order.
 
     Entries persist through a `CacheStore`, keyed by the system's content
-    hash.  The loaded table stays in `_p` as raw key bytes -> value bytes;
-    a record is decoded on first use, each distinct value once
-    (`_decoded`), and a record that fails `_decode_record` counts as absent:
-    it is recomputed and appended again, never served.  The record value
-    bytes of each distinct computed P are encoded once (`_shared`).
+    hash.  The record of a pair is buffered in `_pending` when the pair is
+    finished, and the records of one public call (`p`, `column`, or
+    `_mu_down` as reached from `HeckeAlgebra.mu_down`) are written in one
+    batch, in the order the pairs finished, before it returns: a table
+    filled a column at a time, as the `kl` command and du Cloux's Coxeter
+    fill it, writes one batch per column.  The loaded table stays
+    in `_p` as raw key bytes -> value bytes; a record is decoded on first
+    use, each distinct value once (`_decoded`), and a record that fails
+    `_decode_record` counts as absent: it is recomputed and appended again,
+    never served.  The record value bytes of each distinct computed P are
+    encoded once (`_shared`).
     """
 
     def __init__(self, system, store=None):
@@ -229,7 +235,8 @@ class KLTable:
         self._p = {} if store is None else store.load_table("kl", self._syshash)
         self._decoded = {}  # value bytes -> handle of P, or None if malformed
         self._shared = {}  # handle of a computed P -> its record value bytes
-        self._word_keys = {}  # id -> json.dumps(list(word)), for record keys
+        self._word_keys = {}  # id -> json.dumps(list(word)) bytes, for record keys
+        self._pending = []  # (key, value) records not yet written to the store
         self._pool = []  # handle -> polynomial, each distinct value once
         self._deg = []  # handle -> degree of the polynomial (-1 for zero)
         self._handle = {}  # polynomial -> handle
@@ -241,7 +248,33 @@ class KLTable:
     def p(self, y, w):
         """P_{y,w} as a polynomial in u (zero unless y <= w)."""
         sys = self.system
-        return self._pool[self._ph(sys._id(y), sys._id(w))]
+        try:
+            return self._pool[self._ph(sys._id(y), sys._id(w))]
+        finally:
+            self._flush()
+
+    def column(self, w):
+        """{y id: handle of P_{y,w}} over every y <= w, w included; `value`
+        gives the polynomial of a handle."""
+        x = self.system._id(w)
+        try:
+            for y in bits(self.system._lower_bits(x)):
+                self._ph(y, x)
+        finally:
+            self._flush()
+        col = dict(self._by_id.get(x, ()))
+        col[x] = _ONE_H
+        return col
+
+    def value(self, h):
+        """The polynomial with handle h."""
+        return self._pool[h]
+
+    def _flush(self):
+        """Write the buffered records of the finished pairs in one batch."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self._store.extend("kl", self._syshash, pending)
 
     def _intern(self, p):
         """The handle of p, adding it to the pool when new."""
@@ -269,7 +302,7 @@ class KLTable:
         ly, lw = len(y_word), len(w_word)
         key = None
         if self._store is not None:
-            key = ("[%s, %s]" % (self._word_key(y), self._word_key(w))).encode()
+            key = b"[" + self._word_key(y) + b", " + self._word_key(w) + b"]"
             val = self._p.get(key)
             if val is not None:
                 got = self._decode_record(val, lw - ly)
@@ -307,15 +340,15 @@ class KLTable:
             rec = self._shared[res] = _record_value(pool[res])
         col[y] = res
         if key is not None:
-            self._store.append("kl", self._syshash, key, rec)
+            self._pending.append((key, rec))
         return res
 
     def _word_key(self, x):
-        """x's word as json.dumps writes it: a record key is
-        json.dumps([y word, w word])."""
+        """x's word as json.dumps writes it, in bytes: a record key is
+        json.dumps([y word, w word]).encode()."""
         got = self._word_keys.get(x)
         if got is None:
-            got = self._word_keys[x] = json.dumps(list(self.system._elts[x].word))
+            got = self._word_keys[x] = json.dumps(list(self.system._elts[x].word)).encode()
         return got
 
     def _decode_record(self, val, d):
@@ -441,8 +474,11 @@ class HeckeAlgebra:
         x = sys._id(w)
         got = self._mu_down.get((i, x))
         if got is None:
-            got = self._mu_down[i, x] = [(sys._elts[z], m)
-                                         for z, _, m in self.kl._mu_down(x, i)]
+            try:
+                got = self._mu_down[i, x] = [(sys._elts[z], m)
+                                             for z, _, m in self.kl._mu_down(x, i)]
+            finally:
+                self.kl._flush()
         return got
 
     def c_gen_mult(self, i, coeffs):

@@ -13,13 +13,29 @@ import pytest
 
 from heckework import CoxeterSystem
 from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
-from heckework.hecke import KLTable
+from heckework.cli import main
+from heckework.hecke import HeckeAlgebra, KLTable
 
 HEADER = MAGIC + struct.pack("<I", SCHEMA_VERSION)
 
 
 def record(key, value):
     return struct.pack("<I", len(key)) + key + struct.pack("<I", len(value)) + value
+
+
+def records_in_order(blob):
+    """The (key, value) records of a table file, in file order."""
+    assert blob.startswith(HEADER)
+    out, pos = [], len(HEADER)
+    while pos < len(blob):
+        (klen,) = struct.unpack_from("<I", blob, pos)
+        key = blob[pos + 4 : pos + 4 + klen]
+        pos += 4 + klen
+        (vlen,) = struct.unpack_from("<I", blob, pos)
+        out.append((key, blob[pos + 4 : pos + 4 + vlen]))
+        pos += 4 + vlen
+    assert pos == len(blob)
+    return out
 
 
 def kl_record(y, w, p):
@@ -213,3 +229,102 @@ def test_concurrent_processes_keep_every_record(tmp_path):
         tag.encode() + b"%d" % i: b"x" * (i % 50) for tag in TAGS for i in range(300)
     }
     assert sum(len(record(k, v)) for k, v in got.items()) == len(blob) - len(HEADER)
+
+
+BATCH_SIZES = (1, 7, 40, 3, 120, 2)
+BATCH_WRITER = """
+import sys, time
+from heckework.cache import CacheStore
+store = CacheStore(sys.argv[1])
+tag = sys.argv[2].encode()
+sizes = [int(n) for n in sys.argv[4].split(",")]
+while time.time() < float(sys.argv[3]):
+    pass
+for b in range(60):
+    n = sizes[b % len(sizes)]
+    store.extend("kl", "h", [(tag + b"%d-%d" % (b, i), b"x" * ((b + i) % 50))
+                             for i in range(n)])
+"""
+
+
+def test_concurrent_batches_keep_every_record_and_never_interleave(tmp_path):
+    # three writers race to create the table, then write batches of mixed
+    # sizes: every record survives, and each batch lies whole and in order
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    start = str(time.time() + 1.0)  # after every interpreter has started
+    sizes = ",".join(map(str, BATCH_SIZES))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", BATCH_WRITER, str(tmp_path), tag, start, sizes],
+                         env=env)
+        for tag in TAGS
+    ]
+    assert [p.wait(timeout=60) for p in procs] == [0] * len(TAGS)
+    blob = (tmp_path / "kl-h.hwc").read_bytes()
+    assert blob.count(MAGIC) == 1
+    got = records_in_order(blob)
+    batches = {
+        (tag, b): [(tag.encode() + b"%d-%d" % (b, i), b"x" * ((b + i) % 50))
+                   for i in range(BATCH_SIZES[b % len(BATCH_SIZES)])]
+        for tag in TAGS for b in range(60)
+    }
+    assert sorted(got) == sorted(r for batch in batches.values() for r in batch)
+    pos = {key: i for i, (key, _) in enumerate(got)}
+    for batch in batches.values():
+        first = pos[batch[0][0]]
+        assert got[first : first + len(batch)] == batch
+
+
+def written_pairs(kl):
+    """Key -> value bytes of every pair the table has computed so far."""
+    elts = kl.system._elts
+    return dict(
+        kl_record(elts[y], elts[w], kl.value(h))
+        for w, col in kl._by_id.items()
+        for y, h in col.items()
+    )
+
+
+def test_every_public_call_leaves_no_record_unwritten(tmp_path):
+    # p, column and h_struct (through mu_down) each write what they computed
+    store = CacheStore(tmp_path)
+    system = CoxeterSystem.from_label("A3")
+    alg = HeckeAlgebra(system, store=store)
+    kl = alg.kl
+    w0 = system.elements()[-1]
+    seen = 0
+    for call in (
+        lambda: kl.p(system.element("2"), system.element("2132")),
+        lambda: kl.column(system.element("12321")),
+        lambda: alg.h_struct(w0, w0),
+    ):
+        call()
+        assert kl._pending == []
+        loaded = store.load_table("kl", system.content_hash())
+        assert loaded == written_pairs(kl)
+        assert len(loaded) > seen  # each call computed new pairs
+        seen = len(loaded)
+    store.close()
+
+
+B4 = "1,4,2,2;4,1,3,2;2,3,1,3;2,2,3,1"
+
+
+def test_a_cold_kl_call_writes_the_records_of_a_per_pair_fill(tmp_path, capsys):
+    # the kl command writes a column per batch, in output order; the file
+    # holds the same records and bytes as p() over every pair, reordered
+    assert main(["kl", "--matrix", B4, "--cache-dir", str(tmp_path / "kl")]) == 0
+    capsys.readouterr()
+    store = CacheStore(tmp_path / "p")
+    system = CoxeterSystem([[int(x) for x in row.split(",")] for row in B4.split(";")])
+    table = KLTable(system, store=store)
+    for w in system.elements():
+        for y in system.lower_interval(w):
+            table.p(y, w)
+    store.close()
+    by_kl = CacheStore(tmp_path / "kl")
+    kind, syshash = "kl", system.content_hash()
+    assert by_kl.load_table(kind, syshash) == store.load_table(kind, syshash)
+    sizes = {len(s._path(kind, syshash).read_bytes()) for s in (by_kl, store)}
+    assert sizes == {3124553}

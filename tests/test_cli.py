@@ -490,3 +490,12 @@ def test_invmod_f_table_export(capsys):
         e for e in data["f"] if e["x"] == "1" and e["w"] == "1" and e["wp"] == "1"
     )
     assert entry["f"]["pretty"] == "u+u^{-1}"
+
+
+def test_a_left_cell_without_one_distinguished_involution_is_a_crash(capsys, monkeypatch):
+    # a certificate failure, not the caller's usage error: exit 3 naming the cell
+    monkeypatch.setattr(CellData, "distinguished_involutions", lambda self: [])
+    assert main(["jring", "--type", "A2"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: AssertionError: left cell" in err
+    assert "distinguished involutions [], not one" in err
