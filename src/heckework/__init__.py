@@ -1,5 +1,6 @@
 """Exact-arithmetic workbench for Hecke algebras, cells, involution modules
-and equivariant K-rings at desk scale (ranks <= 3 and dihedral groups)."""
+and equivariant K-rings at desk scale: dihedral groups, rank 3, and rank 4
+through An and --matrix."""
 
 from .laurent import LaurentPoly, RationalFn
 from .coxeter import CoxeterSystem, CoxeterElement, InfiniteGroupError

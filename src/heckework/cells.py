@@ -6,9 +6,12 @@ z <=_L w whenever c_z occurs in some c_x c_w (and symmetrically on the
 right), then closed transitively.  No generation theorem is assumed; the
 full structure-constant table comes from the generator recursion of
 `HeckeAlgebra.h_struct`; the one pass over it that builds the preorders
-also takes the a-function, and the gamma-table reads it.  Each preorder is a list of int-bitset rows, one per
-element in enumeration order (bit j of row i: element i is below element
-j), closed by Warshall's algorithm (J. ACM 9, 1962).
+also takes the a-function, and the gamma-table reads it.  Each preorder is
+a list of int-bitset rows, one per element in enumeration order (bit j of
+row i: element i is below element j), closed by Warshall's algorithm
+(J. ACM 9, 1962).  The two closed preorders are the only copy of the cell
+structure: the cells, their order and the *-stable left cells are read
+off them.
 
 Conventions (all read off the v-variable structure constants h_{x,y,z}):
 
@@ -26,6 +29,10 @@ from .coxeter import InfiniteGroupError, bits
 from .hecke import add_into
 
 
+def _sorted(ws):
+    return tuple(sorted(ws, key=lambda w: w.sort_key()))
+
+
 def _closure(rows):
     """Reflexive-transitive closure of a relation given by int-bitset rows
     (bit j of rows[i] set when i relates to j), in place: Warshall's
@@ -39,33 +46,12 @@ def _closure(rows):
     return rows
 
 
-class CellPartition:
-    """Left and two-sided cells plus the partial order on two-sided cells;
-    order_pairs holds (i, j) with cell_i preceq cell_j."""
-
-    def __init__(self, left_cells, two_sided_cells, order_pairs):
-        self.left_cells = left_cells
-        self.two_sided_cells = two_sided_cells
-        self.order_pairs = order_pairs
-        self._two_sided = {w: i for i, c in enumerate(two_sided_cells) for w in c}
-
-    def two_sided_index(self, w):
-        return self._two_sided[w]
-
-    def same_two_sided(self, x, y):
-        return self.two_sided_index(x) == self.two_sided_index(y)
-
-    def preceq(self, x, y):
-        """x preceq y for elements, via the two-sided cell order."""
-        return (self.two_sided_index(x), self.two_sided_index(y)) in self.order_pairs
-
-
 class CellData:
     """Cell structure, a-function, gamma-table and J-ring of a finite system."""
 
     def __init__(self, algebra):
         system = algebra.system
-        if system.is_finite is False:
+        if not system.is_finite:
             raise InfiniteGroupError("cell theory here requires a finite group")
         self.algebra = algebra
         self.system = system
@@ -89,16 +75,21 @@ class CellData:
         self._leq_l = _closure(leq_l)
         self._leq_lr = _closure(leq_lr)
 
-        self.partition = self._build_partition()
+        self.left_cells = self._classes(self._leq_l)
+        self.two_sided_cells = self._classes(self._leq_lr)
+        self._two_sided = {w: i for i, c in enumerate(self.two_sided_cells) for w in c}
         self._dist = None
 
     # -- preorders and cells -------------------------------------------------
 
     def leq_lr(self, z, w):
+        """z <=_LR w, the two-sided preorder."""
         return bool(self._leq_lr[self._index[z]] >> self._index[w] & 1)
 
     def _classes(self, leq):
-        """The equivalence classes of a closed preorder, by least member."""
+        """The equivalence classes of a closed preorder, in order of least
+        member: the enumeration order is the sort_key order, so the first
+        index not yet seen is the least member of its class."""
         seen = 0
         classes = []
         for i, row in enumerate(leq):
@@ -108,40 +99,37 @@ class CellData:
             for j in cls:
                 seen |= 1 << j
             classes.append(frozenset(self.elements[j] for j in cls))
-        return classes
+        return tuple(classes)
 
-    def _build_partition(self):
-        left = self._classes(self._leq_l)
-        two = self._classes(self._leq_lr)
+    def two_sided_index(self, w):
+        """The index of the two-sided cell of w in `two_sided_cells`."""
+        return self._two_sided[w]
 
-        def keyof(c):
-            return min(w.sort_key() for w in c)
+    def same_two_sided(self, x, y):
+        return self._two_sided[x] == self._two_sided[y]
 
-        left.sort(key=keyof)
-        two.sort(key=keyof)
-        order = set()
-        for i, ci in enumerate(two):
-            wi = next(iter(ci))
-            for j, cj in enumerate(two):
-                wj = next(iter(cj))
-                if self.leq_lr(wi, wj):
-                    order.add((i, j))
-        return CellPartition(tuple(left), tuple(two), frozenset(order))
+    def cell_order(self):
+        """The sorted pairs [i, j] with two-sided cell i <=_LR cell j."""
+        reps = [self._index[next(iter(c))] for c in self.two_sided_cells]
+        return [[i, j] for i, x in enumerate(reps) for j, y in enumerate(reps)
+                if self._leq_lr[x] >> y & 1]
+
+    def star_stable_left_cells(self):
+        """(lambda, lambda n lambda^-1, lambda n D) for every left cell lambda
+        with lambda* = lambda, D the distinguished involutions."""
+        dist = set(self.distinguished_involutions())
+        for lam in self.left_cells:
+            if frozenset(w.star() for w in lam) == lam:
+                yield lam, frozenset(w for w in lam if w.inverse() in lam), lam & dist
 
     # -- a-function, gamma, distinguished involutions ---------------------------
 
     def distinguished_involutions(self):
         """{z : a(z) = l(z) - 2 deg_u P_{e,z}}, one per left cell."""
         if self._dist is None:
-            e = self.system.identity
-            out = []
-            for z in self.elements:
-                p = self.algebra.kl.p(e, z)
-                if p.is_zero():
-                    continue
-                if self.a[z] == len(z.word) - 2 * p.degree():
-                    out.append(z)
-            self._dist = tuple(out)
+            e, kl = self.system.identity, self.algebra.kl
+            self._dist = tuple(z for z in self.elements
+                               if self.a[z] == len(z.word) - 2 * kl.p(e, z).degree())
         return self._dist
 
     # -- the ring J ----------------------------------------------------------------
@@ -169,34 +157,16 @@ class CellData:
         lambda, the basis of J_{lambda n lambda^-1}, and its unit t_d.
         """
         dist = set(self.distinguished_involutions())
-        cell_blocks = []
-        for c in self.partition.two_sided_cells:
-            unit = {d: 1 for d in sorted(c & dist, key=lambda w: w.sort_key())}
-            cell_blocks.append(
-                {
-                    "cell": c,
-                    "basis": tuple(sorted(c, key=lambda w: w.sort_key())),
-                    "unit": unit,
-                }
-            )
+        cell_blocks = [
+            {"cell": c, "basis": _sorted(c), "unit": dict.fromkeys(_sorted(c & dist), 1)}
+            for c in self.two_sided_cells
+        ]
         left_blocks = []
-        for lam in self.partition.left_cells:
-            lam_star = frozenset(w.star() for w in lam)
-            if lam_star != lam:
-                continue
-            lam_inv = frozenset(w.inverse() for w in lam)
-            inter = lam & lam_inv
-            found = lam & dist
+        for lam, inter, found in self.star_stable_left_cells():
             if len(found) != 1:
                 raise AssertionError(
                     "left cell %s holds the distinguished involutions %s, not one"
                     % (sorted(map(str, lam)), sorted(map(str, found))))
-            (d,) = found
             left_blocks.append(
-                {
-                    "left_cell": lam,
-                    "basis": tuple(sorted(inter, key=lambda w: w.sort_key())),
-                    "unit": {d: 1},
-                }
-            )
+                {"left_cell": lam, "basis": _sorted(inter), "unit": dict.fromkeys(found, 1)})
         return cell_blocks, left_blocks

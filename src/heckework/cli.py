@@ -80,9 +80,9 @@ def _context(args, need_cells=False, need_inv=False):
     if args.max_len is not None and args.max_len < 0:
         raise UsageError("--max-len must be at least 0")
     sys_ = build_system(args)
-    if (need_inv or need_cells) and args.max_len is not None and sys_.is_finite is not False:
-        raise UsageError("--max-len bounds infinite systems only, and %s is not known "
-                         "to be infinite" % sys_.describe())
+    if (need_inv or need_cells) and args.max_len is not None and sys_.is_finite:
+        raise UsageError("--max-len bounds infinite systems only, and %s is finite"
+                         % sys_.describe())
     alg = HeckeAlgebra(sys_, store=_store(args))
     cells = CellData(alg) if need_cells else None
     inv = InvolutionModule(alg, max_len=args.max_len) if need_inv else None
@@ -110,13 +110,13 @@ def _cell_data_entries(data, sys_, cells):
     "index" is an int in 0..n-1 (or "representative" a word), "gamma_rank"
     an int r >= 0 and "subgroups" a list of lists of ints in 0..2^r - 1.
     """
-    n_cells = len(cells.partition.two_sided_cells)
+    n_cells = len(cells.two_sided_cells)
     entries = []
     for entry in data["cells"]:
         if "index" in entry:
             idx = entry["index"]
         else:
-            idx = cells.partition.two_sided_index(sys_.element(entry["representative"]))
+            idx = cells.two_sided_index(sys_.element(entry["representative"]))
         if not _is_int(idx) or not 0 <= idx < n_cells:
             raise UsageError("--cell-data: no two-sided cell %r (there are %d)" % (idx, n_cells))
         rank, subgroups = entry["gamma_rank"], entry["subgroups"]
@@ -230,30 +230,23 @@ def _kl_text(system, parts):
 
 def cmd_cells(args):
     sys_, alg, cells, _ = _context(args, need_cells=True)
-    part = cells.partition
     payload = {
         "system": sys_.describe(),
         "two_sided_cells": [
-            sorted(str(w) for w in c) for c in part.two_sided_cells
+            sorted(str(w) for w in c) for c in cells.two_sided_cells
         ],
-        "left_cells": [sorted(str(w) for w in c) for c in part.left_cells],
-        "cell_order": sorted(list(p) for p in part.order_pairs),
+        "left_cells": [sorted(str(w) for w in c) for c in cells.left_cells],
+        "cell_order": cells.cell_order(),
         "a_values": {str(w): cells.a[w] for w in cells.elements},
         "distinguished_involutions": [
             str(d) for d in cells.distinguished_involutions()
         ],
     }
     rep = _cells_report(sys_, cells)
-    mono = True
-    for x in cells.elements:
-        for y in cells.elements:
-            if cells.leq_lr(x, y) and cells.a[x] < cells.a[y]:
-                mono = False
-    rep.add("a-monotone", mono)
-    const = all(
-        len({cells.a[w] for w in c}) == 1 for c in part.two_sided_cells
-    )
-    rep.add("a-constant-on-cells", const)
+    els, a = cells.elements, cells.a
+    rep.add("a-monotone", all(a[x] >= a[y] for x in els for y in els if cells.leq_lr(x, y)))
+    rep.add("a-constant-on-cells",
+            all(len({a[w] for w in c}) == 1 for c in cells.two_sided_cells))
     return payload, [rep]
 
 
@@ -328,7 +321,7 @@ def jring_report(sys_, cells):
             not cells.j_mult({x: 1}, {y: 1})
             for x in els
             for y in els
-            if not cells.partition.same_two_sided(x, y)
+            if not cells.same_two_sided(x, y)
         ),
     )
     return rep
@@ -368,19 +361,16 @@ def cmd_conj34(args):
     sys_, alg, _, inv = _context(args, need_inv=True)
     ideal = IdealModel(alg, inv)
     reports = []
-    finite = sys_.is_finite is not False
-    if finite:
+    payload = {"system": sys_.describe(), "x_elements": []}
+    if sys_.is_finite:
         rep, x_table = ideal.eta_check()
         reports.append(rep)
-        dim = next(c.witness["dim"] for c in rep.checks if c.check_id == "ideal-dimension")
+        payload["ideal_dimension"] = next(
+            c.witness["dim"] for c in rep.checks if c.check_id == "ideal-dimension")
+    elif args.max_len is None:
+        raise UsageError("infinite system: pass --max-len")
     else:
-        if args.max_len is None:
-            raise UsageError("infinite system: pass --max-len")
-        x_table = ideal.x_elements(max_w_len=args.max_len, max_len=args.max_len)
-        dim = None
-    payload = {"system": sys_.describe(), "x_elements": []}
-    if dim is not None:
-        payload["ideal_dimension"] = dim
+        x_table = ideal.x_elements(max_len=args.max_len)
     for w in sorted(x_table, key=lambda w: w.sort_key()):
         elt = x_table[w]
         entry = {"w": str(w), "terms": _elt_terms(elt.coeffs)}
@@ -482,7 +472,7 @@ def _cells_report(sys_, cells):
     dist = cells.distinguished_involutions()
     rep.add(
         "one-distinguished-per-left-cell",
-        all(sum(1 for d in dist if d in lam) == 1 for lam in cells.partition.left_cells),
+        all(sum(1 for d in dist if d in lam) == 1 for lam in cells.left_cells),
     )
     return rep
 

@@ -46,6 +46,7 @@ import hashlib
 import json
 
 INF = 0  # Coxeter-matrix encoding of m(i,j) = infinity
+ELEMENT_LIMIT = 100000  # the most elements `elements()` enumerates
 
 # a_ij, a_ji with a_ij * a_ji = 4 cos^2(pi/m); keeps the matrix model integral
 _CARTAN_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INF: (-2, -2)}
@@ -81,7 +82,7 @@ class ReflectionRep:
 
     def __init__(self, matrix):
         n = len(matrix)
-        a = [[0] * n for _ in range(n)]
+        a = self.cartan = [[0] * n for _ in range(n)]
         for i in range(n):
             a[i][i] = 2
             for j in range(i + 1, n):
@@ -447,19 +448,39 @@ class CoxeterSystem:
 
     @property
     def is_finite(self):
-        if self.rank == 1:
-            return True
-        orders = [self.matrix[i][j] for i in range(self.rank)
-                  for j in range(i + 1, self.rank)]
-        if any(m == INF for m in orders):
-            return False
-        if self.rank == 2:
-            return True
-        if self.rank == 3:
-            # spherical triangle condition 1/a + 1/b + 1/c > 1
-            a, b, c = orders
-            return a * b + b * c + c * a > a * b * c
-        return None  # unknown; enumeration will probe with a cap
+        """Whether W is finite, read off the matrix.
+
+        Rank <= 2: no bond is infinite.  Rank >= 3: the Coxeter graph (an
+        edge where m(i,j) != 2) is a forest and every leading principal minor
+        of the integral Cartan matrix is positive.  On a forest that matrix
+        is diagonally similar to twice the Tits form, so this is Sylvester's
+        test that the form is positive definite (Humphreys, Reflection Groups
+        and Coxeter Groups, 6.4).  Fraction-free elimination (Bareiss, Math.
+        Comp. 22, 1968) leaves the k-th leading principal minor as its k-th
+        pivot.
+        """
+        n, m = self.rank, self.matrix
+        if n <= 2:
+            return all(INF not in row for row in m)
+        component = list(range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if m[i][j] != 2:
+                    ci, cj = component[i], component[j]
+                    if ci == cj:
+                        return False  # the edge closes a cycle
+                    component = [ci if c == cj else c for c in component]
+        a = [list(row) for row in self._backend.rep.cartan]
+        prev = 1
+        for k in range(n):
+            pivot = a[k][k]
+            if pivot <= 0:
+                return False
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            prev = pivot
+        return True
 
     def _next_layer(self):
         """Ids of length len(layers), sorted by word: one backend step per edge.
@@ -483,25 +504,22 @@ class CoxeterSystem:
         out.sort(key=lambda y: self._elts[y].word)
         return out
 
-    def elements(self, max_len=None, cap=100000):
+    def elements(self, max_len=None):
         """All elements of length <= max_len (all of W when max_len is None),
-        sorted by (length, word)."""
-        if max_len is None:
-            fin = self.is_finite
-            if fin is False:
-                raise InfiniteGroupError(
-                    "infinite Coxeter group: pass max_len for a bounded window"
-                )
+        sorted by (length, word); more than ELEMENT_LIMIT is a ValueError."""
+        if max_len is None and not self.is_finite:
+            raise InfiniteGroupError(
+                "infinite Coxeter group: pass max_len for a bounded window"
+            )
         layers = self._layers
         stop = None if max_len is None else max_len + 1
         total = sum(len(layer) for layer in layers[:stop])
-        while layers[-1] and (stop is None or len(layers) < stop) and total <= cap:
+        while layers[-1] and (stop is None or len(layers) < stop) and total <= ELEMENT_LIMIT:
             layers.append(self._next_layer())
             total += len(layers[-1])
-        if total > cap:
-            raise InfiniteGroupError(
-                "enumeration exceeded cap=%d; group looks infinite" % cap
-            )
+        if total > ELEMENT_LIMIT:
+            raise ValueError("group too large: more than %d elements to enumerate"
+                             % ELEMENT_LIMIT)
         elts = self._elts
         return [elts[x] for layer in layers[:stop] for x in layer]
 

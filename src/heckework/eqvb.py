@@ -564,14 +564,13 @@ def cell_consistency(cells, invmod, cell_index, gamma_rank, left_cell_subgroups)
     """Dimension consistency of the induced module block against the
     bundle-counting formula: #(cell n I_*) = |Gamma| x #left cells, with the
     coset-space model cross-checked through the rank formula."""
-    part = cells.partition
-    c = part.two_sided_cells[cell_index]
+    c = cells.two_sided_cells[cell_index]
     rep = Report(
         "eqvb-cell",
         "%s cell %d" % (cells.system.describe(), cell_index),
     )
     n_inv = sum(1 for w in invmod.basis if w in c)
-    lcs = [lam for lam in part.left_cells if lam <= c]
+    lcs = [lam for lam in cells.left_cells if lam <= c]
     rep.add(
         "left-cell-count",
         len(left_cell_subgroups) == len(lcs),

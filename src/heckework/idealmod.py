@@ -96,7 +96,7 @@ class IdealModel:
     def x_empty(self, max_len=None):
         """X_empty = sum over x with x* = x of u^{-l(x)} T_x."""
         sys = self.system
-        if max_len is None and sys.is_finite is False:
+        if max_len is None and not sys.is_finite:
             raise InfiniteGroupError("x_empty over an infinite group needs max_len")
         coeffs = {}
         for x in sys.elements(max_len=max_len):
@@ -139,13 +139,11 @@ class IdealModel:
             self._x_memo[key] = got
         return got
 
-    def x_elements(self, max_w_len=None, max_len=None):
-        """X_w for every twisted involution w (l(w) <= max_w_len), each exact
-        to window max_len for truncated systems."""
-        out = {}
-        for w in self.system.twisted_involutions(max_len=max_w_len):
-            out[w] = self.x_elt(w, max_len=max_len)
-        return out
+    def x_elements(self, max_len=None):
+        """X_w for every twisted involution w with l(w) <= max_len, each exact
+        to the window max_len for truncated systems (all of I_* when None)."""
+        return {w: self.x_elt(w, max_len=max_len)
+                for w in self.system.twisted_involutions(max_len=max_len)}
 
     # -- the eta certificate ----------------------------------------------------------
 
@@ -173,7 +171,7 @@ class IdealModel:
         in Z[u^-1].  Returns (report, x_table).
         """
         sys = self.system
-        if sys.is_finite is False:
+        if not sys.is_finite:
             raise InfiniteGroupError("eta_check requires a finite group")
         rep = Report("conj-eta", sys.describe())
         inv = self.invmod.basis
@@ -318,7 +316,7 @@ class IdealModel:
         for c in sub.checks:
             rep.add("pi-" + c.check_id, c.passed, c.witness)
         fibers = self.pi_fibers(pi)
-        finite = sys.is_finite is not False
+        finite = sys.is_finite
         if finite:
             targets = self.invmod.basis
         else:

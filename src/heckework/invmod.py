@@ -221,7 +221,6 @@ class InvolutionModule:
         rep = Report("invmod", self.system.describe())
         els = cells.elements
         inv = self.basis
-        part = cells.partition
 
         bad = None
         for x in els:
@@ -237,7 +236,7 @@ class InvolutionModule:
         for x in els:
             for w in inv:
                 for wp in self.f_constants(x, w):
-                    if not (part.preceq(wp, w) and part.preceq(wp, x)):
+                    if not (cells.leq_lr(wp, w) and cells.leq_lr(wp, x)):
                         bad = (str(x), str(w), str(wp))
         rep.add("support-constraint", bad is None, bad)
 
@@ -245,19 +244,17 @@ class InvolutionModule:
         for x in els:
             for w in inv:
                 for wp, b in self._beta_row(x, w, cells).items():
-                    if not (part.same_two_sided(x, w) and part.same_two_sided(w, wp)):
+                    if not (cells.same_two_sided(x, w) and cells.same_two_sided(w, wp)):
                         bad = (str(x), str(w), str(wp), b)
         rep.add("beta-cell-support", bad is None, bad)
 
         bad = None
+        unit = cells.j_unit()
         for w in inv:
+            total = self.cm_action(unit, {w: 1}, cells)
             for wp in inv:
-                total = sum(
-                    self._beta_row(d, w, cells).get(wp, 0)
-                    for d in cells.distinguished_involutions()
-                )
-                if total != (1 if w == wp else 0):
-                    bad = (str(w), str(wp), total)
+                if total.get(wp, 0) != (1 if w == wp else 0):
+                    bad = (str(w), str(wp), total.get(wp, 0))
         rep.add("unit-identity", bad is None, bad)
 
         bad = None
@@ -272,28 +269,24 @@ class InvolutionModule:
         bad = None
         for x in els:
             for w in inv:
-                if not part.same_two_sided(x, w) and self._beta_row(x, w, cells):
+                if not cells.same_two_sided(x, w) and self._beta_row(x, w, cells):
                     bad = (str(x), str(w))
         rep.add("block-decomposition", bad is None, bad)
 
         bad = None
         dist = set(cells.distinguished_involutions())
-        for lam in part.left_cells:
-            if frozenset(w.star() for w in lam) != lam:
-                continue
-            lam_inv = frozenset(w.inverse() for w in lam)
-            inter_inv = [w for w in inv if w in lam and w in lam_inv]
-            if len(lam & dist) != 1:
+        for lam, inter, found in cells.star_stable_left_cells():
+            if len(found) != 1:
                 bad = ("distinguished-count", str(min(lam, key=lambda w: w.sort_key())),
-                       len(lam & dist))
+                       len(found))
                 continue
-            (d,) = lam & dist
-            for w in inter_inv:
+            (d,) = found
+            for w in [w for w in inv if w in inter]:
                 if self.cm_action({d: 1}, {w: 1}, cells) != {w: 1}:
                     bad = ("unit", str(d), str(w))
-                for x in lam & lam_inv:
+                for x in inter:
                     for wp in self._beta_row(x, w, cells):
-                        if wp not in lam or wp not in lam_inv:
+                        if wp not in inter:
                             bad = ("closure", str(x), str(w), str(wp))
                 for dp in dist - lam:
                     if self._beta_row(dp, w, cells):

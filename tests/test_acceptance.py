@@ -244,17 +244,16 @@ def test_acceptance_3_j_module_suite():
     # block laws and left-cell restriction: exhaustive
     for lbl in ("A2", "A3", "B2"):
         sys, alg, cells, inv, _ = contexts[lbl]
-        part = cells.partition
         for x in cells.elements:
             for w in inv.basis:
                 act = inv.cm_action({x: 1}, {w: 1}, cells)
-                if not part.same_two_sided(x, w):
+                if not cells.same_two_sided(x, w):
                     assert act == {}, (lbl, str(x), str(w))
                 else:
                     for wp in act:
-                        assert part.same_two_sided(wp, w)
+                        assert cells.same_two_sided(wp, w)
         dist = set(cells.distinguished_involutions())
-        for lam in part.left_cells:
+        for lam in cells.left_cells:
             if frozenset(w.star() for w in lam) != lam:
                 continue
             lam_inv = frozenset(w.inverse() for w in lam)
@@ -279,7 +278,6 @@ def test_acceptance_4_leading_term_law():
     t0 = time.time()
     for lbl in ("A2", "A3", "B2"):
         sys, alg, cells, inv, _ = fresh(lbl)
-        part = cells.partition
         for x in cells.elements:
             for w in inv.basis:
                 row = inv.f_constants(x, w)
@@ -291,11 +289,11 @@ def test_acceptance_4_leading_term_law():
                     assert f.degree() <= 2 * cells.a[wp], (lbl, str(x), str(w), str(wp))
                     beta = f.coeff_of_v(2 * cells.a[wp])
                     if beta:
-                        assert part.same_two_sided(x, w), (lbl, str(x), str(w))
-                        assert part.same_two_sided(w, wp)
+                        assert cells.same_two_sided(x, w), (lbl, str(x), str(w))
+                        assert cells.same_two_sided(w, wp)
                     # 1.1(f): support constraint
-                    assert part.preceq(wp, w)
-                    assert part.preceq(wp, x)
+                    assert cells.leq_lr(wp, w)
+                    assert cells.leq_lr(wp, x)
     elapsed_ok(t0, 120, 4, "leading-term law + support constraints")
 
 
@@ -389,14 +387,13 @@ def test_acceptance_8_cell_consistency():
     t0 = time.time()
     for lbl in ("A2", "A3"):
         sys, alg, cells, inv, _ = fresh(lbl)
-        part = cells.partition
-        for idx, c in enumerate(part.two_sided_cells):
-            n_left = sum(1 for lam in part.left_cells if lam <= c)
+        for idx, c in enumerate(cells.two_sided_cells):
+            n_left = sum(1 for lam in cells.left_cells if lam <= c)
             rep = cell_consistency(cells, inv, idx, 0, [[]] * n_left)
             assert rep.passed, (lbl, idx, [ch.to_json() for ch in rep.checks])
     sys, alg, cells, inv, _ = fresh("B2")
     idx = next(
-        i for i, c in enumerate(cells.partition.two_sided_cells) if len(c) == 6
+        i for i, c in enumerate(cells.two_sided_cells) if len(c) == 6
     )
     rep = cell_consistency(cells, inv, idx, 1, [[], []])
     assert rep.passed, [ch.to_json() for ch in rep.checks]

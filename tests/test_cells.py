@@ -38,19 +38,19 @@ def cell_strs(cells):
 
 
 def test_a1_cells(a1):
-    assert cell_strs(a1.cells.partition.two_sided_cells) == [
+    assert cell_strs(a1.cells.two_sided_cells) == [
         frozenset({"e"}),
         frozenset({"1"}),
     ]
 
 
 def test_a2_cells(a2):
-    assert cell_strs(a2.cells.partition.two_sided_cells) == [
+    assert cell_strs(a2.cells.two_sided_cells) == [
         frozenset({"e"}),
         frozenset({"1", "2", "12", "21"}),
         frozenset({"121"}),
     ]
-    assert set(cell_strs(a2.cells.partition.left_cells)) == {
+    assert set(cell_strs(a2.cells.left_cells)) == {
         frozenset({"e"}),
         frozenset({"1", "21"}),
         frozenset({"2", "12"}),
@@ -59,23 +59,21 @@ def test_a2_cells(a2):
 
 
 def test_b2_cells(b2):
-    two = b2.cells.partition.two_sided_cells
+    two = b2.cells.two_sided_cells
     sizes = sorted(len(c) for c in two)
     assert sizes == [1, 1, 6]
 
 
 def test_left_cells_refine_two_sided(a3, b2, g2):
     for ctx in (a3, b2, g2):
-        part = ctx.cells.partition
-        for lam in part.left_cells:
-            indices = {part.two_sided_index(w) for w in lam}
+        for lam in ctx.cells.left_cells:
+            indices = {ctx.cells.two_sided_index(w) for w in lam}
             assert len(indices) == 1
 
 
 def test_cells_partition_group(a3):
-    part = a3.cells.partition
     union = set()
-    for c in part.two_sided_cells:
+    for c in a3.cells.two_sided_cells:
         assert not (union & c)
         union |= c
     assert union == set(a3.sys.elements())
@@ -90,7 +88,7 @@ def test_a_values(a2, a3):
 
 def test_a_constant_on_cells(a2, a3, b2, g2):
     for ctx in (a2, a3, b2, g2):
-        for c in ctx.cells.partition.two_sided_cells:
+        for c in ctx.cells.two_sided_cells:
             assert len({ctx.cells.a[w] for w in c}) == 1
 
 
@@ -118,12 +116,11 @@ def test_a_attained(a2, a3):
 
 def test_h_support_constraint(a2, b2, a3):
     for ctx in (a2, b2, a3):
-        part = ctx.cells.partition
         for x in ctx.cells.elements:
             for y in ctx.cells.elements:
                 for z in ctx.alg.h_struct(x, y):
-                    assert part.preceq(z, x)
-                    assert part.preceq(z, y)
+                    assert ctx.cells.leq_lr(z, x)
+                    assert ctx.cells.leq_lr(z, y)
 
 
 def test_h_degree_bounded_by_a(a2, a3):
@@ -166,8 +163,8 @@ def test_gamma_same_cell(a2, a3, b2):
             for y in cd.elements:
                 for z in cd.elements:
                     if gamma(cd, x, y, z):
-                        assert cd.partition.same_two_sided(x, y)
-                        assert cd.partition.same_two_sided(y, z)
+                        assert cd.same_two_sided(x, y)
+                        assert cd.same_two_sided(y, z)
 
 
 def test_gamma_with_distinguished(a2, a3, b2):
@@ -177,7 +174,7 @@ def test_gamma_with_distinguished(a2, a3, b2):
         cd = ctx.cells
         dist = set(cd.distinguished_involutions())
         for x in cd.elements:
-            lam = next(c for c in cd.partition.left_cells if x.inverse() in c)
+            lam = next(c for c in cd.left_cells if x.inverse() in c)
             (d,) = tuple(lam & dist)
             assert gamma(cd, x, x.inverse(), d) == 1
             for y in cd.elements:
@@ -199,7 +196,7 @@ def test_distinguished_involutions(a1, a2, a3, b2, g2):
     assert set(a3.cells.distinguished_involutions()) == set(a3.inv.basis)
     for ctx in (a1, a2, a3, b2, g2):
         dist = ctx.cells.distinguished_involutions()
-        for lam in ctx.cells.partition.left_cells:
+        for lam in ctx.cells.left_cells:
             assert sum(1 for d in dist if d in lam) == 1
 
 
@@ -237,7 +234,7 @@ def test_j_cross_cell_zero(a2, a3, b2):
         cd = ctx.cells
         for x in cd.elements:
             for y in cd.elements:
-                if not cd.partition.same_two_sided(x, y):
+                if not cd.same_two_sided(x, y):
                     assert cd.j_mult({x: 1}, {y: 1}) == {}
 
 
@@ -295,15 +292,14 @@ def test_cell_data_never_multiplies_in_the_t_basis(monkeypatch):
 
     monkeypatch.setattr(HeckeAlgebra, "mult", counting)
     cd = CellData(HeckeAlgebra(CoxeterSystem.from_label("B2")))
-    assert len(cd.partition.two_sided_cells) == 3
+    assert len(cd.two_sided_cells) == 3
     assert calls == []
 
 
 def test_two_sided_index_lookup(b2):
-    part = b2.cells.partition
-    for i, c in enumerate(part.two_sided_cells):
+    for i, c in enumerate(b2.cells.two_sided_cells):
         for w in c:
-            assert part.two_sided_index(w) == i
+            assert b2.cells.two_sided_index(w) == i
     outside = CoxeterSystem.from_label("A2").element("12")
     with pytest.raises(KeyError):
-        part.two_sided_index(outside)
+        b2.cells.two_sided_index(outside)

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from heckework import InfiniteGroupError
 from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
-from heckework.hecke import KLTable
+from heckework.hecke import HeckeAlgebra, KLTable
 from heckework.laurent import ONE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -254,6 +255,28 @@ def test_usage_errors(capsys):
     assert main(["verify-all", "--type", "A2", "--json"]) == 2  # JSON is the default
 
 
+_AFFINE_A3 = "1,3,2,3;3,1,3,2;2,3,1,3;3,2,3,1"
+
+
+def test_affine_a3_is_known_infinite(capsys):
+    # finiteness is read off the matrix: cells stops before enumerating, and
+    # --max-len is accepted as the window of an infinite system
+    system = build_system(make_parser().parse_args(["cells", "--matrix", _AFFINE_A3]))
+    with pytest.raises(InfiniteGroupError):
+        CellData(HeckeAlgebra(system))
+    assert len(system._elts) == 1 + 4  # the identity and the generators
+    assert main(["cells", "--matrix", _AFFINE_A3]) == 2
+    assert "requires a finite group" in capsys.readouterr().err
+    assert main(["conj34", "--matrix", _AFFINE_A3, "--max-len", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    words = [e["w"] for e in data["x_elements"]]
+    assert words[:5] == ["e", "1", "2", "3", "4"]
+    assert max(len(w) for w in words) == 3
+    assert all("exact_up_to_length" in e for e in data["x_elements"])
+    assert main(["pi", "--matrix", _AFFINE_A3, "--max-len", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 _NO_CELLS = {"gamma": 1}
 _NO_GAMMA_RANK = {"cells": [{"representative": "1", "subgroups": [[], []]}]}
 _BAD_INDEX = {"cells": [{"index": 99, "gamma_rank": 1, "subgroups": [[], []]}]}
@@ -400,6 +423,9 @@ def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
     assert ("kl-oracle", "recursion-equals-solver", ["2", "2132"]) in failed
 
 
+_CELL_DATA = "<cell-data file>"
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -427,17 +453,38 @@ def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
          "834d8a9903a533d4b7d8023b98535b2958cdde40211a0f5c64b7bf7ce82832a8"),
         (["kl", "--type", "A4"],
          "e1c82a0f7a44f1e6c98a32236dd9bc48e0bfef0aff907619c0165faf74badb29"),
+        (["verify-all", "--type", "A3"],
+         "3bb7168be81b7dd4fc660b36cb43436602648e166f72342261e5e1e336607e5f"),
+        (["verify-all", "--type", "A3", "--star", "321"],
+         "32f0ad210c9a2910d5ec734aa70718cd6f19c572cefeb8d4d6ab36f436d7f728"),
+        (["cells", "--type", "G2"],
+         "7d6e6c90e5f37a17dba0c30848c604b4f8f21f85d61965fc71b6811948b8d9aa"),
+        (["cells", "--type", "I2(5)"],
+         "a93a2fdab4242cfea9d74fc163617a11e4e65cae64b5e0ff8c12a8bcd3ba65d2"),
+        (["jring", "--type", "B2"],
+         "8f3bfcef1a9f17a8102d2e03f75653db00d6cc7ee30f909571e14364a9efa4d3"),
+        (["eqvb", "--type", "B2", "--cell-data", _CELL_DATA],
+         "c432c88923cc2eb77d758d9742070e3616d9a9ca7e3ab73e594534665472b6b8"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
-         "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4"],
+         "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4",
+         "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
+         "eqvb-B2-cell-data"],
 )
-def test_b3_stdout_is_unchanged(capsys, argv, digest):
+def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
     # recursion (cells-A4 with the boolean-matrix closure); verify-all and
     # conj34 while division and gcd still ran over Q; eqvb, jring --struct
     # and invmod with a nontrivial star before the K-ring tables were built
     # once and h_struct and f_constants shared one recursion; kl before the
-    # LaurentPoly fast paths and the shared KL values
+    # LaurentPoly fast paths and the shared KL values; verify-all A3, cells
+    # G2 and I2(5), jring B2 and eqvb --cell-data before the cell partition
+    # was folded into CellData
+    if _CELL_DATA in argv:
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(
+            {"cells": [{"representative": "1", "gamma_rank": 1, "subgroups": [[], []]}]}))
+        argv = [str(path) if a == _CELL_DATA else a for a in argv]
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

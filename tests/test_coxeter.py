@@ -3,7 +3,7 @@ import random
 import pytest
 
 from heckework import CoxeterSystem, InfiniteGroupError
-from heckework.coxeter import ReflectionRep
+from heckework.coxeter import INF, ReflectionRep
 from heckework.hecke import KLTable
 
 from oracles import (
@@ -288,11 +288,62 @@ def test_is_finite_from_the_matrix():
     for label in ("A1", "A2", "A3", "B2", "B3", "G2", "I2(7)"):
         assert CoxeterSystem.from_label(label).is_finite is True, label
     assert CoxeterSystem.from_label("Dinf").is_finite is False
-    assert CoxeterSystem.from_label("A4").is_finite is None  # probed by enumeration
+    assert CoxeterSystem.from_label("A4").is_finite is True
     # affine rank 3: 1/a + 1/b + 1/c = 1 exactly, so not finite
     for a, b, c in ((3, 3, 3), (4, 4, 2), (6, 3, 2)):
         m = [[1, a, b], [a, 1, c], [b, c, 1]]
         assert CoxeterSystem(m).is_finite is False, (a, b, c)
+
+
+def _graph_matrix(n, edges):
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, order in edges:
+        m[i][j] = m[j][i] = order
+    return m
+
+
+def _path(*orders):
+    return _graph_matrix(len(orders) + 1, [(i, i + 1, m) for i, m in enumerate(orders)])
+
+
+def _cycle(n):
+    return _graph_matrix(n, [(i, (i + 1) % n, 3) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "matrix, finite",
+    [
+        (_path(3, 3, 3), True),  # A4
+        (_path(4, 3, 3), True),  # B4
+        (_graph_matrix(4, [(0, 1, 3), (1, 2, 3), (1, 3, 3)]), True),  # D4
+        (_path(3, 4, 3), True),  # F4
+        (_graph_matrix(6, [(0, 2, 3), (2, 3, 3), (3, 4, 3), (1, 3, 3), (4, 5, 3)]), True),  # E6
+        (_path(3, 3, 3, 3, 3, 3, 3), True),  # A8
+        (_graph_matrix(4, [(0, 1, 3)]), True),  # A2 x A1 x A1
+        (_cycle(4), False),  # affine A3
+        (_cycle(5), False),  # affine A4
+        (_path(4, 3, 4), False),  # affine C3
+        (_path(3, 3, 4, 3), False),  # affine F4
+        (_graph_matrix(5, [(0, 2, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)]), False),  # affine D4
+        (_path(6, 3, 3), False),  # hyperbolic
+        (_path(3, INF, 3), False),
+        (_graph_matrix(4, [(2, 3, INF)]), False),
+    ],
+    ids=["A4", "B4", "D4", "F4", "E6", "A8", "A2xA1xA1", "affine-A3", "affine-A4",
+         "affine-C3", "affine-F4", "affine-D4", "6-3-3", "3-inf-3", "A1xA1xDinf"],
+)
+def test_is_finite_from_the_classification(matrix, finite):
+    # a forest whose Tits form is positive definite, for every rank
+    assert CoxeterSystem(matrix).is_finite is finite
+
+
+def test_enumeration_has_one_size_limit(monkeypatch):
+    import heckework.coxeter as coxeter
+
+    monkeypatch.setattr(coxeter, "ELEMENT_LIMIT", 20)
+    assert len(CoxeterSystem.from_label("A3").elements(max_len=2)) == 9
+    with pytest.raises(ValueError, match="too large"):
+        CoxeterSystem.from_label("A3").elements()
 
 
 def test_element_parsing_and_display(a3):

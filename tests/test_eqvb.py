@@ -230,23 +230,20 @@ def test_char_value():
 
 
 def test_cell_consistency_a2(a2):
-    part = a2.cells.partition
-    for idx, c in enumerate(part.two_sided_cells):
-        n_left = sum(1 for lam in part.left_cells if lam <= c)
+    for idx, c in enumerate(a2.cells.two_sided_cells):
+        n_left = sum(1 for lam in a2.cells.left_cells if lam <= c)
         rep = cell_consistency(a2.cells, a2.inv, idx, 0, [[]] * n_left)
         assert rep.passed, [ch.to_json() for ch in rep.checks]
 
 
 def test_cell_consistency_b2_middle(b2):
-    part = b2.cells.partition
-    idx = next(i for i, c in enumerate(part.two_sided_cells) if len(c) == 6)
+    idx = next(i for i, c in enumerate(b2.cells.two_sided_cells) if len(c) == 6)
     rep = cell_consistency(b2.cells, b2.inv, idx, 1, [[], []])
     assert rep.passed, [ch.to_json() for ch in rep.checks]
 
 
 def test_cell_consistency_detects_mismatch(a2):
-    part = a2.cells.partition
-    idx = next(i for i, c in enumerate(part.two_sided_cells) if len(c) == 4)
+    idx = next(i for i, c in enumerate(a2.cells.two_sided_cells) if len(c) == 4)
     rep = cell_consistency(a2.cells, a2.inv, idx, 1, [[], []])  # wrong rank
     assert not rep.passed
 

@@ -145,6 +145,14 @@ def test_dinf_truncation_stability(dinf):
             assert x_n.coeffs[x] == c
 
 
+def test_x_elements_one_window(dinf):
+    # max_len bounds both the twisted involutions and each X_w's window
+    table = dinf.ideal.x_elements(max_len=5)
+    assert list(table) == dinf.sys.twisted_involutions(max_len=5)
+    for w, x in table.items():
+        assert x is dinf.ideal.x_elt(w, max_len=5)
+
+
 def test_window_bookkeeping(dinf):
     base = dinf.ideal.x_empty(max_len=6)
     assert base.exact_len == 6

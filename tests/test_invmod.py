@@ -172,12 +172,11 @@ def test_f_leading_form(a2, a3):
 
 def test_f_support_constraint(a2, a3):
     for ctx in (a2, a3):
-        part = ctx.cells.partition
         for x in ctx.cells.elements:
             for w in ctx.inv.basis:
                 for wp in ctx.inv.f_constants(x, w):
-                    assert part.preceq(wp, w)
-                    assert part.preceq(wp, x)
+                    assert ctx.cells.leq_lr(wp, w)
+                    assert ctx.cells.leq_lr(wp, x)
 
 
 def test_beta_unit_sum(a2, a3):
@@ -191,13 +190,12 @@ def test_beta_unit_sum(a2, a3):
 
 def test_beta_cell_constraint(a2, a3):
     for ctx in (a2, a3):
-        part = ctx.cells.partition
         for x in ctx.cells.elements:
             for w in ctx.inv.basis:
                 for wp in ctx.inv.basis:
                     if ctx.inv._beta_row(x, w, ctx.cells).get(wp, 0):
-                        assert part.same_two_sided(x, w)
-                        assert part.same_two_sided(w, wp)
+                        assert ctx.cells.same_two_sided(x, w)
+                        assert ctx.cells.same_two_sided(w, wp)
 
 
 def test_beta_table_a2_middle_cell(a2):
@@ -227,7 +225,7 @@ def test_cm_unit_and_blocks(a2, a3):
             assert ctx.inv.cm_action(one, {w: 1}, cd) == {w: 1}
         for x in cd.elements:
             for w in ctx.inv.basis:
-                if not cd.partition.same_two_sided(x, w):
+                if not cd.same_two_sided(x, w):
                     assert ctx.inv.cm_action({x: 1}, {w: 1}, cd) == {}
 
 
@@ -275,8 +273,7 @@ def test_missing_distinguished_involution_fails_left_cell_restriction(b2, monkey
     # check with a witness, not a crash of the unpack
     cd = b2.cells
     dist = cd.distinguished_involutions()
-    part = cd.partition
-    stable = [lam for lam in part.left_cells if frozenset(w.star() for w in lam) == lam]
+    stable = [lam for lam in cd.left_cells if frozenset(w.star() for w in lam) == lam]
     lam = stable[-1]
     monkeypatch.setattr(cd, "distinguished_involutions", lambda: tuple(d for d in dist if d not in lam))
     rep = b2.inv.verify_section1(cd, n_random=50)
@@ -285,6 +282,24 @@ def test_missing_distinguished_involution_fails_left_cell_restriction(b2, monkey
     assert not check.passed
     assert check.witness == ("distinguished-count", str(least), 0)
     assert not rep.passed
+
+
+def test_unit_identity_witness_is_the_last_bad_pair(b2, monkeypatch):
+    # the rows of each (d, w) are summed once; the witness is still the last
+    # (w, w', sum over d of beta_{d,w,w'}) that is not the Kronecker delta
+    cd = b2.cells
+    dist = cd.elements  # every element posing as distinguished
+    monkeypatch.setattr(cd, "distinguished_involutions", lambda: dist)
+    bad = None
+    for w in b2.inv.basis:
+        for wp in b2.inv.basis:
+            total = sum(b2.inv._beta_row(d, w, cd).get(wp, 0) for d in dist)
+            if total != (1 if w == wp else 0):
+                bad = (str(w), str(wp), total)
+    assert bad is not None and bad[2] not in (0, 1)
+    rep = b2.inv.verify_section1(cd, n_random=10)
+    (check,) = [c for c in rep.checks if c.check_id == "unit-identity"]
+    assert check.witness == bad
 
 
 def test_dinf_truncated_bar_and_a_basis(dinf):
