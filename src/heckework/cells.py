@@ -6,12 +6,12 @@ z <=_L w whenever c_z occurs in some c_x c_w (and symmetrically on the
 right), then closed transitively.  No generation theorem is assumed; the
 full structure-constant table comes from the generator recursion of
 `HeckeAlgebra.h_struct`; the one pass over it that builds the preorders
-also takes the a-function, and the gamma-table reads it.  Each preorder is
-a list of int-bitset rows, one per element in enumeration order (bit j of
-row i: element i is below element j), closed by Warshall's algorithm
-(J. ACM 9, 1962).  The two closed preorders are the only copy of the cell
-structure: the cells, their order and the *-stable left cells are read
-off them.
+also takes the a-function, and `gamma_row` reads gamma off it.  Each
+preorder is a list of int-bitset rows, one per element in enumeration
+order (bit j of row i: element i is below element j), closed by Warshall's
+algorithm (J. ACM 9, 1962).  The two closed preorders are the only copy
+of the cell structure: the cells, their order and the *-stable left cells
+are read off them.
 
 Conventions (all read off the v-variable structure constants h_{x,y,z}):
 
@@ -26,7 +26,7 @@ J-ring elements are plain integer dicts {CoxeterElement: int}.
 from __future__ import annotations
 
 from .coxeter import InfiniteGroupError, bits
-from .hecke import add_into
+from .hecke import bilinear
 
 
 def _sorted(ws):
@@ -134,17 +134,19 @@ class CellData:
 
     # -- the ring J ----------------------------------------------------------------
 
+    def gamma_row(self, x, y):
+        """{z: gamma(x, y, z^-1)} over the nonzero values: the coefficient of
+        v^{a(z)} in h_{x,y,z}, which is the coefficient of t_z in t_x t_y."""
+        row = {}
+        for z, h in self.algebra.h_struct(x, y).items():
+            g = h.coeff_of_v(self.a[z])
+            if g:
+                row[z] = g
+        return row
+
     def j_mult(self, ja, jb):
         """Product in J of two integer dicts: t_x t_y = sum gamma(x,y,z^-1) t_z."""
-        out = {}
-        for x, cx in ja.items():
-            for y, cy in jb.items():
-                c = cx * cy
-                for z, h in self.algebra.h_struct(x, y).items():
-                    # coefficient of t_z is gamma(x, y, z^-1), the top
-                    # coefficient of h_{x,y,z} at v^{a(z)}
-                    add_into(out, z, c * h.coeff_of_v(self.a[z]))
-        return out
+        return bilinear(ja, jb, self.gamma_row)
 
     def j_unit(self):
         return {d: 1 for d in self.distinguished_involutions()}

@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+# the largest |Gamma| + |X| = 2^r + #points of a Gamma-set read from a file:
+# the slowest one it admits (rank 3, four fixed points) runs eqvb in seconds
+GAMMA_LIMIT = 16
 
 
 def _add_common(p):
@@ -125,9 +128,11 @@ def _cell_data_entries(data, sys_, cells):
     return entries
 
 
-def _check_gamma(flag, field, rank, subgroups):
-    """UsageError unless rank is an int r >= 0 and subgroups a list of lists
-    of ints in 0..2^r - 1 (generators of subgroups of (Z/2)^r)."""
+def _check_gamma(flag, field, rank, subgroups, points=None):
+    """UsageError unless rank is an int r >= 0, subgroups a list of lists of
+    ints in 0..2^r - 1 (generators of subgroups of (Z/2)^r), and the
+    Gamma-set on `points` points (by default one coset space per list) has
+    |Gamma| + |X| at most GAMMA_LIMIT; a larger one builds no table."""
     if not _is_int(rank) or rank < 0:
         raise UsageError("%s: %s %r is not an integer >= 0" % (flag, field, rank))
     if not isinstance(subgroups, list) or not all(
@@ -137,16 +142,20 @@ def _check_gamma(flag, field, rank, subgroups):
     ):
         raise UsageError("%s: subgroups %r is not a list of lists of integers "
                          "in 0..2^%s - 1" % (flag, subgroups, field))
+    if points is not None and (not _is_int(points) or points < 0):
+        raise UsageError("%s: points %r is not an integer >= 0" % (flag, points))
+    if points is None and rank < GAMMA_LIMIT.bit_length():
+        points = GammaSet.coset_count(rank, subgroups)
+    if rank >= GAMMA_LIMIT.bit_length() or (1 << rank) + points > GAMMA_LIMIT:
+        raise UsageError("%s: the Gamma-set of %s %d is too large: |Gamma| + |X| "
+                         "may be at most %d" % (flag, field, rank, GAMMA_LIMIT))
 
 
 def _gamma_config(cfg):
     """The --gamma-config Gamma-set: {"rank", "subgroups"}, or {"rank",
     "points", "action"} with the action table checked by GammaSet."""
     if "action" in cfg:
-        _check_gamma("--gamma-config", "rank", cfg["rank"], [])
-        if not _is_int(cfg["points"]) or cfg["points"] < 0:
-            raise UsageError("--gamma-config: points %r is not an integer >= 0"
-                             % (cfg["points"],))
+        _check_gamma("--gamma-config", "rank", cfg["rank"], [], cfg["points"])
     else:
         _check_gamma("--gamma-config", "rank", cfg["rank"], cfg["subgroups"])
     return GammaSet.from_config(cfg)
@@ -252,23 +261,11 @@ def cmd_cells(args):
 
 def cmd_jring(args):
     sys_, alg, cells, _ = _context(args, need_cells=True)
-    gamma_entries = []
-    struct_entries = []
-    for x in cells.elements:
-        for y in cells.elements:
-            for z, h in sorted(
-                alg.h_struct(x, y).items(), key=lambda kv: kv[0].sort_key()
-            ):
-                if args.struct:
-                    struct_entries.append(
-                        {"x": str(x), "y": str(y), "z": str(z), "h": _poly_json(h)}
-                    )
-                g = h.coeff_of_v(cells.a[z])
-                if g:
-                    gamma_entries.append(
-                        {"x": str(x), "y": str(y), "z": str(z.inverse()), "gamma": g}
-                    )
-    gamma_entries.sort(key=lambda e: (e["x"], e["y"], e["z"]))
+    els = cells.elements
+    gamma_entries = sorted(
+        ({"x": str(x), "y": str(y), "z": str(z.inverse()), "gamma": g}
+         for x in els for y in els for z, g in cells.gamma_row(x, y).items()),
+        key=lambda e: (e["x"], e["y"], e["z"]))
     cell_blocks, left_blocks = cells.j_blocks()
     payload = {
         "system": sys_.describe(),
@@ -291,7 +288,12 @@ def cmd_jring(args):
         ],
     }
     if args.struct:
-        payload["h_struct"] = struct_entries
+        payload["h_struct"] = [
+            {"x": str(x), "y": str(y), "z": str(z), "h": _poly_json(h)}
+            for x in els
+            for y in els
+            for z, h in sorted(alg.h_struct(x, y).items(), key=lambda kv: kv[0].sort_key())
+        ]
     return payload, [jring_report(sys_, cells)]
 
 

@@ -74,7 +74,8 @@ def bits(b):
 
 
 class ReflectionRep:
-    """Exact matrix action of the generators on the geometric representation.
+    """Exact matrix action of the generators on the geometric representation,
+    and the matrix backend: the state of w is the matrix of w^-1.
 
     Requires all bond orders in {2, 3, 4, 6, inf}.  Generator matrices are
     integral involutions; descent tests read off root-sign changes.
@@ -100,35 +101,22 @@ class ReflectionRep:
         self.gens = tuple(gens)
         self.identity = _identity_mat(n)
 
-    @staticmethod
-    def _column_nonpositive(mat, i):
-        return all(row[i] <= 0 for row in mat)
-
-
-class _MatrixBackend:
-    """States are the matrices of w^-1."""
-
-    def __init__(self, matrix):
-        self.rep = ReflectionRep(matrix)
-        self.identity = self.rep.identity
-
     def left(self, b, i):
         """State of s_i w: (s_i w)^-1 = w^-1 s_i."""
-        return _mat_mul(b, self.rep.gens[i])
+        return _mat_mul(b, self.gens[i])
 
     def right(self, b, i):
         """State of w s_i: (w s_i)^-1 = s_i w^-1."""
-        return _mat_mul(self.rep.gens[i], b)
+        return _mat_mul(self.gens[i], b)
 
     def word(self, b):
         """ShortLex normal form: peel off the smallest left descent."""
-        rep = self.rep
         out = []
-        while b != rep.identity:
-            for i in range(rep.n):
-                if rep._column_nonpositive(b, i):
+        while b != self.identity:
+            for i in range(self.n):
+                if all(row[i] <= 0 for row in b):
                     out.append(i)
-                    b = _mat_mul(b, rep.gens[i])
+                    b = _mat_mul(b, self.gens[i])
                     break
             else:
                 raise AssertionError("no descent found; matrix model broken")
@@ -270,7 +258,7 @@ class CoxeterSystem:
         ):
             self._backend = _DihedralBackend(matrix[0][1])
         else:
-            self._backend = _MatrixBackend(matrix)
+            self._backend = ReflectionRep(matrix)
         # per id: element, backend state, length; None marks an unfilled entry
         self._elts = []
         self._state = []
@@ -470,7 +458,7 @@ class CoxeterSystem:
                     if ci == cj:
                         return False  # the edge closes a cycle
                     component = [ci if c == cj else c for c in component]
-        a = [list(row) for row in self._backend.rep.cartan]
+        a = [list(row) for row in self._backend.cartan]
         prev = 1
         for k in range(n):
             pivot = a[k][k]

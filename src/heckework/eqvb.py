@@ -26,7 +26,7 @@ explicitly materialized bundles.
 
 from __future__ import annotations
 
-from .hecke import add_into, add_scaled
+from .hecke import add_into, add_scaled, bilinear
 from .report import Report
 
 
@@ -89,6 +89,11 @@ class GammaSet:
         )
         return cls(rank, len(points), action)
 
+    @staticmethod
+    def coset_count(rank, subgroup_generators):
+        """The number of points of `from_subgroups`, without building it."""
+        return sum((1 << rank) // len(_span(rank, gens)) for gens in subgroup_generators)
+
     @classmethod
     def trivial(cls, n):
         return cls(0, n, (tuple(range(n)),))
@@ -129,16 +134,10 @@ def _orbits(gs, points, act, prefer=None):
     for p0 in points:
         if p0 not in remaining:
             continue
-        # BFS storing a transporter g with g . p0 = p for every orbit point
-        trans = {p0: 0}
-        queue = [p0]
-        while queue:
-            p = queue.pop(0)
-            for g in gs.group:
-                q = act(g, p)
-                if q not in trans:
-                    trans[q] = g ^ trans[p]
-                    queue.append(q)
+        # the first g with g . p0 = p is the transporter of p
+        trans = {}
+        for g in gs.group:
+            trans.setdefault(act(g, p0), g)
         pts = sorted(trans)
         base = min(pts)
         if prefer is not None:
@@ -293,11 +292,7 @@ class KRing:
         return out
 
     def convolve(self, a, b):
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                add_scaled(out, self.convolve_basis(i, j), ca * cb)
-        return out
+        return bilinear(a, b, self.convolve_basis)
 
     def sigma(self, a):
         out = {}
@@ -388,11 +383,7 @@ class KRing:
         return out
 
     def circ(self, v_class, signed_class):
-        out = {}
-        for i, cv in v_class.items():
-            for j, cu in signed_class.items():
-                add_scaled(out, self.circ_basis(i, j), cv * cu)
-        return out
+        return bilinear(v_class, signed_class, self.circ_basis)
 
     def theta_signed(self, i):
         """The signed class of Theta(V_i) = (V_i + V_i^sigma, swap).
@@ -434,11 +425,7 @@ class KRing:
 
     @staticmethod
     def cgamma_mult(a, b):
-        out = {}
-        for (g1, p1), c1 in a.items():
-            for (g2, p2), c2 in b.items():
-                add_into(out, (g1 ^ g2, p1 ^ p2), c1 * c2)
-        return out
+        return bilinear(a, b, lambda x, y: {(x[0] ^ y[0], x[1] ^ y[1]): 1})
 
     def psi_basis(self, g0, phi):
         """Psi(Y) for the basis object Y supported at g0 with character phi:

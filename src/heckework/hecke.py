@@ -32,6 +32,9 @@ completion (`idealmod`) and the rest of the package, each written once:
   `f_constants` in the module);
 - `add_into` / `add_scaled`: the sparse accumulator for every dict-of-
   coefficients sum;
+- `bilinear`: the bilinear extension of a product given on basis pairs,
+  behind the ring J (`CellData.j_mult`), its module (`cm_action`) and the
+  K-rings (`KRing.convolve`, `KRing.circ`, `KRing.cgamma_mult`);
 - `KLTable._mu_down`: the mu(z, w) with s in D_L(z), listed once per
   (w, s) for the KL recursion and for `HeckeAlgebra.mu_down`, which gives
   them as elements behind c_s c_w (`c_gen_mult`, Kazhdan-Lusztig 1979,
@@ -82,6 +85,16 @@ def add_scaled(acc, coeffs, scale):
     """acc += scale * coeffs, dropping exact zeros."""
     for w, c in coeffs.items():
         add_into(acc, w, c * scale)
+
+
+def bilinear(a, b, row):
+    """sum over x, y of a_x b_y row(x, y): the bilinear extension of a
+    product whose value on the basis pair (x, y) is the dict row(x, y)."""
+    out = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            add_scaled(out, row(x, y), cx * cy)
+    return out
 
 
 def t_gen_action(system, i, coeffs, q):

@@ -33,6 +33,7 @@ from .hecke import (
     add_into,
     add_scaled,
     bar_invariant_solve,
+    bilinear,
     half_step,
     strip_off,
     t_inv_gen_action,
@@ -197,11 +198,7 @@ class InvolutionModule:
 
     def cm_action(self, j, t, cells):
         """The induced action of the asymptotic ring: t_x tau_w = sum beta tau_{w'}."""
-        out = {}
-        for x, cx in j.items():
-            for w, cw in t.items():
-                add_scaled(out, self._beta_row(x, w, cells), cx * cw)
-        return out
+        return bilinear(j, t, lambda x, w: self._beta_row(x, w, cells))
 
     def _beta_row(self, x, w, cells):
         """{w' -> beta_{x,w,w'}}: the nonzero leading coefficients of c_x A_w."""
@@ -222,31 +219,30 @@ class InvolutionModule:
         els = cells.elements
         inv = self.basis
 
-        bad = None
+        # one sweep for the checks of single rows: each keeps the last bad
+        # (x, w), and the leading-term law the first bad w' in it
+        lead = support = cell_support = block = None
         for x in els:
             for w in inv:
-                for wp, f in self.f_constants(x, w).items():
+                row = self.f_constants(x, w)
+                for wp, f in row.items():
                     d = f.degree()
                     if d is not None and d > 2 * cells.a[wp]:
-                        bad = (str(x), str(w), str(wp))
+                        lead = (str(x), str(w), str(wp))
                         break
-        rep.add("leading-term-law", bad is None, bad)
-
-        bad = None
-        for x in els:
-            for w in inv:
-                for wp in self.f_constants(x, w):
+                for wp in row:
                     if not (cells.leq_lr(wp, w) and cells.leq_lr(wp, x)):
-                        bad = (str(x), str(w), str(wp))
-        rep.add("support-constraint", bad is None, bad)
-
-        bad = None
-        for x in els:
-            for w in inv:
-                for wp, b in self._beta_row(x, w, cells).items():
-                    if not (cells.same_two_sided(x, w) and cells.same_two_sided(w, wp)):
-                        bad = (str(x), str(w), str(wp), b)
-        rep.add("beta-cell-support", bad is None, bad)
+                        support = (str(x), str(w), str(wp))
+                beta = self._beta_row(x, w, cells)
+                same = cells.same_two_sided(x, w)
+                for wp, b in beta.items():
+                    if not (same and cells.same_two_sided(w, wp)):
+                        cell_support = (str(x), str(w), str(wp), b)
+                if beta and not same:
+                    block = (str(x), str(w))
+        rep.add("leading-term-law", lead is None, lead)
+        rep.add("support-constraint", support is None, support)
+        rep.add("beta-cell-support", cell_support is None, cell_support)
 
         bad = None
         unit = cells.j_unit()
@@ -266,12 +262,7 @@ class InvolutionModule:
                 break
         rep.add("module-associativity", bad is None, bad)
 
-        bad = None
-        for x in els:
-            for w in inv:
-                if not cells.same_two_sided(x, w) and self._beta_row(x, w, cells):
-                    bad = (str(x), str(w))
-        rep.add("block-decomposition", bad is None, bad)
+        rep.add("block-decomposition", block is None, block)
 
         bad = None
         dist = set(cells.distinguished_involutions())

@@ -331,6 +331,53 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     assert captured.err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("rank, subgroups", [(6, [[]]), (64, [[]]), (64, []),
+                                             (2, [[], [], [], [1, 2]])])
+@pytest.mark.parametrize("flag", ["--gamma-config", "--cell-data"])
+def test_oversized_gamma_set_is_refused_before_any_table(
+        tmp_path, capsys, monkeypatch, flag, rank, subgroups):
+    # |Gamma| + |X| above GAMMA_LIMIT exits 2, and no GammaSet or KRing is
+    # built (either would exit 3 here; the built-in library is left out)
+    import heckework.cli as cli
+    import heckework.eqvb as eqvb
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "standard_pairs", list)
+    monkeypatch.setattr(eqvb.GammaSet, "__init__", built)
+    monkeypatch.setattr(cli, "KRing", built)
+    monkeypatch.setattr(eqvb, "KRing", built)
+    if flag == "--gamma-config":
+        config, argv = {"rank": rank, "subgroups": subgroups}, ["eqvb"]
+    else:
+        config = {"cells": [{"representative": "1", "gamma_rank": rank, "subgroups": subgroups}]}
+        argv = ["eqvb", "--type", "B2"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(argv + [flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "too large" in captured.err
+
+
+def test_oversized_action_table_is_refused(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rank": 64, "points": 1, "action": []}))
+    assert main(["eqvb", "--gamma-config", str(path)]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
+def test_gamma_limit_admits_its_bound_and_the_library(tmp_path, capsys):
+    from heckework.cli import GAMMA_LIMIT
+    from heckework.eqvb import standard_pairs
+
+    assert all((1 << gs.rank) + gs.size <= GAMMA_LIMIT for _, gs in standard_pairs())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rank": 2, "subgroups": [[], [], []]}))  # 4 + 12
+    assert main(["eqvb", "--gamma-config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pairs"][0]["points"] == 12
+
+
 def test_layer_trace_targets_resolve():
     # perfbench/layertrace.py wraps these names from outside; a rename in
     # src/ would otherwise only show up when the trace runs

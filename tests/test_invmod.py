@@ -1,6 +1,12 @@
 import itertools
 import random
 
+import pytest
+
+from heckework import CoxeterSystem
+from heckework.cells import CellData
+from heckework.hecke import HeckeAlgebra
+from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly, ONE, ZERO
 from oracles import sign_split_check, t_word_action
 
@@ -300,6 +306,75 @@ def test_unit_identity_witness_is_the_last_bad_pair(b2, monkeypatch):
     rep = b2.inv.verify_section1(cd, n_random=10)
     (check,) = [c for c in rep.checks if c.check_id == "unit-identity"]
     assert check.witness == bad
+
+
+def _single_row_witnesses(inv, cd):
+    """The witnesses of the leading-term, support, beta-cell and block checks
+    of verify_section1, one loop per check: the last offending (x, w), and
+    in it the first offending w' for the leading-term law, else the last."""
+    pairs = [(x, w) for x in cd.elements for w in inv.basis]
+    lead = support = cell = block = None
+    for x, w in pairs:
+        for wp, f in inv.f_constants(x, w).items():
+            d = f.degree()
+            if d is not None and d > 2 * cd.a[wp]:
+                lead = (str(x), str(w), str(wp))
+                break
+    for x, w in pairs:
+        for wp in inv.f_constants(x, w):
+            if not (cd.leq_lr(wp, w) and cd.leq_lr(wp, x)):
+                support = (str(x), str(w), str(wp))
+    for x, w in pairs:
+        for wp, b in inv._beta_row(x, w, cd).items():
+            if not (cd.same_two_sided(x, w) and cd.same_two_sided(w, wp)):
+                cell = (str(x), str(w), str(wp), b)
+    for x, w in pairs:
+        if not cd.same_two_sided(x, w) and inv._beta_row(x, w, cd):
+            block = (str(x), str(w))
+    return {"leading-term-law": lead, "support-constraint": support,
+            "beta-cell-support": cell, "block-decomposition": block}
+
+
+def _plant_a(cd):
+    # a lowered to 0 on the middle cell of B2: every c_x A_w with a term
+    # of positive degree there breaks the leading-term law
+    return "a", {z: 0 if a == 1 else a for z, a in cd.a.items()}
+
+
+def _plant_leq_lr(cd):
+    # 1 and 121 below nothing: both sit in several rows, so the support
+    # witness is the last w' of the last offending row
+    leq = cd.leq_lr
+    return "leq_lr", lambda z, w: str(z) not in ("1", "121") and leq(z, w)
+
+
+def _plant_same_two_sided(cd):
+    # 121 split off from its two-sided cell
+    same = cd.same_two_sided
+    return "same_two_sided", lambda x, y: "121" not in (str(x), str(y)) and same(x, y)
+
+
+@pytest.mark.parametrize("plant, checks", [
+    (_plant_a, ["leading-term-law"]),
+    (_plant_leq_lr, ["support-constraint"]),
+    (_plant_same_two_sided, ["beta-cell-support", "block-decomposition"]),
+])
+def test_single_row_check_witnesses(plant, checks, monkeypatch):
+    # a fresh B2 context, since a planted a-function would reach the memo
+    # of the distinguished involutions
+    alg = HeckeAlgebra(CoxeterSystem.from_label("B2"))
+    cd, inv = CellData(alg), InvolutionModule(alg)
+    monkeypatch.setattr(cd, *plant(cd))
+    expected = _single_row_witnesses(inv, cd)
+    rep = inv.verify_section1(cd, n_random=10)
+    got = {c.check_id: c for c in rep.checks}
+    assert [c.check_id for c in rep.checks] == [
+        "leading-term-law", "support-constraint", "beta-cell-support", "unit-identity",
+        "module-associativity", "block-decomposition", "left-cell-restriction"]
+    for check_id in checks:
+        assert expected[check_id] is not None
+        assert not got[check_id].passed
+        assert got[check_id].witness == expected[check_id], check_id
 
 
 def test_dinf_truncated_bar_and_a_basis(dinf):
