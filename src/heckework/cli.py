@@ -3,7 +3,9 @@ deterministic JSON output.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
 3 internal error.  The KL memo table persists across runs via --cache-dir
-or the WORKBENCH_CACHE environment variable.
+or the WORKBENCH_CACHE environment variable.  `kl` fills its whole table
+before it writes a byte, then writes the text one column at a time, so a
+failure leaves stdout empty and the full text is never held at once.
 """
 
 from __future__ import annotations
@@ -197,44 +199,49 @@ def cmd_kl(args):
         if not (args.y and args.w):
             raise UsageError("--y and --w go together")
         y, w = sys_.element(args.y), sys_.element(args.w)
-        parts = [_KL_ENTRY % (_kl_fragment(kl.p(y, w)), enc(str(w)), enc(str(y)))]
-        return _kl_text(sys_.describe(), parts), []
-    # entries sorted by (w, y), each by (len(str), str), filled a column at a
-    # time; P_{y,w}(0) = 1 for y <= w, so every listed pair has a nonzero entry
+        return _kl_chunks(sys_, [(enc(str(w)), [(enc(str(y)), kl.p(y, w))])]), []
+    # entries sorted by (w, y), each by (len(str), str); every column is
+    # filled before the first byte is written, so a failure writes nothing.
+    # P_{y,w}(0) = 1 for y <= w, so every listed pair has a nonzero entry
     order = sorted(sys_.elements(max_len=args.max_len), key=lambda x: (len(str(x)), str(x)))
+    for w in order:
+        kl.column(w)
     rank = {x.id: r for r, x in enumerate(order)}
     label = {x.id: enc(str(x)) for x in order}
-    frags = {}  # handle -> its rendered P
-    parts = []
-    for w in order:
-        col = kl.column(w)
-        lw = label[w.id]
-        for y in sorted(col, key=rank.__getitem__):
-            h = col[y]
-            frag = frags.get(h)
-            if frag is None:
-                frag = frags[h] = _kl_fragment(kl.value(h))
-            parts.append(_KL_ENTRY % (frag, lw, label[y]))
-    return _kl_text(sys_.describe(), parts), []
+
+    def columns():
+        for w in order:
+            col = kl.column(w)  # a walk over the filled table, dropped once written
+            yield label[w.id], [(label[y], kl.value(col[y]))
+                                for y in sorted(col, key=rank.__getitem__)]
+
+    return _kl_chunks(sys_, columns()), []
 
 
 _KL_ENTRY = '\n    {\n      "P": %s,\n      "w": %s,\n      "y": %s\n    }'
 
 
-def _kl_fragment(p):
-    """P as json.dumps(..., sort_keys=True, indent=2) writes it inside an
-    entry of the `kl` payload."""
-    return json.dumps(_poly_json(p.subst_v_to_u()), sort_keys=True, indent=2).replace(
-        "\n", "\n      ")
-
-
-def _kl_text(system, parts):
+def _kl_chunks(system, columns):
     """The `kl` payload {"entries": [{"P", "w", "y"}...], "system"} exactly as
-    json.dumps(..., sort_keys=True, indent=2) writes it, from the rendered
-    entries (`_KL_ENTRY`, with labels through the C string encoder), of
-    which there is at least one."""
-    return '{\n  "entries": [%s\n  ],\n  "system": %s\n}' % (
-        ",".join(parts), json.encoder.encode_basestring_ascii(system))
+    json.dumps(..., sort_keys=True, indent=2) writes it, and its newline, in
+    chunks: the rendered entries (`_KL_ENTRY`) of each column (w label,
+    [(y label, P_{y,w})...]), the first behind the head, then the tail.
+    Labels come through the C string encoder; there is at least one entry."""
+    frags = {}  # P -> its rendered text
+    sep = '{\n  "entries": ['
+    for lw, entries in columns:
+        parts = []
+        for ly, p in entries:
+            frag = frags.get(p)
+            if frag is None:
+                # P as json.dumps(..., sort_keys=True, indent=2) writes it in an entry
+                frag = frags[p] = json.dumps(
+                    _poly_json(p.subst_v_to_u()), sort_keys=True, indent=2).replace(
+                    "\n", "\n      ")
+            parts.append(_KL_ENTRY % (frag, lw, ly))
+        yield sep + ",".join(parts)
+        sep = ","
+    yield '\n  ],\n  "system": %s\n}\n' % json.encoder.encode_basestring_ascii(system.describe())
 
 
 def cmd_cells(args):
@@ -483,8 +490,9 @@ def _cells_report(sys_, cells):
 
 
 def _emit(payload, reports, pretty):
-    if isinstance(payload, str):  # rendered by the command itself (kl)
-        print(payload)
+    if not isinstance(payload, dict):  # text chunks rendered by the command itself (kl)
+        for chunk in payload:
+            sys.stdout.write(chunk)
         return EXIT_OK
     if reports:
         payload = dict(payload)

@@ -1,8 +1,10 @@
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,62 @@ def test_kl_b4_stdout_matches_the_benchmark_reference(tmp_path, capsys):
     assert hashlib.sha256(cold.encode()).hexdigest() == digest
     assert hashlib.sha256(warm.encode()).hexdigest() == digest
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == filled
+
+
+def _fail_on_call(monkeypatch, cls, name, n, exc):
+    """Make the n-th call of cls.name raise exc; the earlier calls run."""
+    real, calls = getattr(cls, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, patched)
+    return calls
+
+
+def test_kl_failure_in_the_fill_writes_nothing(capsys, monkeypatch):
+    # the whole table is filled before the first byte: A4 has 120 columns
+    calls = _fail_on_call(monkeypatch, KLTable, "column", 50, AssertionError("column 50"))
+    code = main(["kl", "--type", "A4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, len(calls)) == (3, "", 50)
+    assert "internal error: AssertionError: column 50" in captured.err
+
+
+def test_kl_cache_write_failure_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a batch is written per column, so the 30th write fails within the fill
+    calls = _fail_on_call(monkeypatch, CacheStore, "extend", 30, OSError("disk full"))
+    code = main(["kl", "--type", "A4", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, len(calls)) == (2, "", 30)
+    assert "usage error: disk full" in captured.err
+
+
+class _WriteLog(io.StringIO):
+    """A text stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def test_kl_writes_the_table_in_column_chunks(monkeypatch):
+    # the text is never joined into one string: one write per column
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(["kl", "--type", "A4"]) == 0
+    text = log.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e1c82a0f7a44f1e6c98a32236dd9bc48e0bfef0aff907619c0165faf74badb29")
+    assert len(log.sizes) > 100
+    assert max(log.sizes) <= len(text) / 10
 
 
 def test_group_listing(capsys):
@@ -500,6 +558,8 @@ _CELL_DATA = "<cell-data file>"
          "834d8a9903a533d4b7d8023b98535b2958cdde40211a0f5c64b7bf7ce82832a8"),
         (["kl", "--type", "A4"],
          "e1c82a0f7a44f1e6c98a32236dd9bc48e0bfef0aff907619c0165faf74badb29"),
+        (["kl", "--type", "A5"],
+         "39a4e9d437a7562385017eacd7f09262ea86fe7a21a158c8d962e79cc816f541"),
         (["verify-all", "--type", "A3"],
          "3bb7168be81b7dd4fc660b36cb43436602648e166f72342261e5e1e336607e5f"),
         (["verify-all", "--type", "A3", "--star", "321"],
@@ -514,7 +574,7 @@ _CELL_DATA = "<cell-data file>"
          "c432c88923cc2eb77d758d9742070e3616d9a9ca7e3ab73e594534665472b6b8"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
-         "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4",
+         "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
          "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
          "eqvb-B2-cell-data"],
 )
