@@ -2,10 +2,11 @@
 deterministic JSON output.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
-3 internal error.  The KL memo table persists across runs via --cache-dir
-or the WORKBENCH_CACHE environment variable.  `kl` fills its whole table
-before it writes a byte, then writes the text one column at a time, so a
-failure leaves stdout empty and the full text is never held at once.
+3 internal error; a reader that closes stdout early does not change the
+exit code.  The KL memo table persists across runs via --cache-dir.  `kl`
+fills its whole table before it writes a byte, then writes the text one
+column at a time, so a failure leaves stdout empty and the full text is
+never held at once.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _add_common(p):
     p.add_argument("--matrix", help="row-major Coxeter matrix, 0 = infinity (e.g. '1,3;3,1')")
     p.add_argument("--star", help="diagram involution as a digit string (e.g. '321')")
     p.add_argument("--max-len", type=int, default=None, help="length truncation for infinite systems")
-    p.add_argument("--cache-dir", default=None, help="persistent cache directory (or $WORKBENCH_CACHE)")
+    p.add_argument("--cache-dir", default=None, help="persistent KL cache directory")
     p.add_argument("--pretty", action="store_true", help="human-readable output")
 
 
@@ -76,19 +77,21 @@ class UsageError(Exception):
     pass
 
 
-def _store(args):
-    root = args.cache_dir or os.environ.get("WORKBENCH_CACHE")
-    return CacheStore(root) if root else None
-
-
-def _context(args, need_cells=False, need_inv=False):
+def _system(args, infinite_only=False):
+    """The system of --type/--matrix/--star.  --max-len may not be negative,
+    and with infinite_only it may bound an infinite system only."""
     if args.max_len is not None and args.max_len < 0:
         raise UsageError("--max-len must be at least 0")
     sys_ = build_system(args)
-    if (need_inv or need_cells) and args.max_len is not None and sys_.is_finite:
+    if infinite_only and args.max_len is not None and sys_.is_finite:
         raise UsageError("--max-len bounds infinite systems only, and %s is finite"
                          % sys_.describe())
-    alg = HeckeAlgebra(sys_, store=_store(args))
+    return sys_
+
+
+def _context(args, need_cells=False, need_inv=False):
+    sys_ = _system(args, need_cells or need_inv)
+    alg = HeckeAlgebra(sys_, store=CacheStore(args.cache_dir) if args.cache_dir else None)
     cells = CellData(alg) if need_cells else None
     inv = InvolutionModule(alg, max_len=args.max_len) if need_inv else None
     return sys_, alg, cells, inv
@@ -180,7 +183,7 @@ def _elt_terms(coeffs):
 
 
 def cmd_group(args):
-    sys_, alg, _, _ = _context(args)
+    sys_ = _system(args)
     els = sys_.elements(max_len=args.max_len)
     inv = sys_.twisted_involutions(max_len=args.max_len)
     payload = {
@@ -490,28 +493,28 @@ def _cells_report(sys_, cells):
 
 
 def _emit(payload, reports, pretty):
-    if not isinstance(payload, dict):  # text chunks rendered by the command itself (kl)
+    """Write the output and return the exit code, which is settled before the
+    first write: a reader that closes stdout early leaves it as it is."""
+    passed = all(r.passed for r in reports)
+    if isinstance(payload, dict):  # else text chunks rendered by the command (kl)
+        if reports:
+            payload = dict(payload, reports=[r.to_json() for r in reports], passed=passed)
+        if pretty and reports:
+            lines = [line for rep in reports for line in rep.pretty_lines()]
+            lines.append("overall: %s" % ("PASS" if passed else "FAIL"))
+            text = "\n".join(lines)
+        else:
+            text = json.dumps(payload, sort_keys=True, indent=2)
+        payload = [text, "\n"]
+    try:
         for chunk in payload:
             sys.stdout.write(chunk)
-        return EXIT_OK
-    if reports:
-        payload = dict(payload)
-        payload["reports"] = [r.to_json() for r in reports]
-        payload["passed"] = all(r.passed for r in reports)
-    if pretty:
-        lines = []
-        for rep in reports:
-            lines.extend(rep.pretty_lines())
-        if not reports:
-            lines.append(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            lines.append("overall: %s" % ("PASS" if payload["passed"] else "FAIL"))
-        print("\n".join(lines))
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    if reports and not all(r.passed for r in reports):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def make_parser():
@@ -577,10 +580,7 @@ def main(argv=None):
     try:
         payload, reports = args.func(args)
         return _emit(payload, reports, args.pretty)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - crash surface, distinct exit code

@@ -20,15 +20,15 @@ normal form.  `elements()` takes one backend step per edge of the length
 filtration, and a new element's normal form is its lex-least predecessor in
 the sorted previous layer plus one letter.
 
-Two backend models:
+One backend model per rank:
 
-- a matrix model (the standard geometric representation with integral
-  Cartan-style entries), available whenever every bond order m(i,j) lies in
-  {2, 3, 4, 6, inf}.  The state of w is the matrix of w^-1; i is a left
-  descent of w iff its i-th column is nonpositive (w^-1 sends alpha_i to a
-  negative root), which peels off the normal form greedily;
-- an exact dihedral word model for rank <= 2 and arbitrary bond order
-  (covers I2(5), I2(7), ... where the matrix entries are irrational).
+- rank 2: an exact dihedral word model for every bond order (it covers
+  I2(5), I2(7), ..., where the matrix entries are irrational);
+- every other rank: a matrix model (the standard geometric representation
+  with integral Cartan-style entries), available whenever every bond order
+  m(i,j) lies in {2, 3, 4, 6, inf}.  The state of w is the matrix of w^-1;
+  i is a left descent of w iff its i-th column is nonpositive (w^-1 sends
+  alpha_i to a negative root), which peels off the normal form greedily.
 
 `CoxeterElement` objects carry their id and stay the public currency.  An
 element belongs to the one system instance that interned it, so equality is
@@ -250,12 +250,7 @@ class CoxeterSystem:
         self.label = label
         self.rank = n
         self._ckey = (matrix, star)
-        if n <= 2 and not all(
-            matrix[i][j] in _CARTAN_PAIRS
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        ):
+        if n == 2:
             self._backend = _DihedralBackend(matrix[0][1])
         else:
             self._backend = ReflectionRep(matrix)

@@ -3,7 +3,9 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
 from heckework.hecke import HeckeAlgebra, KLTable
 from heckework.laurent import ONE
+from heckework.report import Check, Report
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -147,6 +150,56 @@ def test_kl_writes_the_table_in_column_chunks(monkeypatch):
         "e1c82a0f7a44f1e6c98a32236dd9bc48e0bfef0aff907619c0165faf74badb29")
     assert len(log.sizes) > 100
     assert max(log.sizes) <= len(text) / 10
+
+
+class _ClosedAfterOneWrite(io.StringIO):
+    """A text stdout on the descriptor fd whose reader goes away after the
+    first write."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, s):
+        if self.tell():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(s)
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_reader_that_closes_stdout_early_keeps_the_exit_code(tmp_path, capsys, monkeypatch):
+    import heckework.cli as cli
+
+    with open(tmp_path / "out", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedAfterOneWrite(fh.fileno()))
+        assert main(["kl", "--type", "A4"]) == 0
+        monkeypatch.setattr(sys, "stdout", _ClosedAfterOneWrite(fh.fileno()))
+        monkeypatch.setattr(cli, "count_check",
+                            lambda kr, name: Report("planted", name, [Check("planted", False)]))
+        assert main(["eqvb"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_kl_into_a_pipe_closed_after_one_line():
+    # `heckework kl --type A4 | head -1`: the 0.5 MB table cannot fit in the
+    # pipe, so the writer meets the closed pipe; neither that write nor the
+    # flush at interpreter exit may turn it into an error
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "heckework.cli", "kl", "--type", "A4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_group_builds_only_the_system(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    plain = run(capsys, "group", "--type", "A2")
+    assert run(capsys, "group", "--type", "A2", "--cache-dir", str(cache)) == plain
+    assert not cache.exists()
 
 
 def test_group_listing(capsys):
@@ -572,11 +625,15 @@ _CELL_DATA = "<cell-data file>"
          "8f3bfcef1a9f17a8102d2e03f75653db00d6cc7ee30f909571e14364a9efa4d3"),
         (["eqvb", "--type", "B2", "--cell-data", _CELL_DATA],
          "c432c88923cc2eb77d758d9742070e3616d9a9ca7e3ab73e594534665472b6b8"),
+        (["verify-all", "--type", "G2"],
+         "5459fae4d5efea4852b1dbdbdea371dabc9bebb49b6d7b5eca31226230113f67"),
+        (["kl", "--type", "G2"],
+         "5c8cf8421ff89b796e91a293da746f2b70ece6f1e4394d389a1280ed514ea258"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
          "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
          "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
-         "eqvb-B2-cell-data"],
+         "eqvb-B2-cell-data", "verify-all-G2", "kl-G2"],
 )
 def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
@@ -586,7 +643,8 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # once and h_struct and f_constants shared one recursion; kl before the
     # LaurentPoly fast paths and the shared KL values; verify-all A3, cells
     # G2 and I2(5), jring B2 and eqvb --cell-data before the cell partition
-    # was folded into CellData
+    # was folded into CellData; verify-all and kl G2 while rank 2 with bonds
+    # in {2, 3, 4, 6, inf} still ran on the matrix model
     if _CELL_DATA in argv:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(
@@ -598,10 +656,11 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
+    # WORKBENCH_CACHE is ignored: --cache-dir is the one way to name the cache
+    plain = run(capsys, "kl", "--type", "A2")
     monkeypatch.setenv("WORKBENCH_CACHE", str(tmp_path))
-    code, _ = run(capsys, "kl", "--type", "A2")
-    assert code == 0
-    assert any(tmp_path.iterdir())
+    assert run(capsys, "kl", "--type", "A2") == plain
+    assert not any(tmp_path.iterdir())
 
 
 def test_byte_identical_reruns(capsys):

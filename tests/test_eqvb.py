@@ -155,15 +155,6 @@ def test_circ_unit_and_composition():
                 assert kr.circ(prod, {j: 1}) == kr.circ({ip: 1}, kr.circ_basis(i, j))
 
 
-def test_theta_dies_in_quotient():
-    for name, gs in standard_pairs():
-        if gs.size > 6:
-            continue
-        kr = KRing(gs)
-        for i in range(len(kr.basis)):
-            assert kr.theta_signed(i) == {}
-
-
 def test_signed_negation_cancels():
     # (U, kappa) + (U, -kappa) = 0 in the quotient: the class of the negated
     # twist is the negated class, so the sum vanishes
