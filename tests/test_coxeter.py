@@ -238,16 +238,20 @@ def test_reflection_rep_involutions():
 def test_matrix_model_separates_elements():
     # the matrix model is the reference for the rank-2 word model: the
     # matrix of w^-1 is its state of w, and it peels off the same normal form
-    for label, max_len in (("A3", None), ("B2", None), ("A2", None), ("G2", None),
-                           ("I2(2)", None), ("Dinf", 12)):
-        sys = CoxeterSystem.from_label(label)
-        rep = ReflectionRep(sys.matrix)
-        mats = set()
-        for w in sys.elements(max_len=max_len):
-            m = matrix_of_word(rep, w.word[::-1])
-            assert m not in mats
-            assert rep.word(m) == w.word
-            mats.add(m)
+    for label in ("A3", "B2", "A2", "G2", "I2(2)"):
+        _check_matrix_model(CoxeterSystem.from_label(label), max_len=None)
+
+
+def _check_matrix_model(sys, max_len):
+    rep = ReflectionRep(sys.matrix)
+    mats = set()
+    els = sys.elements(max_len=max_len)
+    for w in els:
+        m = matrix_of_word(rep, w.word[::-1])
+        assert m not in mats
+        assert rep.word(m) == w.word
+        mats.add(m)
+    assert len(mats) == len(els)
 
 
 def test_normalize_idempotent(a3):
@@ -356,6 +360,10 @@ def test_element_parsing_and_display(a3):
     assert str(a3.sys.element("e")) == "e"
     assert str(a3.sys.element((0, 1, 0, 2, 1, 0))) == "121321"
     assert a3.sys.element("13213") == a3.sys.element("12321")
+
+
+def test_dinf_matrix_model_separates_up_to_12():
+    _check_matrix_model(CoxeterSystem.from_label("Dinf"), max_len=12)
 
 
 def test_star_automorphism_exhaustive_a3():
