@@ -3,15 +3,16 @@ the asymptotic ring J with its block decomposition.  Finite groups only.
 
 The preorders are generated directly from canonical-basis multiplication:
 z <=_L w whenever c_z occurs in some c_x c_w (and symmetrically on the
-right), then closed transitively.  No generation theorem is assumed; the
-full structure-constant table comes from the generator recursion of
-`HeckeAlgebra.h_struct`; the one pass over it that builds the preorders
-also takes the a-function, and `gamma_row` reads gamma off it.  Each
-preorder is a list of int-bitset rows, one per element in enumeration
-order (bit j of row i: element i is below element j), closed by Warshall's
-algorithm (J. ACM 9, 1962).  The two closed preorders are the only copy
-of the cell structure: the cells, their order and the *-stable left cells
-are read off them.
+right), then closed transitively.  No generation theorem is assumed.  The
+structure constants are read once, one column c_x c_w (all x, one w) of
+the generator recursion `HeckeAlgebra.c_left` at a time, each column
+dropped once read.  That pass sets the preorder bits and a(z) and keeps the
+integer gammas, the top coefficients of the h_{x,y,z} whose degree is the
+running a(z), so no polynomial table outlives it.  Each preorder is a list
+of int-bitset rows, one per element in enumeration order (bit j of row i:
+element i is below element j), closed by Warshall's algorithm (J. ACM 9,
+1962).  The two closed preorders are the only copy of the cell structure:
+the cells, their order and the *-stable left cells are read off them.
 
 Conventions (all read off the v-variable structure constants h_{x,y,z}):
 
@@ -61,17 +62,25 @@ class CellData:
         leq_l = [0] * len(self.elements)
         leq_lr = [0] * len(self.elements)
         a = self.a = {z: 0 for z in self.elements}
-        for x in self.elements:
-            bx = 1 << index[x]
-            for w in self.elements:
-                bw = 1 << index[w]
-                for z, h in algebra.h_struct(x, w).items():
+        top = {z: [] for z in self.elements}  # (x, w, coefficient) at v^{a(z)}
+        for w in self.elements:
+            bw = 1 << index[w]
+            col = {}  # the column c_x c_w over x, dropped once read
+            for x in self.elements:
+                bx = 1 << index[x]
+                for z, h in algebra.c_left(x, w, algebra.c_gen_mult, col).items():
                     # c_z occurs in c_x c_w: z <=_L w; and z <=_R x
                     leq_l[index[z]] |= bw
                     leq_lr[index[z]] |= bw | bx
                     d = h.degree()
-                    if d is not None and d > a[z]:
-                        a[z] = d
+                    if d > a[z]:
+                        a[z], top[z] = d, []
+                    if d == a[z]:
+                        top[z].append((x, w, h.coeff_of_v(d)))
+        self._gamma = {}
+        for z, entries in top.items():
+            for x, w, g in entries:
+                self._gamma.setdefault((x, w), {})[z] = g
         self._leq_l = _closure(leq_l)
         self._leq_lr = _closure(leq_lr)
 
@@ -136,13 +145,9 @@ class CellData:
 
     def gamma_row(self, x, y):
         """{z: gamma(x, y, z^-1)} over the nonzero values: the coefficient of
-        v^{a(z)} in h_{x,y,z}, which is the coefficient of t_z in t_x t_y."""
-        row = {}
-        for z, h in self.algebra.h_struct(x, y).items():
-            g = h.coeff_of_v(self.a[z])
-            if g:
-                row[z] = g
-        return row
+        v^{a(z)} in h_{x,y,z}, which is the coefficient of t_z in t_x t_y.
+        The row is the table's own dict, not a copy: read it only."""
+        return self._gamma.get((x, y), {})
 
     def j_mult(self, ja, jb):
         """Product in J of two integer dicts: t_x t_y = sum gamma(x,y,z^-1) t_z."""

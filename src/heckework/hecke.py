@@ -40,8 +40,9 @@ completion (`idealmod`) and the rest of the package, each written once:
   them as elements behind c_s c_w (`c_gen_mult`, Kazhdan-Lusztig 1979,
   (2.3a/b));
 - `HeckeAlgebra.c_left`: the recursion c_x = c_s c_{x'} - sum mu(z, x') c_z
-  on x = s x', given the action of c_s: `h_struct` here (with
-  `c_gen_mult`) and `f_constants` in the module.  The T-basis product
+  on x = s x', given the action of c_s: with `c_gen_mult`, the column walk
+  of `CellData` (one fresh memo per column) and `h_struct` here, and
+  `f_constants` in the module.  The T-basis product
   `mult` with `to_c` is the second route: the tests' oracle, and a layer
   the perfbench trace wraps by name.
 
@@ -529,8 +530,9 @@ class HeckeAlgebra:
         return got
 
     def h_struct(self, x, y):
-        """All structure constants of c_x c_y: a dict z -> coefficient,
-        by `c_left` with `c_gen_mult`."""
+        """All structure constants of c_x c_y: a dict z -> coefficient, by
+        `c_left` with `c_gen_mult`, memoized whole; for `jring --struct`
+        and the tests (`CellData` walks the columns itself)."""
         return self.c_left(x, y, self.c_gen_mult, self._h_struct)
 
     # -- independent bar-invariance solver ----------------------------------------

@@ -306,7 +306,7 @@ class IdealModel:
         rep.add("surjective", not missing, missing or None)
         return rep, pi
 
-    def specialization_check(self, max_len=None, window=None):
+    def specialization_check(self, max_len=None):
         """(X_w at u^-1 = 0) = sum over the pi-fiber of w, and the length
         identity on every fiber.  For truncated systems the comparison is
         restricted to the guaranteed-exact window.  Returns (report, pi)."""
@@ -320,11 +320,11 @@ class IdealModel:
         if finite:
             targets = self.invmod.basis
         else:
-            targets = [w for w in self.invmod.basis if len(w.word) <= (window or max_len)]
+            targets = [w for w in self.invmod.basis if len(w.word) <= max_len]
         bad_spec = None
         bad_len = None
         for w in targets:
-            xw = self.x_elt(w, max_len=None if finite else (window or max_len))
+            xw = self.x_elt(w, max_len=None if finite else max_len)
             spec = self.specialize(xw)
             fib = fibers.get(w, [])
             if not finite:

@@ -57,7 +57,6 @@ class InvolutionModule:
     def __init__(self, algebra, max_len=None):
         self.algebra = algebra
         self.system = algebra.system
-        self.max_len = max_len
         self.basis = tuple(self.system.twisted_involutions(max_len=max_len))
         self._bar_a = {}
         self._a_upper = {}

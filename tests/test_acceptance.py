@@ -202,9 +202,7 @@ def test_acceptance_2_pi_reproduction():
             assert fibers[w] == sorted(
                 (sys.element(x) for x in xs), key=lambda e: e.sort_key()
             ), (label, w_lbl)
-        rep, spec_pi = ideal.specialization_check(
-            max_len=max_len, window=7 if label == "Dinf" else None
-        )
+        rep, spec_pi = ideal.specialization_check(max_len=max_len)
         assert rep.passed, (label, [c.to_json() for c in rep.checks])
         assert spec_pi == pi, label
     elapsed_ok(t0, 5, 2, "pi fibers + specialization + length identity")

@@ -156,6 +156,23 @@ def test_gamma_examples(a2):
     assert got == expected
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "I2(5)", "D4"])
+def test_gamma_row_is_the_top_coefficient_of_h_struct(label):
+    # the column walk keeps only the terms at the running a(z): every row
+    # must be the nonzero coefficients of v^{a(z)} in h_{x,y,z}
+    system = (CoxeterSystem([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+              if label == "D4" else CoxeterSystem.from_label(label))
+    alg = HeckeAlgebra(system)
+    cd = CellData(alg)
+    bad = []
+    for x in cd.elements:
+        for y in cd.elements:
+            top = {z: h.coeff_of_v(cd.a[z]) for z, h in alg.h_struct(x, y).items()}
+            if cd.gamma_row(x, y) != {z: g for z, g in top.items() if g}:
+                bad.append((str(x), str(y)))
+    assert not bad, (label, len(bad), bad[:3])
+
+
 def test_gamma_same_cell(a2, a3, b2):
     for ctx in (a2, a3, b2):
         cd = ctx.cells

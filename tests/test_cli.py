@@ -16,7 +16,6 @@ from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
 from heckework.hecke import HeckeAlgebra, KLTable
-from heckework.laurent import ONE
 from heckework.report import Check, Report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -329,22 +328,16 @@ def test_verify_all_a2(capsys):
             "specialization", "eqvb-count"} <= suites
 
 
-def test_support_constraint_fails_on_a_planted_term(capsys, monkeypatch):
-    # c_e planted in c_w0 c_w0 after the cells are built: e is not <=_LR w0
-    import heckework.cli as cli
+def test_the_cell_path_never_reads_h_struct(capsys, monkeypatch):
+    # CellData is the one reader of the structure constants, a column at a
+    # time; only jring --struct asks h_struct for the table
+    def refuse(self, x, y):
+        raise AssertionError("h_struct called on the cell path")
 
-    def planted(alg):
-        cells = CellData(alg)
-        w0 = cells.elements[-1]
-        alg.h_struct(w0, w0)[alg.system.identity] = ONE
-        return cells
-
-    monkeypatch.setattr(cli, "CellData", planted)
-    code, data = run_json(capsys, "verify-all", "--type", "A2")
-    assert code == 1
-    failed = {(r["suite"], c["id"]) for r in data["reports"] for c in r["checks"]
-              if not c["pass"]}
-    assert ("cells", "support-constraint") in failed
+    monkeypatch.setattr(HeckeAlgebra, "h_struct", refuse)
+    for argv in (["verify-all", "--type", "B2"], ["jring", "--type", "B2"],
+                 ["cells", "--type", "B3"]):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_verify_all_parallel_deterministic(capsys):
@@ -629,11 +622,15 @@ _CELL_DATA = "<cell-data file>"
          "5459fae4d5efea4852b1dbdbdea371dabc9bebb49b6d7b5eca31226230113f67"),
         (["kl", "--type", "G2"],
          "5c8cf8421ff89b796e91a293da746f2b70ece6f1e4394d389a1280ed514ea258"),
+        (["jring", "--type", "B3"],
+         "5a5a2546a62dc0d2536419b33183ee6c937619fba163adcbc87eb6a2a09e1aa8"),
+        (["jring", "--type", "I2(5)"],
+         "c52fdb5ce00189362d359a0c9ee8de8bda9baa9295794d8b788de2cc977ffab4"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
          "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
          "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
-         "eqvb-B2-cell-data", "verify-all-G2", "kl-G2"],
+         "eqvb-B2-cell-data", "verify-all-G2", "kl-G2", "jring-B3", "jring-I2(5)"],
 )
 def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
@@ -644,7 +641,8 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # LaurentPoly fast paths and the shared KL values; verify-all A3, cells
     # G2 and I2(5), jring B2 and eqvb --cell-data before the cell partition
     # was folded into CellData; verify-all and kl G2 while rank 2 with bonds
-    # in {2, 3, 4, 6, inf} still ran on the matrix model
+    # in {2, 3, 4, 6, inf} still ran on the matrix model; jring B3 and I2(5)
+    # while gamma was read off the h_struct memo
     if _CELL_DATA in argv:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(

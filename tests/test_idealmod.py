@@ -299,7 +299,7 @@ def test_specialization_checks(a1, a2, a3):
 
 
 def test_specialization_check_dinf(dinf):
-    rep, _ = dinf.ideal.specialization_check(max_len=12, window=7)
+    rep, _ = dinf.ideal.specialization_check(max_len=12)
     assert rep.passed, [c.to_json() for c in rep.checks]
 
 
