@@ -11,8 +11,8 @@ Kazhdan-Lusztig polynomials are produced by two independent routes that
 serve as each other's oracle:
 
 - `KLTable.p` (one pair) and `KLTable.column` (every P_{y,w} of one w):
-  the classical multiplication recursion with mu-corrections, run over a
-  pool of distinct polynomials;
+  the classical multiplication recursion with mu-corrections, filled a
+  column at a time over a pool of distinct polynomials;
 - `HeckeAlgebra.c_elt_solved` / `kl_solved`: a triangular bar-invariance
   solve that only uses the expansion of bar(T_w) in the T-basis.
 
@@ -56,6 +56,7 @@ coordinates.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .coxeter import bits
 from .laurent import LaurentPoly, ZERO, ONE
@@ -203,35 +204,33 @@ class KLTable:
     """Memoized Kazhdan-Lusztig polynomials P_{y,w}, in u-units.
 
     The recursion (Kazhdan-Lusztig 1979, (2.2.c)) runs on the system's
-    element ids: the memo is keyed by id pairs, s v and s y are table
-    lookups, and each (v, s) keeps the list of (z, l(z), mu(z, v)) with
-    mu(z, v) != 0 and s in D_L(z) (`_mu_down`, which also serves
-    `HeckeAlgebra.mu_down`), filtered per call by length and the bit for
-    y <= z.
+    element ids and fills a whole column {y: P_{y,w}} at a time, as du
+    Cloux's Coxeter program does (Experiment. Math. 11, 2002): `_col` fills
+    the missing columns of [e, w] in length order, and column w = s v
+    forms u P_{sy,v} + P_{y,v} from the column of v, then subtracts each
+    mu(z, v) u^{(l(w)-l(z))/2} P_{y,z} over the column of z, which holds
+    exactly the y <= z.  Each (v, s) keeps the list of (z, l(z), mu(z, v))
+    with mu(z, v) != 0 and s in D_L(z) (`_mu_down`, which also serves
+    `HeckeAlgebra.mu_down`).
 
-    Every polynomial the recursion touches is interned once per table in a
+    Every polynomial the fill touches is interned once per table in a
     pool of distinct values (`_pool`, with `_handle` and the degrees
     `_deg`): ONE and ZERO, each computed or decoded P, and each partial sum
     of the mu loop.  The memo holds handles, and both combine steps are
     dict lookups on handles: `_add` for u P_{sy,v} + P_{y,v} (or the
-    swapped form) and `_sub` for each correction
-    res - mu(z, v) u^{(l(w)-l(z))/2} P_{y,z}.  Only a miss does polynomial
-    arithmetic, as with the polynomial pool of du Cloux's Coxeter program
-    (Experiment. Math. 11, 2002): on B4, 98 `_add` and 292 `_sub` misses
-    serve 39,865 pairs, and the pool holds 142 values.  The degree bound
-    2 deg P_{y,w} <= l(w) - l(y) - 1 is checked on every pair, never cached
-    with a value, because one combine serves pairs of different lengths.
-    Handles change only how a value is formed, not which pairs are asked
-    for: each pair still asks for P_{sy,v}, P_{y,v}, the mu list of v and
-    then each P_{y,z}, in that order.
+    swapped form) and `_sub` for each correction.  Only a miss does
+    polynomial arithmetic, as with the polynomial pool of Coxeter: on B4,
+    98 `_add` and 292 `_sub` misses serve 39,865 pairs, and the pool holds
+    142 values.  The degree bound 2 deg P_{y,w} <= l(w) - l(y) - 1 is
+    checked on every pair, never cached with a value, because one combine
+    serves pairs of different lengths.
 
     Entries persist through a `CacheStore`, keyed by the system's content
-    hash.  The record of a pair is buffered in `_pending` when the pair is
-    finished, and the records of one public call (`p`, `column`, or
-    `_mu_down` as reached from `HeckeAlgebra.mu_down`) are written in one
-    batch, in the order the pairs finished, before it returns: a table
-    filled a column at a time, as the `kl` command and du Cloux's Coxeter
-    fill it, writes one batch per column.  The loaded table stays
+    hash, and each pair is looked up there before it is computed.  The
+    records of the computed pairs of a column are buffered in `_pending`
+    when the column is finished, and those of one public call (`p`,
+    `column`, or `_mu_down` as reached from `HeckeAlgebra.mu_down`) are
+    written in one batch before it returns.  The loaded table stays
     in `_p` as raw key bytes -> value bytes; a record is decoded on first
     use, each distinct value once (`_decoded`), and a record that fails
     `_decode_record` counts as absent: it is recomputed and appended again,
@@ -241,7 +240,7 @@ class KLTable:
 
     def __init__(self, system, store=None):
         self.system = system
-        self._by_id = {}  # w id -> {y id: handle of P_{y,w}}
+        self._by_id = {}  # w id -> {y id: handle of P_{y,w}} over every y < w
         self._mu = {}  # v id -> [(z id, l(z), mu(z, v)) with mu != 0]
         self._mu_s = {}  # (v id, s) -> the _mu[v] entries with s in D_L(z)
         self._store = store
@@ -262,8 +261,13 @@ class KLTable:
     def p(self, y, w):
         """P_{y,w} as a polynomial in u (zero unless y <= w)."""
         sys = self.system
+        y, w = sys._id(y), sys._id(w)
+        if y == w:
+            return ONE
+        if not sys._lower_bits(w) >> y & 1:
+            return ZERO
         try:
-            return self._pool[self._ph(sys._id(y), sys._id(w))]
+            return self._pool[self._col(w)[y]]
         finally:
             self._flush()
 
@@ -272,11 +276,9 @@ class KLTable:
         gives the polynomial of a handle."""
         x = self.system._id(w)
         try:
-            for y in bits(self.system._lower_bits(x)):
-                self._ph(y, x)
+            col = dict(self._col(x))
         finally:
             self._flush()
-        col = dict(self._by_id.get(x, ()))
         col[x] = _ONE_H
         return col
 
@@ -299,63 +301,72 @@ class KLTable:
             self._deg.append(-1 if not p else p.degree())
         return h
 
-    def _ph(self, y, w):
-        """The handle of P_{y,w} for element ids y and w."""
-        if y == w:
-            return _ONE_H
-        col = self._by_id.get(w)
-        if col is None:
-            col = self._by_id[w] = {}
-        got = col.get(y)
-        if got is not None:
-            return got
-        sys = self.system
-        if not sys._lower_bits(w) >> y & 1:
-            return _ZERO_H
-        y_word, w_word = sys._elts[y].word, sys._elts[w].word
-        ly, lw = len(y_word), len(w_word)
-        key = None
-        if self._store is not None:
-            key = b"[" + self._word_key(y) + b", " + self._word_key(w) + b"]"
-            val = self._p.get(key)
-            if val is not None:
-                got = self._decode_record(val, lw - ly)
-                if got is not None:
-                    col[y] = got
-                    return got
-        pool = self._pool
-        s = w_word[0]
-        v = sys._lstep(s, w)  # shorter; the normal form starts with a left descent
-        sy = sys._lstep(s, y)
-        # u P_{sy,v} + P_{y,v}, swapped when sy < y; P_{sy,v} is asked for first
-        a, b = self._ph(sy, v), self._ph(y, v)
-        if sys._len[sy] < ly:
-            a, b = b, a
-        res = self._add.get((a, b))
-        if res is None:
-            res = self._add[a, b] = self._intern(pool[a].shifted(1) + pool[b])
-        # l(v) - l(z) is odd for every listed z, so l(w) - l(z) is even
-        for z, lz, m in self._mu_down(v, s):
-            if lz < ly or not sys._lower_bits(z) >> y & 1:
+    def _col(self, w):
+        """{y id: handle of P_{y,w}} over y < w for the id w, after filling
+        every missing column of [e, w] in length order: column x = s v reads
+        the columns of v and of the z in `_mu_down(v, s)`, all shorter."""
+        by_id = self._by_id
+        if w in by_id:
+            return by_id[w]
+        sys, pool, deg = self.system, self._pool, self._deg
+        lens, add, sub = sys._len, self._add, self._sub
+        todo = [x for x in bits(sys._lower_bits(w)) if x not in by_id]
+        for x in sorted(todo, key=lens.__getitem__):
+            lx = lens[x]
+            if not lx:
+                by_id[x] = {}
                 continue
-            k, q = (lw - lz) // 2, self._ph(y, z)
-            got = self._sub.get((res, k, m, q))
-            if got is None:
-                got = self._sub[res, k, m, q] = self._intern(
-                    pool[res] - LaurentPoly.monomial(k, m) * pool[q])
-            res = got
-        if 2 * self._deg[res] > lw - ly - 1:
-            raise AssertionError(
-                "KL degree bound violated at (%s, %s): %r"
-                % (sys._elts[y], sys._elts[w], pool[res])
-            )
-        rec = self._shared.get(res)
-        if rec is None:
-            rec = self._shared[res] = _record_value(pool[res])
-        col[y] = res
-        if key is not None:
-            self._pending.append((key, rec))
-        return res
+            s = sys._elts[x].word[0]
+            v = sys._lstep(s, x)  # shorter; the normal form starts with a left descent
+            pv = {**by_id[v], v: _ONE_H}
+            tail = None if self._store is None else b", " + self._word_key(x) + b"]"
+            col, miss = {}, {}  # miss: y -> record key (None without a store)
+            for y in bits(sys._lower_bits(x) ^ 1 << x):
+                key = None
+                if tail is not None:
+                    key = b"[" + self._word_key(y) + tail
+                    val = self._p.get(key)
+                    if val is not None:
+                        got = self._decode_record(val, lx - lens[y])
+                        if got is not None:
+                            col[y] = got
+                            continue
+                # u P_{sy,v} + P_{y,v}, swapped when sy < y
+                sy = sys._lstep(s, y)
+                a, b = pv.get(sy, _ZERO_H), pv.get(y, _ZERO_H)
+                if lens[sy] < lens[y]:
+                    a, b = b, a
+                h = add.get((a, b))
+                if h is None:
+                    h = add[a, b] = self._intern(pool[a].shifted(1) + pool[b])
+                col[y] = h
+                miss[y] = key
+            # l(v) - l(z) is odd for every listed z, so l(x) - l(z) is even;
+            # the y of z's column and z itself are the y <= z
+            for z, lz, m in self._mu_down(v, s) if miss else ():
+                k = (lx - lz) // 2
+                for y, q in chain(by_id[z].items(), ((z, _ONE_H),)):
+                    if y in miss:
+                        r = col[y]
+                        h = sub.get((r, k, m, q))
+                        if h is None:
+                            h = sub[r, k, m, q] = self._intern(
+                                pool[r] - LaurentPoly.monomial(k, m) * pool[q])
+                        col[y] = h
+            for y, key in miss.items():
+                h = col[y]
+                if 2 * deg[h] > lx - lens[y] - 1:
+                    raise AssertionError(
+                        "KL degree bound violated at (%s, %s): %r"
+                        % (sys._elts[y], sys._elts[x], pool[h])
+                    )
+                rec = self._shared.get(h)
+                if rec is None:
+                    rec = self._shared[h] = _record_value(pool[h])
+                if key is not None:
+                    self._pending.append((key, rec))
+            by_id[x] = col
+        return by_id[w]
 
     def _word_key(self, x):
         """x's word as json.dumps writes it, in bytes: a record key is
@@ -387,16 +398,16 @@ class KLTable:
         return got
 
     def _mu_list(self, v):
-        """[(z, l(z), mu(z, v))] over z < v with mu(z, v) != 0."""
+        """[(z, l(z), mu(z, v))] over z < v with mu(z, v) != 0, in id order."""
         got = self._mu.get(v)
         if got is None:
-            sys = self.system
-            lv = sys._len[v]
+            lens, pool = self.system._len, self._pool
+            lv = lens[v]
             got = []
-            for z in bits(sys._lower_bits(v)):
-                d = lv - sys._len[z]
+            for z, h in self._col(v).items():
+                d = lv - lens[z]
                 if d % 2:
-                    m = self._pool[self._ph(z, v)].coeff_of_v((d - 1) // 2)
+                    m = pool[h].coeff_of_v((d - 1) // 2)
                     if m:
                         got.append((z, lv - d, m))
             self._mu[v] = got

@@ -40,6 +40,19 @@ def test_kl_single_entry(capsys):
     ]
 
 
+def test_kl_of_a_long_element_needs_no_deep_stack():
+    # the KL fill is iterative, with no stack frame per length: P_{1,w}
+    # with l(w) = 200 runs under a 150-frame limit
+    code = ("import sys\nfrom heckework import cli\nsys.setrecursionlimit(150)\n"
+            "sys.exit(cli.main(['kl', '--type', 'Dinf', '--max-len', '200',"
+            " '--y', '1', '--w', '12' * 100]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(json.loads(proc.stdout)["entries"]) == 1
+
+
 KL_CASES = [
     ["--type", "A1"],
     ["--type", "A2"],

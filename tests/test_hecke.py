@@ -126,19 +126,47 @@ def test_kl_recursion_equals_solver(a3, b2, g2):
                     system.describe(), str(y), str(w))
 
 
+def test_kl_columns_fill_in_length_order():
+    # a system not yet enumerated numbers elements as they are first met, so
+    # after long elements are asked for first, later ids are shorter: the
+    # columns of [e, w] must be filled by length, not by id
+    system = CoxeterSystem.from_label("A4")
+    alg = HeckeAlgebra(system)
+    kl = alg.kl
+    w0 = system.element("1213214321")
+    kl.column(system.element("32143243"))
+    first = kl.p(system.element("2"), w0)
+    assert system._len != sorted(system._len)
+    assert first == alg.kl_solved(system.element("2"), w0)
+    for w in system.elements():
+        for y in system.lower_interval(w):
+            assert kl.p(y, w) == alg.kl_solved(y, w), (str(y), str(w))
+
+
+def test_kl_combine_misses_on_b4():
+    # each pair's partial sums are u P_{sy,v} + P_{y,v}, then one mu
+    # correction per z in the order of the mu list: on a full fill of B4,
+    # 98 such sums and 292 corrections do polynomial arithmetic, and the
+    # pool holds 142 distinct values
+    system = CoxeterSystem([[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+    kl = KLTable(system)
+    for w in system.elements():
+        kl.column(w)
+    assert (len(kl._pool), len(kl._add), len(kl._sub)) == (142, 98, 292)
+
+
 def test_kl_degree_bound_is_checked_per_pair(monkeypatch):
     # without the mu corrections P_{e,121} = u + 1 meets the bound of its
-    # length gap 3; P_{1,121} is the same combine u * 1 + 1, a memo hit, and
-    # must still fail the bound of gap 2
+    # length gap 3; P_{1,121} is the same combine u * 1 + 1, one memo entry
+    # for both pairs of column 121, and must still fail the bound of gap 2
     system = CoxeterSystem.from_label("A3")
     kl = KLTable(system)
     monkeypatch.setattr(kl, "_mu_down", lambda v, s: [])
-    w = system.element("121")
-    assert kl.p(system.identity, w) == LaurentPoly({0: 1, 1: 1})
-    combines = dict(kl._add)
     with pytest.raises(AssertionError, match=r"degree bound violated at \(1, 121\)"):
-        kl.p(system.element("1"), w)
-    assert kl._add == combines
+        kl.p(system.identity, system.element("121"))
+    u_plus_1 = kl._handle[LaurentPoly({0: 1, 1: 1})]
+    assert [ab for ab, h in kl._add.items() if h == u_plus_1] == [
+        (hecke._ONE_H, hecke._ONE_H)]
 
 
 def test_kl_degree_bound(a3):
