@@ -3,10 +3,10 @@ deterministic JSON output.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
 3 internal error; a reader that closes stdout early does not change the
-exit code.  The KL memo table persists across runs via --cache-dir.  `kl`
-fills its whole table before it writes a byte, then writes the text one
-column at a time, so a failure leaves stdout empty and the full text is
-never held at once.
+exit code.  `kl` alone reads and extends a KL cache, under --cache-dir;
+every other command computes its table afresh.  `kl` fills its whole table
+before it writes a byte, then writes the text one column at a time, so a
+failure leaves stdout empty and the full text is never held at once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .eqvb import (
     standard_pairs,
     star_axioms_report,
 )
-from .hecke import HeckeAlgebra
+from .hecke import HeckeAlgebra, KLTable
 from .idealmod import IdealModel
 from .invmod import InvolutionModule
 from .report import Check, Report, sample_triples
@@ -47,7 +47,6 @@ def _add_common(p):
     p.add_argument("--matrix", help="row-major Coxeter matrix, 0 = infinity (e.g. '1,3;3,1')")
     p.add_argument("--star", help="diagram involution as a digit string (e.g. '321')")
     p.add_argument("--max-len", type=int, default=None, help="length truncation for infinite systems")
-    p.add_argument("--cache-dir", default=None, help="persistent KL cache directory")
     p.add_argument("--pretty", action="store_true", help="human-readable output")
 
 
@@ -91,7 +90,7 @@ def _system(args, infinite_only=False):
 
 def _context(args, need_cells=False, need_inv=False):
     sys_ = _system(args, need_cells or need_inv)
-    alg = HeckeAlgebra(sys_, store=CacheStore(args.cache_dir) if args.cache_dir else None)
+    alg = HeckeAlgebra(sys_)
     cells = CellData(alg) if need_cells else None
     inv = InvolutionModule(alg, max_len=args.max_len) if need_inv else None
     return sys_, alg, cells, inv
@@ -195,8 +194,8 @@ def cmd_group(args):
 
 
 def cmd_kl(args):
-    sys_, alg, _, _ = _context(args)
-    kl = alg.kl
+    sys_ = _system(args)
+    kl = KLTable(sys_, store=CacheStore(args.cache_dir) if args.cache_dir else None)
     enc = json.encoder.encode_basestring_ascii
     if args.y or args.w:
         if not (args.y and args.w):
@@ -526,6 +525,7 @@ def make_parser():
     _add_common(sp)
     sp.add_argument("--y")
     sp.add_argument("--w")
+    sp.add_argument("--cache-dir", help="persistent KL cache directory")
     sp.set_defaults(func=cmd_kl)
 
     sp = sub.add_parser("cells", help="cells, a-function, distinguished involutions")

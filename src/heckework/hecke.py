@@ -228,14 +228,14 @@ class KLTable:
     Entries persist through a `CacheStore`, keyed by the system's content
     hash, and each pair is looked up there before it is computed.  The
     records of the computed pairs of a column are buffered in `_pending`
-    when the column is finished, and those of one public call (`p`,
-    `column`, or `_mu_down` as reached from `HeckeAlgebra.mu_down`) are
-    written in one batch before it returns.  The loaded table stays
-    in `_p` as raw key bytes -> value bytes; a record is decoded on first
-    use, each distinct value once (`_decoded`), and a record that fails
-    `_decode_record` counts as absent: it is recomputed and appended again,
-    never served.  The record value bytes of each distinct computed P are
-    encoded once (`_shared`).
+    when the column is finished, and `_col`'s fill writes them in one batch
+    when it ends, also when it raises; a nested `_col` finds its column
+    filled and writes nothing, so a public call makes one write.  The
+    loaded table stays in `_p` as raw key bytes -> value bytes; a record is
+    decoded on first use, each distinct value once (`_decoded`), and a
+    record that fails `_decode_record` counts as absent: it is recomputed
+    and appended again, never served.  The record value bytes of each
+    distinct computed P are encoded once (`_shared`).
     """
 
     def __init__(self, system, store=None):
@@ -266,31 +266,19 @@ class KLTable:
             return ONE
         if not sys._lower_bits(w) >> y & 1:
             return ZERO
-        try:
-            return self._pool[self._col(w)[y]]
-        finally:
-            self._flush()
+        return self._pool[self._col(w)[y]]
 
     def column(self, w):
         """{y id: handle of P_{y,w}} over every y <= w, w included; `value`
         gives the polynomial of a handle."""
         x = self.system._id(w)
-        try:
-            col = dict(self._col(x))
-        finally:
-            self._flush()
+        col = dict(self._col(x))
         col[x] = _ONE_H
         return col
 
     def value(self, h):
         """The polynomial with handle h."""
         return self._pool[h]
-
-    def _flush(self):
-        """Write the buffered records of the finished pairs in one batch."""
-        if self._pending:
-            pending, self._pending = self._pending, []
-            self._store.extend("kl", self._syshash, pending)
 
     def _intern(self, p):
         """The handle of p, adding it to the pool when new."""
@@ -311,61 +299,66 @@ class KLTable:
         sys, pool, deg = self.system, self._pool, self._deg
         lens, add, sub = sys._len, self._add, self._sub
         todo = [x for x in bits(sys._lower_bits(w)) if x not in by_id]
-        for x in sorted(todo, key=lens.__getitem__):
-            lx = lens[x]
-            if not lx:
-                by_id[x] = {}
-                continue
-            s = sys._elts[x].word[0]
-            v = sys._lstep(s, x)  # shorter; the normal form starts with a left descent
-            pv = {**by_id[v], v: _ONE_H}
-            tail = None if self._store is None else b", " + self._word_key(x) + b"]"
-            col, miss = {}, {}  # miss: y -> record key (None without a store)
-            for y in bits(sys._lower_bits(x) ^ 1 << x):
-                key = None
-                if tail is not None:
-                    key = b"[" + self._word_key(y) + tail
-                    val = self._p.get(key)
-                    if val is not None:
-                        got = self._decode_record(val, lx - lens[y])
-                        if got is not None:
-                            col[y] = got
-                            continue
-                # u P_{sy,v} + P_{y,v}, swapped when sy < y
-                sy = sys._lstep(s, y)
-                a, b = pv.get(sy, _ZERO_H), pv.get(y, _ZERO_H)
-                if lens[sy] < lens[y]:
-                    a, b = b, a
-                h = add.get((a, b))
-                if h is None:
-                    h = add[a, b] = self._intern(pool[a].shifted(1) + pool[b])
-                col[y] = h
-                miss[y] = key
-            # l(v) - l(z) is odd for every listed z, so l(x) - l(z) is even;
-            # the y of z's column and z itself are the y <= z
-            for z, lz, m in self._mu_down(v, s) if miss else ():
-                k = (lx - lz) // 2
-                for y, q in chain(by_id[z].items(), ((z, _ONE_H),)):
-                    if y in miss:
-                        r = col[y]
-                        h = sub.get((r, k, m, q))
-                        if h is None:
-                            h = sub[r, k, m, q] = self._intern(
-                                pool[r] - LaurentPoly.monomial(k, m) * pool[q])
-                        col[y] = h
-            for y, key in miss.items():
-                h = col[y]
-                if 2 * deg[h] > lx - lens[y] - 1:
-                    raise AssertionError(
-                        "KL degree bound violated at (%s, %s): %r"
-                        % (sys._elts[y], sys._elts[x], pool[h])
-                    )
-                rec = self._shared.get(h)
-                if rec is None:
-                    rec = self._shared[h] = _record_value(pool[h])
-                if key is not None:
-                    self._pending.append((key, rec))
-            by_id[x] = col
+        try:
+            for x in sorted(todo, key=lens.__getitem__):
+                lx = lens[x]
+                if not lx:
+                    by_id[x] = {}
+                    continue
+                s = sys._elts[x].word[0]
+                v = sys._lstep(s, x)  # shorter; the normal form starts with a left descent
+                pv = {**by_id[v], v: _ONE_H}
+                tail = None if self._store is None else b", " + self._word_key(x) + b"]"
+                col, miss = {}, {}  # miss: y -> record key (None without a store)
+                for y in bits(sys._lower_bits(x) ^ 1 << x):
+                    key = None
+                    if tail is not None:
+                        key = b"[" + self._word_key(y) + tail
+                        val = self._p.get(key)
+                        if val is not None:
+                            got = self._decode_record(val, lx - lens[y])
+                            if got is not None:
+                                col[y] = got
+                                continue
+                    # u P_{sy,v} + P_{y,v}, swapped when sy < y
+                    sy = sys._lstep(s, y)
+                    a, b = pv.get(sy, _ZERO_H), pv.get(y, _ZERO_H)
+                    if lens[sy] < lens[y]:
+                        a, b = b, a
+                    h = add.get((a, b))
+                    if h is None:
+                        h = add[a, b] = self._intern(pool[a].shifted(1) + pool[b])
+                    col[y] = h
+                    miss[y] = key
+                # l(v) - l(z) is odd for every listed z, so l(x) - l(z) is even;
+                # the y of z's column and z itself are the y <= z
+                for z, lz, m in self._mu_down(v, s) if miss else ():
+                    k = (lx - lz) // 2
+                    for y, q in chain(by_id[z].items(), ((z, _ONE_H),)):
+                        if y in miss:
+                            r = col[y]
+                            h = sub.get((r, k, m, q))
+                            if h is None:
+                                h = sub[r, k, m, q] = self._intern(
+                                    pool[r] - LaurentPoly.monomial(k, m) * pool[q])
+                            col[y] = h
+                for y, key in miss.items():
+                    h = col[y]
+                    if 2 * deg[h] > lx - lens[y] - 1:
+                        raise AssertionError(
+                            "KL degree bound violated at (%s, %s): %r"
+                            % (sys._elts[y], sys._elts[x], pool[h])
+                        )
+                    rec = self._shared.get(h)
+                    if rec is None:
+                        rec = self._shared[h] = _record_value(pool[h])
+                    if key is not None:
+                        self._pending.append((key, rec))
+                by_id[x] = col
+        finally:
+            if self._pending:
+                pending, self._pending = self._pending, []
+                self._store.extend("kl", self._syshash, pending)
         return by_id[w]
 
     def _word_key(self, x):
@@ -425,9 +418,9 @@ class KLTable:
 class HeckeAlgebra:
     """Operations on T-basis coefficient dicts over one Coxeter system."""
 
-    def __init__(self, system, store=None):
+    def __init__(self, system):
         self.system = system
-        self.kl = KLTable(system, store=store)
+        self.kl = KLTable(system)
         self._bar_t = {}
         self._c_elt = {}
         self._c_elt_solved = {}
@@ -499,11 +492,7 @@ class HeckeAlgebra:
         x = sys._id(w)
         got = self._mu_down.get((i, x))
         if got is None:
-            try:
-                got = self._mu_down[i, x] = [(sys._elts[z], m)
-                                             for z, _, m in self.kl._mu_down(x, i)]
-            finally:
-                self.kl._flush()
+            got = self._mu_down[i, x] = [(sys._elts[z], m) for z, _, m in self.kl._mu_down(x, i)]
         return got
 
     def c_gen_mult(self, i, coeffs):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import importlib.util
@@ -16,6 +17,7 @@ from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
 from heckework.hecke import HeckeAlgebra, KLTable
+from heckework.laurent import LaurentPoly
 from heckework.report import Check, Report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,11 +209,44 @@ def test_kl_into_a_pipe_closed_after_one_line():
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
-def test_group_builds_only_the_system(tmp_path, capsys):
+def test_group_builds_only_the_system(capsys, monkeypatch):
+    # no KL table is built for group, and its bytes are the recorded ones
+    def refuse(*args, **kwargs):
+        raise AssertionError("group built a KL table")
+
+    monkeypatch.setattr(KLTable, "__init__", refuse)
+    code, out = run(capsys, "group", "--type", "A2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cbbe1cf2a419cbf4f7641b43a9ed4fdf88e46aa8789514ced34dd9d9011516a5")
+
+
+NON_KL_CALLS = {
+    "group": ["group", "--type", "A2"],
+    "cells": ["cells", "--type", "A2"],
+    "jring": ["jring", "--type", "A2"],
+    "invmod": ["invmod", "--type", "A2"],
+    "conj34": ["conj34", "--type", "A2"],
+    "pi": ["pi", "--type", "A2"],
+    "eqvb": ["eqvb"],
+    "verify-all": ["verify-all", "--type", "A2"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_KL_CALLS.values(), ids=NON_KL_CALLS.keys())
+def test_cache_dir_outside_kl_is_a_usage_error(tmp_path, capsys, argv):
     cache = tmp_path / "cache"
-    plain = run(capsys, "group", "--type", "A2")
-    assert run(capsys, "group", "--type", "A2", "--cache-dir", str(cache)) == plain
+    assert run(capsys, *argv, "--cache-dir", str(cache)) == (2, "")
     assert not cache.exists()
+
+
+def test_only_kl_declares_cache_dir():
+    parser = make_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == {"kl", *NON_KL_CALLS}
+    assert "--cache-dir" not in parser._option_string_actions
+    assert [name for name, sp in commands.choices.items()
+            if "--cache-dir" in sp._option_string_actions] == ["kl"]
 
 
 def test_group_listing(capsys):
@@ -559,32 +594,25 @@ def test_bad_cache_records_are_recomputed(tmp_path, capsys, value):
     assert CacheStore(tmp_path).load_table(*path.stem.split("-", 1)) == good
 
 
-def test_verify_all_ignores_a_bad_cache(tmp_path, capsys):
-    run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path))
-    (path,) = tmp_path.iterdir()
-    _rewrite_values(path, lambda v: v.replace(b'"0": 1', b'"0": 7'))
-    code, data = run_json(capsys, "verify-all", "--type", "A3", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert data["passed"] is True
+def test_verify_all_fails_recursion_equals_solver_on_a_wrong_kl_value(capsys, monkeypatch):
+    # P_{2,2132} = u+1 served as 2u+1: the kl-oracle suite catches it with
+    # the (y, w) witness, and no other check reads the wrong value
+    real = KLTable.p
 
+    def wrong(self, y, w):
+        got = real(self, y, w)
+        if (str(y), str(w)) == ("2", "2132"):
+            got = got + LaurentPoly.monomial(1)
+        return got
 
-def test_verify_all_certifies_a_tampered_cache(tmp_path, capsys):
-    # P_{2,2132} = u+1 edited to 2u+1 passes every cheap record invariant;
-    # the kl-oracle suite catches it with the (y, w) witness
-    run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path))
-    (path,) = tmp_path.iterdir()
-    records = CacheStore(tmp_path).load_table(*path.stem.split("-", 1))
-    key = json.dumps([[1], [1, 0, 2, 1]]).encode()
-    assert records[key] == b'{"v": {"0": 1, "1": 1}}'
-    records[key] = b'{"v": {"0": 1, "1": 2}}'
-    _write_table(path, records)
-    code, data = run_json(capsys, "verify-all", "--type", "A3", "--cache-dir", str(tmp_path))
+    monkeypatch.setattr(KLTable, "p", wrong)
+    code, data = run_json(capsys, "verify-all", "--type", "A3")
     assert code == 1
     failed = [
         (r["suite"], c["id"], c["witness"])
         for r in data["reports"] for c in r["checks"] if not c["pass"]
     ]
-    assert ("kl-oracle", "recursion-equals-solver", ["2", "2132"]) in failed
+    assert failed == [("kl-oracle", "recursion-equals-solver", ["2", "2132"])]
 
 
 _CELL_DATA = "<cell-data file>"
