@@ -8,11 +8,13 @@ structure constants are read once, one column c_x c_w (all x, one w) of
 the generator recursion `HeckeAlgebra.c_left` at a time, each column
 dropped once read.  That pass sets the preorder bits and a(z) and keeps the
 integer gammas, the top coefficients of the h_{x,y,z} whose degree is the
-running a(z), so no polynomial table outlives it.  Each preorder is a list
-of int-bitset rows, one per element in enumeration order (bit j of row i:
-element i is below element j), closed by Warshall's algorithm (J. ACM 9,
-1962).  The two closed preorders are the only copy of the cell structure:
-the cells, their order and the *-stable left cells are read off them.
+running a(z), so no polynomial table outlives it.  The walk runs on the
+system's element ids, which on a finite system that has interned all of W
+are exactly 0..|W|-1.  Each preorder is a list of int-bitset rows indexed
+by id (bit j of row i: element i is below element j), closed by Warshall's
+algorithm (J. ACM 9, 1962).  The two closed preorders are the only copy of
+the cell structure: the cells, their order and the *-stable left cells are
+read off them, each in enumeration order whatever the ids.
 
 Conventions (all read off the v-variable structure constants h_{x,y,z}):
 
@@ -57,30 +59,32 @@ class CellData:
         self.algebra = algebra
         self.system = system
         self.elements = system.elements()
-        index = self._index = {w: i for i, w in enumerate(self.elements)}
+        elts, ids = system._elts, [w.id for w in self.elements]
 
-        leq_l = [0] * len(self.elements)
-        leq_lr = [0] * len(self.elements)
-        a = self.a = {z: 0 for z in self.elements}
-        top = {z: [] for z in self.elements}  # (x, w, coefficient) at v^{a(z)}
-        for w in self.elements:
-            bw = 1 << index[w]
+        # rows, a(z) and the top lists by id, walked in enumeration order
+        leq_l = [0] * len(ids)
+        leq_lr = [0] * len(ids)
+        a = [0] * len(ids)
+        top = [[] for _ in ids]  # (x, w, coefficient) at v^{a(z)}
+        for w in ids:
+            bw = 1 << w
             col = {}  # the column c_x c_w over x, dropped once read
-            for x in self.elements:
-                bx = 1 << index[x]
+            for x in ids:
+                bx = 1 << x
                 for z, h in algebra.c_left(x, w, algebra.c_gen_mult, col).items():
                     # c_z occurs in c_x c_w: z <=_L w; and z <=_R x
-                    leq_l[index[z]] |= bw
-                    leq_lr[index[z]] |= bw | bx
+                    leq_l[z] |= bw
+                    leq_lr[z] |= bw | bx
                     d = h.degree()
                     if d > a[z]:
                         a[z], top[z] = d, []
                     if d == a[z]:
                         top[z].append((x, w, h.coeff_of_v(d)))
+        self.a = {z: a[z.id] for z in self.elements}
         self._gamma = {}
-        for z, entries in top.items():
-            for x, w, g in entries:
-                self._gamma.setdefault((x, w), {})[z] = g
+        for z in self.elements:
+            for x, w, g in top[z.id]:
+                self._gamma.setdefault((elts[x], elts[w]), {})[z] = g
         self._leq_l = _closure(leq_l)
         self._leq_lr = _closure(leq_lr)
 
@@ -93,21 +97,23 @@ class CellData:
 
     def leq_lr(self, z, w):
         """z <=_LR w, the two-sided preorder."""
-        return bool(self._leq_lr[self._index[z]] >> self._index[w] & 1)
+        return bool(self._leq_lr[z.id] >> w.id & 1)
 
     def _classes(self, leq):
-        """The equivalence classes of a closed preorder, in order of least
-        member: the enumeration order is the sort_key order, so the first
-        index not yet seen is the least member of its class."""
+        """The equivalence classes of a closed preorder on ids, in order of
+        least member: the enumeration order is the sort_key order, so the
+        first element not yet seen is the least member of its class."""
+        elts = self.system._elts
         seen = 0
         classes = []
-        for i, row in enumerate(leq):
+        for w in self.elements:
+            i = w.id
             if seen >> i & 1:
                 continue
-            cls = [j for j in bits(row) if leq[j] >> i & 1]
+            cls = [j for j in bits(leq[i]) if leq[j] >> i & 1]
             for j in cls:
                 seen |= 1 << j
-            classes.append(frozenset(self.elements[j] for j in cls))
+            classes.append(frozenset(elts[j] for j in cls))
         return tuple(classes)
 
     def two_sided_index(self, w):
@@ -119,7 +125,7 @@ class CellData:
 
     def cell_order(self):
         """The sorted pairs [i, j] with two-sided cell i <=_LR cell j."""
-        reps = [self._index[next(iter(c))] for c in self.two_sided_cells]
+        reps = [next(iter(c)).id for c in self.two_sided_cells]
         return [[i, j] for i, x in enumerate(reps) for j, y in enumerate(reps)
                 if self._leq_lr[x] >> y & 1]
 

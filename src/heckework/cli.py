@@ -194,18 +194,23 @@ def cmd_group(args):
 
 
 def cmd_kl(args):
+    # the pair, or the elements to list, are read before the cache is
+    # opened, so a usage error creates no --cache-dir directory
     sys_ = _system(args)
-    kl = KLTable(sys_, store=CacheStore(args.cache_dir) if args.cache_dir else None)
     enc = json.encoder.encode_basestring_ascii
     if args.y or args.w:
         if not (args.y and args.w):
             raise UsageError("--y and --w go together")
         y, w = sys_.element(args.y), sys_.element(args.w)
+    else:
+        # entries sorted by (w, y), each by (len(str), str); every column is
+        # filled before the first byte is written, so a failure writes
+        # nothing.  P_{y,w}(0) = 1 for y <= w, so every listed pair has a
+        # nonzero entry
+        order = sorted(sys_.elements(max_len=args.max_len), key=lambda x: (len(str(x)), str(x)))
+    kl = KLTable(sys_, store=CacheStore(args.cache_dir) if args.cache_dir else None)
+    if args.y:
         return _kl_chunks(sys_, [(enc(str(w)), [(enc(str(y)), kl.p(y, w))])]), []
-    # entries sorted by (w, y), each by (len(str), str); every column is
-    # filled before the first byte is written, so a failure writes nothing.
-    # P_{y,w}(0) = 1 for y <= w, so every listed pair has a nonzero entry
-    order = sorted(sys_.elements(max_len=args.max_len), key=lambda x: (len(str(x)), str(x)))
     for w in order:
         kl.column(w)
     rank = {x.id: r for r, x in enumerate(order)}

@@ -36,13 +36,12 @@ completion (`idealmod`) and the rest of the package, each written once:
   behind the ring J (`CellData.j_mult`), its module (`cm_action`) and the
   K-rings (`KRing.convolve`, `KRing.circ`, `KRing.cgamma_mult`);
 - `KLTable._mu_down`: the mu(z, w) with s in D_L(z), listed once per
-  (w, s) for the KL recursion and for `HeckeAlgebra.mu_down`, which gives
-  them as elements behind c_s c_w (`c_gen_mult`, Kazhdan-Lusztig 1979,
-  (2.3a/b));
+  (w, s) on element ids, for the KL recursion and behind c_s c_w
+  (`c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b));
 - `HeckeAlgebra.c_left`: the recursion c_x = c_s c_{x'} - sum mu(z, x') c_z
-  on x = s x', given the action of c_s: with `c_gen_mult`, the column walk
-  of `CellData` (one fresh memo per column) and `h_struct` here, and
-  `f_constants` in the module.  The T-basis product
+  on the id x = s x', given the action of c_s: with `c_gen_mult` on ids,
+  the column walk of `CellData` (one fresh memo per column) and `h_struct`
+  here, and `f_constants` in the module.  The T-basis product
   `mult` with `to_c` is the second route: the tests' oracle, and a layer
   the perfbench trace wraps by name.
 
@@ -50,13 +49,13 @@ KL polynomials are stored in u-units (monomial exponent = power of u);
 `subst_v_to_u` converts them to the ambient v-representation.
 
 Hecke elements are plain dicts {CoxeterElement: LaurentPoly} in T-basis
-coordinates.
+coordinates; the c-basis dicts of `c_gen_mult` are keyed by element id, and
+`h_struct` turns ids back into elements once, at its return.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 from .coxeter import bits
 from .laurent import LaurentPoly, ZERO, ONE
@@ -209,9 +208,10 @@ class KLTable:
     the missing columns of [e, w] in length order, and column w = s v
     forms u P_{sy,v} + P_{y,v} from the column of v, then subtracts each
     mu(z, v) u^{(l(w)-l(z))/2} P_{y,z} over the column of z, which holds
-    exactly the y <= z.  Each (v, s) keeps the list of (z, l(z), mu(z, v))
-    with mu(z, v) != 0 and s in D_L(z) (`_mu_down`, which also serves
-    `HeckeAlgebra.mu_down`).
+    exactly the y <= z: every column holds its diagonal, w -> the handle of
+    ONE, which is never a cache record.  Each (v, s) keeps the list of
+    (z, l(z), mu(z, v)) with mu(z, v) != 0 and s in D_L(z) (`_mu_down`,
+    which `HeckeAlgebra.c_left` and `c_gen_mult` read as well).
 
     Every polynomial the fill touches is interned once per table in a
     pool of distinct values (`_pool`, with `_handle` and the degrees
@@ -240,7 +240,7 @@ class KLTable:
 
     def __init__(self, system, store=None):
         self.system = system
-        self._by_id = {}  # w id -> {y id: handle of P_{y,w}} over every y < w
+        self._by_id = {}  # w id -> {y id: handle of P_{y,w}} over every y <= w
         self._mu = {}  # v id -> [(z id, l(z), mu(z, v)) with mu != 0]
         self._mu_s = {}  # (v id, s) -> the _mu[v] entries with s in D_L(z)
         self._store = store
@@ -262,19 +262,15 @@ class KLTable:
         """P_{y,w} as a polynomial in u (zero unless y <= w)."""
         sys = self.system
         y, w = sys._id(y), sys._id(w)
-        if y == w:
-            return ONE
         if not sys._lower_bits(w) >> y & 1:
             return ZERO
         return self._pool[self._col(w)[y]]
 
     def column(self, w):
         """{y id: handle of P_{y,w}} over every y <= w, w included; `value`
-        gives the polynomial of a handle."""
-        x = self.system._id(w)
-        col = dict(self._col(x))
-        col[x] = _ONE_H
-        return col
+        gives the polynomial of a handle.  The column is the table's own
+        dict, not a copy: read it only."""
+        return self._col(self.system._id(w))
 
     def value(self, h):
         """The polynomial with handle h."""
@@ -290,7 +286,7 @@ class KLTable:
         return h
 
     def _col(self, w):
-        """{y id: handle of P_{y,w}} over y < w for the id w, after filling
+        """{y id: handle of P_{y,w}} over y <= w for the id w, after filling
         every missing column of [e, w] in length order: column x = s v reads
         the columns of v and of the z in `_mu_down(v, s)`, all shorter."""
         by_id = self._by_id
@@ -303,11 +299,11 @@ class KLTable:
             for x in sorted(todo, key=lens.__getitem__):
                 lx = lens[x]
                 if not lx:
-                    by_id[x] = {}
+                    by_id[x] = {x: _ONE_H}
                     continue
                 s = sys._elts[x].word[0]
                 v = sys._lstep(s, x)  # shorter; the normal form starts with a left descent
-                pv = {**by_id[v], v: _ONE_H}
+                pv = by_id[v]
                 tail = None if self._store is None else b", " + self._word_key(x) + b"]"
                 col, miss = {}, {}  # miss: y -> record key (None without a store)
                 for y in bits(sys._lower_bits(x) ^ 1 << x):
@@ -331,10 +327,10 @@ class KLTable:
                     col[y] = h
                     miss[y] = key
                 # l(v) - l(z) is odd for every listed z, so l(x) - l(z) is even;
-                # the y of z's column and z itself are the y <= z
+                # z's column holds exactly the y <= z
                 for z, lz, m in self._mu_down(v, s) if miss else ():
                     k = (lx - lz) // 2
-                    for y, q in chain(by_id[z].items(), ((z, _ONE_H),)):
+                    for y, q in by_id[z].items():
                         if y in miss:
                             r = col[y]
                             h = sub.get((r, k, m, q))
@@ -354,6 +350,7 @@ class KLTable:
                         rec = self._shared[h] = _record_value(pool[h])
                     if key is not None:
                         self._pending.append((key, rec))
+                col[x] = _ONE_H  # the diagonal, never a record
                 by_id[x] = col
         finally:
             if self._pending:
@@ -425,7 +422,6 @@ class HeckeAlgebra:
         self._c_elt = {}
         self._c_elt_solved = {}
         self._h_struct = {}
-        self._mu_down = {}
 
     # -- T-basis multiplication ------------------------------------------------
 
@@ -472,68 +468,59 @@ class HeckeAlgebra:
         """c_w = v^{-l(w)} sum_{y<=w} P_{y,w}(u) T_y, as a T-basis dict."""
         got = self._c_elt.get(w)
         if got is None:
-            lw = len(w.word)
-            got = {}
-            for y in self.system.lower_interval(w):
-                p = self.kl.p(y, w)
-                if p:
-                    got[y] = p.subst_v_to_u().shifted(-lw)
-            self._c_elt[w] = got
+            lw, elts, kl = len(w.word), self.system._elts, self.kl
+            got = self._c_elt[w] = {
+                elts[y]: kl.value(h).subst_v_to_u().shifted(-lw)
+                for y, h in kl.column(w).items()}
         return got
 
     def to_c(self, coeffs):
         """Rewrite a T-basis dict in c-coordinates (triangular strip-off)."""
         return strip_off(coeffs, self.c_elt)
 
-    def mu_down(self, i, w):
-        """[(z, mu(z, w)) : z < w, s_i in D_L(z), mu != 0], memoized: the
-        KL table's list for (w, s_i) with each z as an element."""
-        sys = self.system
-        x = sys._id(w)
-        got = self._mu_down.get((i, x))
-        if got is None:
-            got = self._mu_down[i, x] = [(sys._elts[z], m) for z, _, m in self.kl._mu_down(x, i)]
-        return got
-
     def c_gen_mult(self, i, coeffs):
-        """c_{s_i} times a c-basis dict: c_s c_w = (v + v^-1) c_w if sw < w,
-        else c_{sw} + sum mu(z, w) c_z over mu_down(s, w)."""
-        sys = self.system
+        """c_{s_i} times a c-basis dict on element ids: c_s c_w = (v + v^-1)
+        c_w if sw < w, else c_{sw} + sum mu(z, w) c_z over the KL table's
+        `_mu_down(w, s)`."""
+        sys, mu_down = self.system, self.kl._mu_down
         out = {}
         for w, c in coeffs.items():
-            x = sys._id(w)
-            if sys._descents(x) >> i & 1:
+            if sys._descents(w) >> i & 1:
                 add_into(out, w, c * V_PLUS_VINV)
             else:
-                add_into(out, sys._elts[sys._lstep(i, x)], c)
-                for z, m in self.mu_down(i, w):
+                add_into(out, sys._lstep(i, w), c)
+                for z, _, m in mu_down(w, i):
                     add_into(out, z, c * m)
         return out
 
     def c_left(self, x, y, c_gen, memo):
-        """c_x applied to the basis element at y, in that basis: {y: 1} at
-        x = e, else c_x = c_s c_{x'} - sum mu(z, x') c_z over mu_down(s, x')
-        for x = s x' > x'.  `c_gen(i, coeffs)` is c_{s_i} on a fresh dict
-        and `memo` holds the (x, y) results."""
+        """c_x applied to the basis element at y, in that basis, for the id
+        x: {y: 1} at x = e, else c_x = c_s c_{x'} - sum mu(z, x') c_z over
+        the KL table's `_mu_down(x', s)` for x = s x' > x'.  `c_gen(i,
+        coeffs)` is c_{s_i} on a fresh dict and `memo` holds the (x, y)
+        results."""
         key = (x, y)
         got = memo.get(key)
         if got is None:
-            if not x.word:
+            sys = self.system
+            if not sys._len[x]:
                 got = {y: ONE}
             else:
-                i = x.word[0]
-                xp = self.system.generator(i) * x
+                i = sys._elts[x].word[0]
+                xp = sys._lstep(i, x)
                 got = c_gen(i, self.c_left(xp, y, c_gen, memo))
-                for z, m in self.mu_down(i, xp):
+                for z, _, m in self.kl._mu_down(xp, i):
                     add_scaled(got, self.c_left(z, y, c_gen, memo), -m)
             memo[key] = got
         return got
 
     def h_struct(self, x, y):
         """All structure constants of c_x c_y: a dict z -> coefficient, by
-        `c_left` with `c_gen_mult`, memoized whole; for `jring --struct`
-        and the tests (`CellData` walks the columns itself)."""
-        return self.c_left(x, y, self.c_gen_mult, self._h_struct)
+        `c_left` with `c_gen_mult` on ids, memoized whole; for `jring
+        --struct` and the tests (`CellData` walks the columns itself)."""
+        sys = self.system
+        got = self.c_left(sys._id(x), sys._id(y), self.c_gen_mult, self._h_struct)
+        return {sys._elts[z]: h for z, h in got.items()}
 
     # -- independent bar-invariance solver ----------------------------------------
 

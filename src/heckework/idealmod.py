@@ -38,10 +38,9 @@ from __future__ import annotations
 
 from .laurent import LaurentPoly, ZERO, ONE, poly_gcd
 from .coxeter import InfiniteGroupError
-from .hecke import InexactDivision, add_scaled, half_step, t_gen_action
+from .hecke import U_V, InexactDivision, add_scaled, half_step, t_gen_action
 from .report import Report
 
-_U = LaurentPoly.monomial(2)                    # u = v^2
 _U2 = LaurentPoly.monomial(4)
 
 # the rank certificate works in F_p at v = v0: the first point, then the rest
@@ -132,8 +131,8 @@ class IdealModel:
                 if half:
                     # T_s X_v is exact one length less far than X_v: trim X_v first
                     num = prev.trimmed(got.exact_len).coeffs
-                    got = CompletionElement(half_step(got.coeffs, num, _U), got.exact_len)
-                    m = half_step(m, {v: ONE}, _U)
+                    got = CompletionElement(half_step(got.coeffs, num, U_V), got.exact_len)
+                    m = half_step(m, {v: ONE}, U_V)
                 if m != {w: ONE}:
                     raise AssertionError("descent step does not send a_%s to a_%s" % (v, w))
             self._x_memo[key] = got

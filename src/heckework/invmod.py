@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from .laurent import LaurentPoly, ZERO, ONE
 from .hecke import (
+    U_V,
+    UINV_V,
     add_into,
     add_scaled,
     bar_invariant_solve,
@@ -41,14 +43,12 @@ from .hecke import (
 from .report import Report, sample_triples
 
 # v-units scalars of the four-case action (u = v^2)
-_U = LaurentPoly.monomial(2)
 _U_PLUS_1 = LaurentPoly({2: 1, 0: 1})
 _U2_MINUS_U_MINUS_1 = LaurentPoly({4: 1, 2: -1, 0: -1})
 _U2_MINUS_U = LaurentPoly({4: 1, 2: -1})
 _U2 = LaurentPoly.monomial(4)
 _U2_MINUS_1 = LaurentPoly({4: 1, 0: -1})
 _UINV2 = LaurentPoly.monomial(-4)
-_UINV = LaurentPoly.monomial(-2)
 
 
 class InvolutionModule:
@@ -85,7 +85,7 @@ class InvolutionModule:
             up = len(v.word) > len(w.word)
             if half:
                 if up:
-                    add_into(out, w, c * _U)
+                    add_into(out, w, c * U_V)
                     add_into(out, v, c * _U_PLUS_1)
                 else:
                     add_into(out, w, c * _U2_MINUS_U_MINUS_1)
@@ -111,7 +111,7 @@ class InvolutionModule:
         prev = self.bar_a(v)
         ts = self._bar_ts(i, prev)
         # a_w = (u+1)^-1 (T_s - u) a_sw, barred with u -> u^-1
-        return half_step(ts, prev, _UINV) if half else ts
+        return half_step(ts, prev, UINV_V) if half else ts
 
     def bar_a(self, w):
         """bar(a_w), memoized: a_e at e, else through the first letter of w."""
@@ -170,7 +170,7 @@ class InvolutionModule:
         """A-basis coordinates of c_x A_w: a dict w' -> f_{x,w,w'}, by
         `HeckeAlgebra.c_left` (exponent doubling is a ring map, mu an
         integer) with c_s A_w = u^-1 (T_s + 1) A_w (c_s at parameter u^2)."""
-        return self.algebra.c_left(x, w, self._cs_action, self._f)
+        return self.algebra.c_left(x.id, w, self._cs_action, self._f)
 
     def _cs_action(self, i, m):
         """c_{s_i} on A-basis coordinates: the sum of the rows
@@ -181,8 +181,8 @@ class InvolutionModule:
             if row is None:
                 aw = self.a_upper(w)
                 row = {}
-                add_scaled(row, self.ts_action(i, aw), _UINV)
-                add_scaled(row, aw, _UINV)
+                add_scaled(row, self.ts_action(i, aw), UINV_V)
+                add_scaled(row, aw, UINV_V)
                 row = self._cs_rows[i, w] = strip_off(row, self.a_upper)
             add_scaled(out, row, c)
         return out

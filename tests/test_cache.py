@@ -280,12 +280,14 @@ def test_concurrent_batches_keep_every_record_and_never_interleave(tmp_path):
 
 
 def written_pairs(kl):
-    """Key -> value bytes of every pair the table has computed so far."""
+    """Key -> value bytes of every pair the table has computed so far; a
+    column's diagonal P_{w,w} = 1 is never a record."""
     elts = kl.system._elts
     return dict(
         kl_record(elts[y], elts[w], kl.value(h))
         for w, col in kl._by_id.items()
         for y, h in col.items()
+        if y != w
     )
 
 

@@ -156,6 +156,39 @@ def test_gamma_examples(a2):
     assert got == expected
 
 
+def _cell_data_by_str(cd):
+    """Everything CellData publishes, with each element as its string."""
+    els = cd.elements
+    return {
+        "left": [sorted(map(str, c)) for c in cd.left_cells],
+        "two_sided": [sorted(map(str, c)) for c in cd.two_sided_cells],
+        "order": cd.cell_order(),
+        "a": [(str(z), cd.a[z]) for z in els],
+        "gamma": [(str(x), str(y), [(str(z), g) for z, g in cd.gamma_row(x, y).items()])
+                  for x in els for y in els],
+        "dist": [str(d) for d in cd.distinguished_involutions()],
+    }
+
+
+@pytest.mark.parametrize("label, first, column", [("A3", "321", "32123"),
+                                                   ("B3", "321", "32132")])
+def test_cell_data_does_not_depend_on_interning_order(label, first, column):
+    # elements met before the enumeration take the low ids, so ids and
+    # enumeration positions differ; the walk runs on ids, and every output
+    # must still come out in enumeration order
+    system = CoxeterSystem.from_label(label)
+    alg = HeckeAlgebra(system)
+    system.element(first)
+    alg.kl.column(system.element(column))
+    cd = CellData(alg)
+    els = cd.elements
+    assert sorted(w.id for w in els) == list(range(len(els)))
+    assert any(w.id != i for i, w in enumerate(els))
+    fresh = CellData(HeckeAlgebra(CoxeterSystem.from_label(label)))
+    assert all(w.id == i for i, w in enumerate(fresh.elements))
+    assert _cell_data_by_str(cd) == _cell_data_by_str(fresh)
+
+
 @pytest.mark.parametrize("label", ["A3", "B3", "I2(5)", "D4"])
 def test_gamma_row_is_the_top_coefficient_of_h_struct(label):
     # the column walk keeps only the terms at the running a(z): every row

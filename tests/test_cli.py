@@ -240,6 +240,17 @@ def test_cache_dir_outside_kl_is_a_usage_error(tmp_path, capsys, argv):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--type", "A3", "--y", "1"],
+    ["--type", "A3", "--y", "1", "--w", "4"],
+    ["--type", "Dinf"],
+], ids=["y-without-w", "w-out-of-range", "infinite-without-max-len"])
+def test_a_kl_usage_error_creates_no_cache_dir(tmp_path, capsys, argv):
+    cache = tmp_path / "cache"
+    assert run(capsys, "kl", *argv, "--cache-dir", str(cache)) == (2, "")
+    assert not cache.exists()
+
+
 def test_only_kl_declares_cache_dir():
     parser = make_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

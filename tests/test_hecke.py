@@ -253,36 +253,44 @@ def test_f_constants_recursion_equals_t_action(oracle_contexts):
 
 
 def test_c_gen_mult_is_the_generator_row(a3, monkeypatch):
-    # c_s c_w by the mu-rule equals the T-basis product, and mu_down lists
-    # exactly the z < w with s in D_L(z) and mu(z, w) != 0
+    # c_s c_w by the mu-rule, on element ids, equals the T-basis product,
+    # and the KL table's _mu_down lists exactly the z < w with s in D_L(z)
+    # and mu(z, w) != 0
+    elts, kl = a3.sys._elts, a3.alg.kl
     for w in a3.sys.elements():
         for i in range(a3.sys.rank):
             s = a3.sys.generator(i)
-            assert a3.alg.c_gen_mult(i, {w: ONE}) == h_struct_t_basis(a3.alg, s, w)
+            got = a3.alg.c_gen_mult(i, {w.id: ONE})
+            assert {elts[z]: c for z, c in got.items()} == h_struct_t_basis(a3.alg, s, w)
             expected = {
-                z: kl_mu(a3.alg.kl, z, w)
+                z: kl_mu(kl, z, w)
                 for z in a3.sys.lower_interval(w)
-                if i in a3.sys.left_descents(z) and kl_mu(a3.alg.kl, z, w)
+                if i in a3.sys.left_descents(z) and kl_mu(kl, z, w)
             }
-            assert dict(a3.alg.mu_down(i, w)) == expected
+            assert {elts[z]: m for z, _, m in kl._mu_down(w.id, i)} == expected
     # mu is 0 or 1 on every system small enough for these tests, so scale it
     # by hand: c_z enters c_s c_w with coefficient mu(z, w)
-    mu_down = a3.alg.mu_down
-    monkeypatch.setattr(a3.alg, "mu_down", lambda i, w: [(z, 3 * m) for z, m in mu_down(i, w)])
+    mu_down = kl._mu_down
+    monkeypatch.setattr(kl, "_mu_down", lambda v, s: [(z, lz, 3 * m) for z, lz, m in mu_down(v, s)])
     for w in a3.sys.elements():
         for i in set(range(a3.sys.rank)) - a3.sys.left_descents(w):
-            got = a3.alg.c_gen_mult(i, {w: ONE})
-            for z, m in mu_down(i, w):
+            got = a3.alg.c_gen_mult(i, {w.id: ONE})
+            for z, _, m in mu_down(w.id, i):
                 assert got[z] == LaurentPoly.const(3 * m)
 
 
 @pytest.fixture
 def a3_mu_tripled():
-    """A fresh A3 algebra and module whose mu_down lists 3 mu(z, w): mu is 0
-    or 1 on A3, so only a scaled list shows that the recursions carry it."""
+    """A fresh A3 algebra and module whose KL table lists 3 mu(z, w) in
+    `_mu_down`: mu is 0 or 1 on A3, so only a scaled list shows that the
+    recursions carry it.  Every column is filled before the list is
+    scaled, so the KL polynomials themselves stay unscaled."""
     alg = HeckeAlgebra(CoxeterSystem.from_label("A3"))
-    mu_down = alg.mu_down
-    alg.mu_down = lambda i, w: [(z, 3 * m) for z, m in mu_down(i, w)]
+    kl = alg.kl
+    for w in alg.system.elements():
+        kl.column(w)
+    mu_down = kl._mu_down
+    kl._mu_down = lambda v, s: [(z, lz, 3 * m) for z, lz, m in mu_down(v, s)]
     return alg, InvolutionModule(alg)
 
 
@@ -292,6 +300,9 @@ def test_h_struct_unit_law_holds_for_a_scaled_mu(a3_mu_tripled):
     e = alg.system.identity
     for x in alg.system.elements():
         assert alg.h_struct(x, e) == {x: ONE}, str(x)
+    for w in alg.system.elements():
+        for y in alg.system.lower_interval(w):
+            assert alg.kl.p(y, w) == alg.kl_solved(y, w), (str(y), str(w))
 
 
 def test_f_constants_follow_a_scaled_mu(a3_mu_tripled):
@@ -307,8 +318,8 @@ def test_f_constants_follow_a_scaled_mu(a3_mu_tripled):
         i = x.word[0]
         xp = sys.generator(i) * x
         cp[x] = alg.mult(alg.c_elt(sys.generator(i)), cp[xp])
-        for z, m in alg.mu_down(i, xp):
-            hecke.add_scaled(cp[x], cp[z], -m)
+        for z, _, m in alg.kl._mu_down(xp.id, i):
+            hecke.add_scaled(cp[x], cp[sys._elts[z]], -m)
         for w in inv.basis:
             want = hecke.strip_off(t_act(inv, cp[x], inv.a_upper(w)), inv.a_upper)
             assert inv.f_constants(x, w) == want, (str(x), str(w))
