@@ -21,7 +21,7 @@ from pathlib import Path
 MAGIC = b"HWBC"
 SCHEMA_VERSION = 1
 
-_pack_len = struct.Struct("<I").pack
+pack_len = struct.Struct("<I").pack  # the length prefix of a record's key or value
 
 
 class CacheStore:
@@ -77,20 +77,18 @@ class CacheStore:
                 os.unlink(tmp)
         return os.open(path, os.O_WRONLY | os.O_APPEND)
 
-    def extend(self, kind, syshash, records):
-        """Append (key, value) byte pairs in order, with one os.write."""
-        parts = []
-        for key, value in records:
-            parts += (_pack_len(len(key)), key, _pack_len(len(value)), value)
-        if not parts:
+    def extend(self, kind, syshash, framed):
+        """Append whole records with one os.write: framed is a list of byte
+        chunks that join to records, each key and value behind `pack_len`."""
+        if not framed:
             return
         fd = self._fds.get((kind, syshash))
         if fd is None:
             fd = self._fds[(kind, syshash)] = self._open(kind, syshash)
-        os.write(fd, b"".join(parts))
+        os.write(fd, b"".join(framed))
 
     def append(self, kind, syshash, key, value):
-        self.extend(kind, syshash, ((key, value),))
+        self.extend(kind, syshash, [pack_len(len(key)), key, pack_len(len(value)), value])
 
     def close(self):
         for fd in self._fds.values():

@@ -210,7 +210,8 @@ def cmd_kl(args):
         order = sorted(sys_.elements(max_len=args.max_len), key=lambda x: (len(str(x)), str(x)))
     kl = KLTable(sys_, store=CacheStore(args.cache_dir) if args.cache_dir else None)
     if args.y:
-        return _kl_chunks(sys_, [(enc(str(w)), [(enc(str(y)), kl.p(y, w))])]), []
+        col = {y.id: kl.column(w).get(y.id, 0)}  # 0, the handle of ZERO, unless y <= w
+        return _kl_chunks(sys_, kl, {y.id: enc(str(y))}, [(enc(str(w)), [y.id], col)]), []
     for w in order:
         kl.column(w)
     rank = {x.id: r for r, x in enumerate(order)}
@@ -219,36 +220,32 @@ def cmd_kl(args):
     def columns():
         for w in order:
             col = kl.column(w)  # a walk over the filled table, dropped once written
-            yield label[w.id], [(label[y], kl.value(col[y]))
-                                for y in sorted(col, key=rank.__getitem__)]
+            yield label[w.id], sorted(col, key=rank.__getitem__), col
 
-    return _kl_chunks(sys_, columns()), []
-
-
-_KL_ENTRY = '\n    {\n      "P": %s,\n      "w": %s,\n      "y": %s\n    }'
+    return _kl_chunks(sys_, kl, label, columns()), []
 
 
-def _kl_chunks(system, columns):
+def _kl_chunks(system, kl, label, columns):
     """The `kl` payload {"entries": [{"P", "w", "y"}...], "system"} exactly as
     json.dumps(..., sort_keys=True, indent=2) writes it, and its newline, in
-    chunks: the rendered entries (`_KL_ENTRY`) of each column (w label,
-    [(y label, P_{y,w})...]), the first behind the head, then the tail.
-    Labels come through the C string encoder; there is at least one entry."""
-    frags = {}  # P -> its rendered text
+    chunks: the entries of each column (w label, its y ids in output order,
+    {y id: handle of P_{y,w} in kl}), the first behind the head, then the
+    tail.  An entry is a prefix per handle + a middle per column + label[y],
+    closed by the separator that follows it.  Labels come through the C
+    string encoder; there is at least one entry."""
+    pre = {}  # handle -> the entry text up to the w label
     sep = '{\n  "entries": ['
-    for lw, entries in columns:
-        parts = []
-        for ly, p in entries:
-            frag = frags.get(p)
-            if frag is None:
-                # P as json.dumps(..., sort_keys=True, indent=2) writes it in an entry
-                frag = frags[p] = json.dumps(
-                    _poly_json(p.subst_v_to_u()), sort_keys=True, indent=2).replace(
-                    "\n", "\n      ")
-            parts.append(_KL_ENTRY % (frag, lw, ly))
-        yield sep + ",".join(parts)
-        sep = ","
-    yield '\n  ],\n  "system": %s\n}\n' % json.encoder.encode_basestring_ascii(system.describe())
+    for lw, ys, col in columns:
+        for h in set(col.values()).difference(pre):
+            # P as json.dumps(..., sort_keys=True, indent=2) writes it in an entry
+            pre[h] = '\n    {\n      "P": %s,\n      "w": ' % json.dumps(
+                _poly_json(kl.value(h).subst_v_to_u()), sort_keys=True,
+                indent=2).replace("\n", "\n      ")
+        mid = lw + ',\n      "y": '
+        yield sep + '\n    },'.join([pre[col[y]] + mid + label[y] for y in ys])
+        sep = '\n    },'
+    yield '\n    }\n  ],\n  "system": %s\n}\n' % json.encoder.encode_basestring_ascii(
+        system.describe())
 
 
 def cmd_cells(args):

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import compress, count
 
 INF = 0  # Coxeter-matrix encoding of m(i,j) = infinity
 ELEMENT_LIMIT = 100000  # the most elements `elements()` enumerates
@@ -56,28 +57,27 @@ class InfiniteGroupError(ValueError):
     """Raised when a full enumeration of an infinite group is requested."""
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-        for r in range(n)
-    )
-
-
 def _identity_mat(n):
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def bits(b):
-    """The indices of the set bits of the int b, ascending."""
-    return [i for i, ch in enumerate(reversed(bin(b))) if ch == "1"]
+    """The indices of the set bits of the int b >= 0, ascending."""
+    return list(compress(count(), bin(b)[:1:-1].encode().translate(_BIT)))
 
 
 class ReflectionRep:
     """Exact matrix action of the generators on the geometric representation,
     and the matrix backend: the state of w is the matrix of w^-1.
 
-    Requires all bond orders in {2, 3, 4, 6, inf}.  Generator matrices are
+    Requires all bond orders in {2, 3, 4, 6, inf}.  With a_i the i-th row of
+    the integral Cartan matrix (a_ii = 2), s_i = 1 - e_i a_i^T is a rank-one
+    change of the identity, so one step never forms a full matrix product:
+    s_i b rewrites row i of b only, and b s_i subtracts r[i] a_i from each
+    row r with r[i] != 0.  `gens` holds the generator matrices themselves,
     integral involutions; descent tests read off root-sign changes.
     """
 
@@ -91,23 +91,24 @@ class ReflectionRep:
                 if m not in _CARTAN_PAIRS:
                     raise ValueError("bond order %r has no integral model" % m)
                 a[i][j], a[j][i] = _CARTAN_PAIRS[m]
-        gens = []
-        for i in range(n):
-            rows = [list(r) for r in _identity_mat(n)]
-            for j in range(n):
-                rows[i][j] = -1 if j == i else -a[i][j]
-            gens.append(tuple(tuple(r) for r in rows))
         self.n = n
-        self.gens = tuple(gens)
         self.identity = _identity_mat(n)
+        # s_i as a matrix: the identity with row i = (-a_i1, ..., -1, ..., -a_in)
+        self.gens = tuple(
+            self.identity[:i] + (tuple(-1 if c == i else -a[i][c] for c in range(n)),)
+            + self.identity[i + 1:] for i in range(n))
 
     def left(self, b, i):
-        """State of s_i w: (s_i w)^-1 = w^-1 s_i."""
-        return _mat_mul(b, self.gens[i])
+        """State of s_i w: (s_i w)^-1 = w^-1 s_i, each row r - r[i] a_i."""
+        a = self.cartan[i]
+        return tuple(
+            tuple(x - r[i] * y for x, y in zip(r, a)) if r[i] else r for r in b)
 
     def right(self, b, i):
-        """State of w s_i: (w s_i)^-1 = s_i w^-1."""
-        return _mat_mul(self.gens[i], b)
+        """State of w s_i: (w s_i)^-1 = s_i w^-1, row i b_i - sum_j a_ij b_j."""
+        a = self.cartan[i]
+        row = tuple(x - sum(c * r[k] for c, r in zip(a, b) if c) for k, x in enumerate(b[i]))
+        return b[:i] + (row,) + b[i + 1:]
 
     def word(self, b):
         """ShortLex normal form: peel off the smallest left descent."""
@@ -116,7 +117,7 @@ class ReflectionRep:
             for i in range(self.n):
                 if all(row[i] <= 0 for row in b):
                     out.append(i)
-                    b = _mat_mul(b, self.gens[i])
+                    b = self.left(b, i)
                     break
             else:
                 raise AssertionError("no descent found; matrix model broken")
@@ -383,8 +384,10 @@ class CoxeterSystem:
                 w = self._lstep(s, w)
                 b = self._ivl[w]
             for w, s in reversed(chain):
+                row = self._lmul[s]
                 for y in bits(b):
-                    b |= 1 << self._lstep(s, y)
+                    sy = row[y]
+                    b |= 1 << (self._lstep(s, y) if sy is None else sy)
                 self._ivl[w] = b
         return b
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import json
 
+from .cache import pack_len
 from .coxeter import bits
 from .laurent import LaurentPoly, ZERO, ONE
 
@@ -205,37 +206,43 @@ class KLTable:
     The recursion (Kazhdan-Lusztig 1979, (2.2.c)) runs on the system's
     element ids and fills a whole column {y: P_{y,w}} at a time, as du
     Cloux's Coxeter program does (Experiment. Math. 11, 2002): `_col` fills
-    the missing columns of [e, w] in length order, and column w = s v
-    forms u P_{sy,v} + P_{y,v} from the column of v, then subtracts each
-    mu(z, v) u^{(l(w)-l(z))/2} P_{y,z} over the column of z, which holds
-    exactly the y <= z: every column holds its diagonal, w -> the handle of
-    ONE, which is never a cache record.  Each (v, s) keeps the list of
-    (z, l(z), mu(z, v)) with mu(z, v) != 0 and s in D_L(z) (`_mu_down`,
-    which `HeckeAlgebra.c_left` and `c_gen_mult` read as well).
+    the missing columns of [e, w] in length order.  For x = s v with s in
+    D_L(x), the lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7) puts
+    every y <= x with sy > y in [e, v] and gives P_{sy,x} = P_{y,x}, so only
+    that half is computed, as in Coxeter: u P_{sy,v} + P_{y,v} from one walk
+    over the column of v, minus each mu(z, v) u^{(l(x)-l(z))/2} P_{y,z} over
+    the column of z, which holds exactly the y <= z; P_{v,x} = 1.  A column
+    lists its y in ascending id order and the diagonal, x -> the handle of
+    ONE and never a cache record, last; `_mu_list`, and every order read off
+    it, follows this order.  Each (v, s) keeps the (z, l(z), mu(z, v)) with
+    mu(z, v) != 0 and s in D_L(z) (`_mu_down`, read by `HeckeAlgebra.c_left`
+    and `c_gen_mult` as well).
 
     Every polynomial the fill touches is interned once per table in a
     pool of distinct values (`_pool`, with `_handle` and the degrees
     `_deg`): ONE and ZERO, each computed or decoded P, and each partial sum
     of the mu loop.  The memo holds handles, and both combine steps are
-    dict lookups on handles: `_add` for u P_{sy,v} + P_{y,v} (or the
-    swapped form) and `_sub` for each correction.  Only a miss does
-    polynomial arithmetic, as with the polynomial pool of Coxeter: on B4,
-    98 `_add` and 292 `_sub` misses serve 39,865 pairs, and the pool holds
-    142 values.  The degree bound 2 deg P_{y,w} <= l(w) - l(y) - 1 is
-    checked on every pair, never cached with a value, because one combine
-    serves pairs of different lengths.
+    dict lookups on handles: `_add` for u P_{sy,v} + P_{y,v} and `_sub` for
+    each correction.  Only a miss does polynomial arithmetic, as with the
+    polynomial pool of Coxeter: on B4, 98 `_add` and 292 `_sub` misses
+    serve the 19,741 computed values of 39,865 pairs, and the pool holds
+    142 values.  The degree bound 2 deg P_{y,x} <= l(x) - l(y) - 1 is
+    checked on each computed value at (sy, x), the sharper of its pairs,
+    never cached with a value: one combine serves pairs of other lengths.
 
     Entries persist through a `CacheStore`, keyed by the system's content
-    hash, and each pair is looked up there before it is computed.  The
-    records of the computed pairs of a column are buffered in `_pending`
-    when the column is finished, and `_col`'s fill writes them in one batch
-    when it ends, also when it raises; a nested `_col` finds its column
-    filled and writes nothing, so a public call makes one write.  The
-    loaded table stays in `_p` as raw key bytes -> value bytes; a record is
-    decoded on first use, each distinct value once (`_decoded`), and a
-    record that fails `_decode_record` counts as absent: it is recomputed
-    and appended again, never served.  The record value bytes of each
-    distinct computed P are encoded once (`_shared`).
+    hash.  When its table holds records, each pair of a column is looked up
+    there first (`_served`), and a value is computed unless both its pairs
+    are served, so a column served whole computes nothing; a cold table
+    does no lookup.  The records of the pairs not served are queued in
+    `_pending` as framed bytes, from per-id key heads (`_heads`) and the
+    framed value of each distinct P (`_shared`), and `_col`'s fill writes
+    them in one batch when it ends, also when it raises; a nested `_col`
+    finds its column filled and writes nothing, so a public call makes one
+    write.  The loaded table stays in `_p` as raw key bytes -> value bytes;
+    a record is decoded on first use, each distinct value once
+    (`_decoded`), and a record that fails `_decode_record` counts as
+    absent: it is recomputed and appended again, never served.
     """
 
     def __init__(self, system, store=None):
@@ -247,9 +254,9 @@ class KLTable:
         self._syshash = system.content_hash()
         self._p = {} if store is None else store.load_table("kl", self._syshash)
         self._decoded = {}  # value bytes -> handle of P, or None if malformed
-        self._shared = {}  # handle of a computed P -> its record value bytes
-        self._word_keys = {}  # id -> json.dumps(list(word)) bytes, for record keys
-        self._pending = []  # (key, value) records not yet written to the store
+        self._shared = {}  # handle of a written P -> its framed record value
+        self._head = []  # id -> the bytes that open its record keys (`_heads`)
+        self._pending = []  # framed records not yet written to the store
         self._pool = []  # handle -> polynomial, each distinct value once
         self._deg = []  # handle -> degree of the polynomial (-1 for zero)
         self._handle = {}  # polynomial -> handle
@@ -303,68 +310,89 @@ class KLTable:
                     continue
                 s = sys._elts[x].word[0]
                 v = sys._lstep(s, x)  # shorter; the normal form starts with a left descent
-                pv = by_id[v]
-                tail = None if self._store is None else b", " + self._word_key(x) + b"]"
-                col, miss = {}, {}  # miss: y -> record key (None without a store)
-                for y in bits(sys._lower_bits(x) ^ 1 << x):
-                    key = None
-                    if tail is not None:
-                        key = b"[" + self._word_key(y) + tail
-                        val = self._p.get(key)
-                        if val is not None:
-                            got = self._decode_record(val, lx - lens[y])
-                            if got is not None:
-                                col[y] = got
-                                continue
-                    # u P_{sy,v} + P_{y,v}, swapped when sy < y
-                    sy = sys._lstep(s, y)
-                    a, b = pv.get(sy, _ZERO_H), pv.get(y, _ZERO_H)
-                    if lens[sy] < lens[y]:
-                        a, b = b, a
-                    h = add.get((a, b))
-                    if h is None:
-                        h = add[a, b] = self._intern(pool[a].shifted(1) + pool[b])
-                    col[y] = h
-                    miss[y] = key
+                below = bits(sys._lower_bits(x) ^ 1 << x)
+                lsy = sys._lmul[s]  # filled on [e, v] by _lower_bits(x)
+                served = self._served(x, below) if self._p else {}
+                if len(served) == len(below):  # the store holds the whole column
+                    served[x] = _ONE_H
+                    by_id[x] = served
+                    continue
+                # u P_{sy,v} + P_{y,v} for the y < v with sy > y, unless the
+                # store serves both P_{y,x} and P_{sy,x}
+                pv, got = by_id[v], {}
+                for y, b in pv.items():
+                    sy = lsy[y]
+                    if lens[sy] > lens[y] and (y not in served or sy not in served):
+                        a = pv.get(sy, _ZERO_H)
+                        h = add.get((a, b))
+                        if h is None:
+                            h = add[a, b] = self._intern(pool[a].shifted(1) + pool[b])
+                        got[y] = h
+                del got[v]  # P_{v,x} = P_{x,x} = 1, set below
                 # l(v) - l(z) is odd for every listed z, so l(x) - l(z) is even;
                 # z's column holds exactly the y <= z
-                for z, lz, m in self._mu_down(v, s) if miss else ():
+                for z, lz, m in self._mu_down(v, s) if got else ():
                     k = (lx - lz) // 2
                     for y, q in by_id[z].items():
-                        if y in miss:
-                            r = col[y]
+                        r = got.get(y)
+                        if r is not None:
                             h = sub.get((r, k, m, q))
                             if h is None:
                                 h = sub[r, k, m, q] = self._intern(
                                     pool[r] - LaurentPoly.monomial(k, m) * pool[q])
-                            col[y] = h
-                for y, key in miss.items():
-                    h = col[y]
-                    if 2 * deg[h] > lx - lens[y] - 1:
+                            got[y] = h
+                # 2 deg P_{y,x} <= l(x) - l(sy) - 1, the sharper bound of the two
+                for y, h in got.items():
+                    if 2 * deg[h] > lx - lens[y] - 2:
                         raise AssertionError(
                             "KL degree bound violated at (%s, %s): %r"
-                            % (sys._elts[y], sys._elts[x], pool[h])
-                        )
-                    rec = self._shared.get(h)
-                    if rec is None:
-                        rec = self._shared[h] = _record_value(pool[h])
-                    if key is not None:
-                        self._pending.append((key, rec))
+                            % (sys._elts[lsy[y]], sys._elts[x], pool[h]))
+                got[v] = _ONE_H
+                # P_{y,x} = P_{sy,x}; no value is ZERO (handle 0), so `or` falls
+                # through to sy exactly when y is not in the computed half
+                col = {y: got.get(y) or got.get(lsy[y]) for y in below}
+                col.update(served)
                 col[x] = _ONE_H  # the diagonal, never a record
                 by_id[x] = col
+                if self._store is not None:
+                    self._records(x, col, below if not served else
+                                  [y for y in below if y not in served])
         finally:
             if self._pending:
                 pending, self._pending = self._pending, []
                 self._store.extend("kl", self._syshash, pending)
         return by_id[w]
 
-    def _word_key(self, x):
-        """x's word as json.dumps writes it, in bytes: a record key is
-        json.dumps([y word, w word]).encode()."""
-        got = self._word_keys.get(x)
-        if got is None:
-            got = self._word_keys[x] = json.dumps(list(self.system._elts[x].word)).encode()
-        return got
+    def _heads(self, x):
+        """The list, per id y, of b'[' + json.dumps(y word) + b', ', and x's
+        tail: a record key json.dumps([y word, x word]).encode() is their sum."""
+        heads, elts = self._head, self.system._elts
+        heads.extend(b"[" + json.dumps(list(elts[i].word)).encode() + b", "
+                     for i in range(len(heads), len(elts)))
+        return heads, heads[x][1:-2] + b"]"
+
+    def _served(self, x, below):
+        """{y: handle} over the y in below whose record for (y, x) the store
+        holds and `_decode_record` accepts."""
+        (heads, tail), lens, p, served = self._heads(x), self.system._len, self._p, {}
+        for y in below:
+            val = p.get(heads[y] + tail)
+            if val is not None:
+                h = self._decode_record(val, lens[x] - lens[y])
+                if h is not None:
+                    served[y] = h
+        return served
+
+    def _records(self, x, col, ys):
+        """Queue the framed records of the pairs (y, x), y in ys, in order."""
+        shared, pool, vals = self._shared, self._pool, set(col.values())
+        for h in vals.difference(shared):
+            val = _record_value(pool[h])
+            shared[h] = pack_len(len(val)) + val
+        heads, tail = self._heads(x)
+        lt, rest = len(tail), {h: tail + shared[h] for h in vals}  # key end and value
+        self._pending += [c for y in ys for c in (
+            pack_len(len(heads[y]) + lt), heads[y], rest[col[y]])]
 
     def _decode_record(self, val, d):
         """The handle of the P_{y,w} in a cached value for a pair with
@@ -391,16 +419,13 @@ class KLTable:
         """[(z, l(z), mu(z, v))] over z < v with mu(z, v) != 0, in id order."""
         got = self._mu.get(v)
         if got is None:
-            lens, pool = self.system._len, self._pool
+            lens, pool, deg = self.system._len, self._pool, self._deg
             lv = lens[v]
-            got = []
-            for z, h in self._col(v).items():
-                d = lv - lens[z]
-                if d % 2:
-                    m = pool[h].coeff_of_v((d - 1) // 2)
-                    if m:
-                        got.append((z, lv - d, m))
-            self._mu[v] = got
+            # mu(z, v) is the coefficient of u^{(d-1)/2}, d = l(v) - l(z), so
+            # it is nonzero exactly when that is the degree bound, met
+            got = self._mu[v] = [(z, lens[z], pool[h].coeff_of_v(deg[h]))
+                                 for z, h in self._col(v).items()
+                                 if 2 * deg[h] == lv - lens[z] - 1]
         return got
 
     def _mu_down(self, v, s):

@@ -202,15 +202,19 @@ def sign_split_check(inv, x, w, wp):
 # -- the reflection representation ---------------------------------------------------
 
 
+def mat_mul(a, b):
+    """The full product of two square matrices given as tuples of rows."""
+    return tuple(
+        tuple(sum(row[k] * b[k][c] for k in range(len(b))) for c in range(len(b)))
+        for row in a
+    )
+
+
 def matrix_of_word(rep, word):
     """The product of the generator matrices of `rep` along word."""
     m = rep.identity
     for g in word:
-        b = rep.gens[g]
-        m = tuple(
-            tuple(sum(row[k] * b[k][c] for k in range(len(b))) for c in range(len(b)))
-            for row in m
-        )
+        m = mat_mul(m, rep.gens[g])
     return m
 
 

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from heckework import CoxeterSystem, InfiniteGroupError
-from heckework.coxeter import INF, ReflectionRep
+from heckework.coxeter import INF, ReflectionRep, bits
 from heckework.hecke import KLTable
 
 from oracles import (
     dih_length_table,
     dih_of_word,
+    mat_mul,
     matrix_of_word,
     perm_bruhat_leq,
     perm_inversions,
@@ -252,6 +253,39 @@ def _check_matrix_model(sys, max_len):
         assert rep.word(m) == w.word
         mats.add(m)
     assert len(mats) == len(els)
+
+
+RANK_FOUR = {
+    "B4": [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+    "D4": [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "B4", "D4"])
+def test_rank_one_steps_equal_full_products(label):
+    # the backend's state of x, reached by rank-one steps, is the full
+    # product of the generator matrices along x^-1, and each step is the
+    # full product with s_i on its side
+    m = RANK_FOUR.get(label)
+    sys = CoxeterSystem(m) if m else CoxeterSystem.from_label(label)
+    rep = sys._backend
+    for w in sys.elements():
+        b = sys._state[w.id]
+        assert b == matrix_of_word(rep, w.word[::-1]), str(w)
+        for i, g in enumerate(rep.gens):
+            assert rep.left(b, i) == mat_mul(b, g), (str(w), i)
+            assert rep.right(b, i) == mat_mul(g, b), (str(w), i)
+
+
+def test_bits_lists_the_set_bits():
+    def slow(b):
+        return [i for i, ch in enumerate(reversed(bin(b))) if ch == "1"]
+
+    rng = random.Random(24)
+    cases = [0, 1] + [1 << k for k in range(1, 70)] + [(1 << k) - 1 for k in range(1, 70)]
+    cases += [rng.getrandbits(rng.randint(1, 2000)) for _ in range(2000)]
+    for b in cases:
+        assert bits(b) == slow(b), b
 
 
 def test_normalize_idempotent(a3):

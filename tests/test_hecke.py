@@ -6,6 +6,7 @@ import pytest
 from heckework import CoxeterSystem
 from heckework import hecke
 from heckework.cache import CacheStore
+from heckework.coxeter import bits
 from heckework.hecke import HeckeAlgebra, KLTable, bar_invariant_solve
 from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly, ONE, ZERO
@@ -124,6 +125,32 @@ def test_kl_recursion_equals_solver(a3, b2, g2):
             for y in system.lower_interval(w):
                 assert alg.kl.p(y, w) == alg.kl_solved(y, w), (
                     system.describe(), str(y), str(w))
+
+
+@pytest.mark.parametrize("label", ["B3", "I2(5)", "B4", "D4"])
+def test_kl_columns_have_the_descent_symmetries(label):
+    # for s in D_L(x), y <= x iff sy <= x and P_{y,x} = P_{sy,x}; the fill
+    # reads half of each column off this, so the right-handed twin, for s in
+    # D_R(x) with ys in place of sy, checks it independently.  Equal
+    # handles are equal polynomials: the pool holds each value once
+    matrices = {
+        "B4": [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+        "D4": [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
+    }
+    system = (CoxeterSystem(matrices[label]) if label in matrices
+              else CoxeterSystem.from_label(label))
+    kl = KLTable(system)
+    lens, pairs = system._len, 0
+    for x in system.elements():
+        col = kl.column(x)
+        assert set(col) == set(bits(system._lower_bits(x.id)))
+        for s in range(system.rank):
+            for step in (system._lstep, system._rstep):
+                if lens[step(s, x.id)] < lens[x.id]:
+                    for y, h in col.items():
+                        assert col[step(s, y)] == h, (str(x), s, y)
+                        pairs += 1
+    assert pairs > {"B3": 1000, "I2(5)": 50, "B4": 100000, "D4": 30000}[label]
 
 
 def test_kl_columns_fill_in_length_order():
