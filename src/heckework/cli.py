@@ -3,10 +3,10 @@ deterministic JSON output.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
 3 internal error; a reader that closes stdout early does not change the
-exit code.  `kl` alone reads and extends a KL cache, under --cache-dir;
-every other command computes its table afresh.  `kl` fills its whole table
-before it writes a byte, then writes the text one column at a time, so a
-failure leaves stdout empty and the full text is never held at once.
+exit code.  `kl` fills its whole table before it writes a byte, then writes
+the text one column at a time, so a failure leaves stdout empty and the
+full text is never held at once; under --cache-dir it first appends to a
+KL cache what the cache lacks, and never reads a value from it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .cache import CacheStore
+from .cache import CacheStore, write_kl
 from .cells import CellData
 from .coxeter import CoxeterSystem
 from .eqvb import (
@@ -194,35 +194,36 @@ def cmd_group(args):
 
 
 def cmd_kl(args):
-    # the pair, or the elements to list, are read before the cache is
-    # opened, so a usage error creates no --cache-dir directory
+    # the whole table is filled, and the cache written, before the first
+    # byte: a failure writes nothing, and a usage error creates no
+    # --cache-dir directory
     sys_ = _system(args)
     enc = json.encoder.encode_basestring_ascii
+    kl = KLTable(sys_)
     if args.y or args.w:
         if not (args.y and args.w):
             raise UsageError("--y and --w go together")
         y, w = sys_.element(args.y), sys_.element(args.w)
-    else:
-        # entries sorted by (w, y), each by (len(str), str); every column is
-        # filled before the first byte is written, so a failure writes
-        # nothing.  P_{y,w}(0) = 1 for y <= w, so every listed pair has a
-        # nonzero entry
-        order = sorted(sys_.elements(max_len=args.max_len), key=lambda x: (len(str(x)), str(x)))
-    kl = KLTable(sys_, store=CacheStore(args.cache_dir) if args.cache_dir else None)
-    if args.y:
         col = {y.id: kl.column(w).get(y.id, 0)}  # 0, the handle of ZERO, unless y <= w
-        return _kl_chunks(sys_, kl, {y.id: enc(str(y))}, [(enc(str(w)), [y.id], col)]), []
-    for w in order:
-        kl.column(w)
-    rank = {x.id: r for r, x in enumerate(order)}
-    label = {x.id: enc(str(x)) for x in order}
-
-    def columns():
+        label, columns = {y.id: enc(str(y))}, [(enc(str(w)), [y.id], col)]
+    else:
+        # entries sorted by (w, y), each by (len(str), str).  P_{y,w}(0) = 1
+        # for y <= w, so every listed pair has a nonzero entry
+        order = sorted(sys_.elements(max_len=args.max_len), key=lambda x: (len(str(x)), str(x)))
         for w in order:
-            col = kl.column(w)  # a walk over the filled table, dropped once written
-            yield label[w.id], sorted(col, key=rank.__getitem__), col
-
-    return _kl_chunks(sys_, kl, label, columns()), []
+            kl.column(w)
+        rank = {x.id: r for r, x in enumerate(order)}
+        label = {x.id: enc(str(x)) for x in order}
+        # a walk over the filled table, each column dropped once written
+        columns = ((label[w.id], sorted(col, key=rank.__getitem__), col)
+                   for w, col in zip(order, map(kl.column, order)))
+    if args.cache_dir:
+        store = CacheStore(args.cache_dir)
+        try:
+            write_kl(store, kl)
+        finally:
+            store.close()
+    return _kl_chunks(sys_, kl, label, columns), []
 
 
 def _kl_chunks(system, kl, label, columns):
@@ -264,9 +265,12 @@ def cmd_cells(args):
     }
     rep = _cells_report(sys_, cells)
     els, a = cells.elements, cells.a
-    rep.add("a-monotone", all(a[x] >= a[y] for x in els for y in els if cells.leq_lr(x, y)))
-    rep.add("a-constant-on-cells",
-            all(len({a[w] for w in c}) == 1 for c in cells.two_sided_cells))
+    bad = next(((str(x), str(y)) for x in els for y in els
+                if cells.leq_lr(x, y) and a[x] < a[y]), None)
+    rep.add("a-monotone", bad is None, bad)
+    bad = next((sorted(str(w) for w in c) for c in cells.two_sided_cells
+                if len({a[w] for w in c}) != 1), None)
+    rep.add("a-constant-on-cells", bad is None, bad)
     return payload, [rep]
 
 
@@ -311,32 +315,18 @@ def cmd_jring(args):
 def jring_report(sys_, cells):
     """The J-ring checks: unit, associativity, cross-cell vanishing."""
     rep = Report("jring", sys_.describe())
-    u = cells.j_unit()
-    rep.add(
-        "unit-identity",
-        all(
-            cells.j_mult(u, {w: 1}) == {w: 1} and cells.j_mult({w: 1}, u) == {w: 1}
-            for w in cells.elements
-        ),
-    )
-    els = cells.elements
-    bad = None
-    for a, b, c in sample_triples(els, els, els):
-        if cells.j_mult(cells.j_mult({a: 1}, {b: 1}), {c: 1}) != cells.j_mult(
-            {a: 1}, cells.j_mult({b: 1}, {c: 1})
-        ):
-            bad = (str(a), str(b), str(c))
-            break
+    u, els = cells.j_unit(), cells.elements
+    bad = next((str(w) for w in els
+                if cells.j_mult(u, {w: 1}) != {w: 1} or cells.j_mult({w: 1}, u) != {w: 1}),
+               None)
+    rep.add("unit-identity", bad is None, bad)
+    bad = next(((str(a), str(b), str(c)) for a, b, c in sample_triples(els, els, els)
+                if cells.j_mult(cells.j_mult({a: 1}, {b: 1}), {c: 1})
+                != cells.j_mult({a: 1}, cells.j_mult({b: 1}, {c: 1}))), None)
     rep.add("associativity", bad is None, bad)
-    rep.add(
-        "cross-cell-vanishing",
-        all(
-            not cells.j_mult({x: 1}, {y: 1})
-            for x in els
-            for y in els
-            if not cells.same_two_sided(x, y)
-        ),
-    )
+    bad = next(((str(x), str(y)) for x in els for y in els
+                if not cells.same_two_sided(x, y) and cells.j_mult({x: 1}, {y: 1})), None)
+    rep.add("cross-cell-vanishing", bad is None, bad)
     return rep
 
 
@@ -476,10 +466,9 @@ def _cells_report(sys_, cells):
     """A "cells" report opened with the check `cells` and verify-all share."""
     rep = Report("cells", sys_.describe())
     dist = cells.distinguished_involutions()
-    rep.add(
-        "one-distinguished-per-left-cell",
-        all(sum(1 for d in dist if d in lam) == 1 for lam in cells.left_cells),
-    )
+    bad = next((sorted(str(w) for w in lam) for lam in cells.left_cells
+                if sum(1 for d in dist if d in lam) != 1), None)
+    rep.add("one-distinguished-per-left-cell", bad is None, bad)
     return rep
 
 
@@ -527,7 +516,7 @@ def make_parser():
     _add_common(sp)
     sp.add_argument("--y")
     sp.add_argument("--w")
-    sp.add_argument("--cache-dir", help="persistent KL cache directory")
+    sp.add_argument("--cache-dir", help="KL cache directory: written, never read for values")
     sp.set_defaults(func=cmd_kl)
 
     sp = sub.add_parser("cells", help="cells, a-function, distinguished involutions")

@@ -12,7 +12,9 @@ serve as each other's oracle:
 
 - `KLTable.p` (one pair) and `KLTable.column` (every P_{y,w} of one w):
   the classical multiplication recursion with mu-corrections, filled a
-  column at a time over a pool of distinct polynomials;
+  column at a time over a pool of distinct polynomials, from nothing else:
+  the KL cache of `kl --cache-dir` is written from a filled table
+  (`cache.write_kl`) and never read for a value;
 - `HeckeAlgebra.c_elt_solved` / `kl_solved`: a triangular bar-invariance
   solve that only uses the expansion of bar(T_w) in the T-basis.
 
@@ -55,9 +57,6 @@ coordinates; the c-basis dicts of `c_gen_mult` are keyed by element id, and
 
 from __future__ import annotations
 
-import json
-
-from .cache import pack_len
 from .coxeter import bits
 from .laurent import LaurentPoly, ZERO, ONE
 
@@ -192,11 +191,6 @@ def bar_invariant_solve(w, below, bar_col):
     return pi
 
 
-def _record_value(p):
-    """The value bytes of a KL cache record holding p."""
-    return json.dumps(p.to_json(), sort_keys=True).encode()
-
-
 _ZERO_H, _ONE_H = 0, 1  # the handles of ZERO and ONE in every KLTable pool
 
 
@@ -213,14 +207,14 @@ class KLTable:
     over the column of v, minus each mu(z, v) u^{(l(x)-l(z))/2} P_{y,z} over
     the column of z, which holds exactly the y <= z; P_{v,x} = 1.  A column
     lists its y in ascending id order and the diagonal, x -> the handle of
-    ONE and never a cache record, last; `_mu_list`, and every order read off
-    it, follows this order.  Each (v, s) keeps the (z, l(z), mu(z, v)) with
-    mu(z, v) != 0 and s in D_L(z) (`_mu_down`, read by `HeckeAlgebra.c_left`
-    and `c_gen_mult` as well).
+    ONE, last; `_mu_list`, and every order read off it, follows this order.
+    Each (v, s) keeps the (z, l(z), mu(z, v)) with mu(z, v) != 0 and s in
+    D_L(z) (`_mu_down`, read by `HeckeAlgebra.c_left` and `c_gen_mult` as
+    well).
 
     Every polynomial the fill touches is interned once per table in a
     pool of distinct values (`_pool`, with `_handle` and the degrees
-    `_deg`): ONE and ZERO, each computed or decoded P, and each partial sum
+    `_deg`): ONE and ZERO, each computed P, and each partial sum
     of the mu loop.  The memo holds handles, and both combine steps are
     dict lookups on handles: `_add` for u P_{sy,v} + P_{y,v} and `_sub` for
     each correction.  Only a miss does polynomial arithmetic, as with the
@@ -230,33 +224,16 @@ class KLTable:
     checked on each computed value at (sy, x), the sharper of its pairs,
     never cached with a value: one combine serves pairs of other lengths.
 
-    Entries persist through a `CacheStore`, keyed by the system's content
-    hash.  When its table holds records, each pair of a column is looked up
-    there first (`_served`), and a value is computed unless both its pairs
-    are served, so a column served whole computes nothing; a cold table
-    does no lookup.  The records of the pairs not served are queued in
-    `_pending` as framed bytes, from per-id key heads (`_heads`) and the
-    framed value of each distinct P (`_shared`), and `_col`'s fill writes
-    them in one batch when it ends, also when it raises; a nested `_col`
-    finds its column filled and writes nothing, so a public call makes one
-    write.  The loaded table stays in `_p` as raw key bytes -> value bytes;
-    a record is decoded on first use, each distinct value once
-    (`_decoded`), and a record that fails `_decode_record` counts as
-    absent: it is recomputed and appended again, never served.
+    The table is filled only by this recursion; nothing is read from
+    outside.  `filled` lists the filled columns in fill order, for the one
+    writer of the KL cache (`cache.write_kl`).
     """
 
-    def __init__(self, system, store=None):
+    def __init__(self, system):
         self.system = system
         self._by_id = {}  # w id -> {y id: handle of P_{y,w}} over every y <= w
         self._mu = {}  # v id -> [(z id, l(z), mu(z, v)) with mu != 0]
         self._mu_s = {}  # (v id, s) -> the _mu[v] entries with s in D_L(z)
-        self._store = store
-        self._syshash = system.content_hash()
-        self._p = {} if store is None else store.load_table("kl", self._syshash)
-        self._decoded = {}  # value bytes -> handle of P, or None if malformed
-        self._shared = {}  # handle of a written P -> its framed record value
-        self._head = []  # id -> the bytes that open its record keys (`_heads`)
-        self._pending = []  # framed records not yet written to the store
         self._pool = []  # handle -> polynomial, each distinct value once
         self._deg = []  # handle -> degree of the polynomial (-1 for zero)
         self._handle = {}  # polynomial -> handle
@@ -283,6 +260,11 @@ class KLTable:
         """The polynomial with handle h."""
         return self._pool[h]
 
+    def filled(self):
+        """(w id, column) over every filled column, in the order filled; the
+        columns are the table's own dicts: read them only."""
+        return self._by_id.items()
+
     def _intern(self, p):
         """The handle of p, adding it to the pool when new."""
         h = self._handle.get(p)
@@ -302,118 +284,51 @@ class KLTable:
         sys, pool, deg = self.system, self._pool, self._deg
         lens, add, sub = sys._len, self._add, self._sub
         todo = [x for x in bits(sys._lower_bits(w)) if x not in by_id]
-        try:
-            for x in sorted(todo, key=lens.__getitem__):
-                lx = lens[x]
-                if not lx:
-                    by_id[x] = {x: _ONE_H}
-                    continue
-                s = sys._elts[x].word[0]
-                v = sys._lstep(s, x)  # shorter; the normal form starts with a left descent
-                below = bits(sys._lower_bits(x) ^ 1 << x)
-                lsy = sys._lmul[s]  # filled on [e, v] by _lower_bits(x)
-                served = self._served(x, below) if self._p else {}
-                if len(served) == len(below):  # the store holds the whole column
-                    served[x] = _ONE_H
-                    by_id[x] = served
-                    continue
-                # u P_{sy,v} + P_{y,v} for the y < v with sy > y, unless the
-                # store serves both P_{y,x} and P_{sy,x}
-                pv, got = by_id[v], {}
-                for y, b in pv.items():
-                    sy = lsy[y]
-                    if lens[sy] > lens[y] and (y not in served or sy not in served):
-                        a = pv.get(sy, _ZERO_H)
-                        h = add.get((a, b))
+        for x in sorted(todo, key=lens.__getitem__):
+            lx = lens[x]
+            if not lx:
+                by_id[x] = {x: _ONE_H}
+                continue
+            s = sys._elts[x].word[0]
+            v = sys._lstep(s, x)  # shorter; the normal form starts with a left descent
+            below = bits(sys._lower_bits(x) ^ 1 << x)
+            lsy = sys._lmul[s]  # filled on [e, v] by _lower_bits(x)
+            # u P_{sy,v} + P_{y,v} for the y < v with sy > y
+            pv, got = by_id[v], {}
+            for y, b in pv.items():
+                sy = lsy[y]
+                if lens[sy] > lens[y]:
+                    a = pv.get(sy, _ZERO_H)
+                    h = add.get((a, b))
+                    if h is None:
+                        h = add[a, b] = self._intern(pool[a].shifted(1) + pool[b])
+                    got[y] = h
+            del got[v]  # P_{v,x} = P_{x,x} = 1, set below
+            # l(v) - l(z) is odd for every listed z, so l(x) - l(z) is even;
+            # z's column holds exactly the y <= z
+            for z, lz, m in self._mu_down(v, s) if got else ():
+                k = (lx - lz) // 2
+                for y, q in by_id[z].items():
+                    r = got.get(y)
+                    if r is not None:
+                        h = sub.get((r, k, m, q))
                         if h is None:
-                            h = add[a, b] = self._intern(pool[a].shifted(1) + pool[b])
+                            h = sub[r, k, m, q] = self._intern(
+                                pool[r] - LaurentPoly.monomial(k, m) * pool[q])
                         got[y] = h
-                del got[v]  # P_{v,x} = P_{x,x} = 1, set below
-                # l(v) - l(z) is odd for every listed z, so l(x) - l(z) is even;
-                # z's column holds exactly the y <= z
-                for z, lz, m in self._mu_down(v, s) if got else ():
-                    k = (lx - lz) // 2
-                    for y, q in by_id[z].items():
-                        r = got.get(y)
-                        if r is not None:
-                            h = sub.get((r, k, m, q))
-                            if h is None:
-                                h = sub[r, k, m, q] = self._intern(
-                                    pool[r] - LaurentPoly.monomial(k, m) * pool[q])
-                            got[y] = h
-                # 2 deg P_{y,x} <= l(x) - l(sy) - 1, the sharper bound of the two
-                for y, h in got.items():
-                    if 2 * deg[h] > lx - lens[y] - 2:
-                        raise AssertionError(
-                            "KL degree bound violated at (%s, %s): %r"
-                            % (sys._elts[lsy[y]], sys._elts[x], pool[h]))
-                got[v] = _ONE_H
-                # P_{y,x} = P_{sy,x}; no value is ZERO (handle 0), so `or` falls
-                # through to sy exactly when y is not in the computed half
-                col = {y: got.get(y) or got.get(lsy[y]) for y in below}
-                col.update(served)
-                col[x] = _ONE_H  # the diagonal, never a record
-                by_id[x] = col
-                if self._store is not None:
-                    self._records(x, col, below if not served else
-                                  [y for y in below if y not in served])
-        finally:
-            if self._pending:
-                pending, self._pending = self._pending, []
-                self._store.extend("kl", self._syshash, pending)
+            # 2 deg P_{y,x} <= l(x) - l(sy) - 1, the sharper bound of the two
+            for y, h in got.items():
+                if 2 * deg[h] > lx - lens[y] - 2:
+                    raise AssertionError(
+                        "KL degree bound violated at (%s, %s): %r"
+                        % (sys._elts[lsy[y]], sys._elts[x], pool[h]))
+            got[v] = _ONE_H
+            # P_{y,x} = P_{sy,x}; no value is ZERO (handle 0), so `or` falls
+            # through to sy exactly when y is not in the computed half
+            col = {y: got.get(y) or got.get(lsy[y]) for y in below}
+            col[x] = _ONE_H  # the diagonal
+            by_id[x] = col
         return by_id[w]
-
-    def _heads(self, x):
-        """The list, per id y, of b'[' + json.dumps(y word) + b', ', and x's
-        tail: a record key json.dumps([y word, x word]).encode() is their sum."""
-        heads, elts = self._head, self.system._elts
-        heads.extend(b"[" + json.dumps(list(elts[i].word)).encode() + b", "
-                     for i in range(len(heads), len(elts)))
-        return heads, heads[x][1:-2] + b"]"
-
-    def _served(self, x, below):
-        """{y: handle} over the y in below whose record for (y, x) the store
-        holds and `_decode_record` accepts."""
-        (heads, tail), lens, p, served = self._heads(x), self.system._len, self._p, {}
-        for y in below:
-            val = p.get(heads[y] + tail)
-            if val is not None:
-                h = self._decode_record(val, lens[x] - lens[y])
-                if h is not None:
-                    served[y] = h
-        return served
-
-    def _records(self, x, col, ys):
-        """Queue the framed records of the pairs (y, x), y in ys, in order."""
-        shared, pool, vals = self._shared, self._pool, set(col.values())
-        for h in vals.difference(shared):
-            val = _record_value(pool[h])
-            shared[h] = pack_len(len(val)) + val
-        heads, tail = self._heads(x)
-        lt, rest = len(tail), {h: tail + shared[h] for h in vals}  # key end and value
-        self._pending += [c for y in ys for c in (
-            pack_len(len(heads[y]) + lt), heads[y], rest[col[y]])]
-
-    def _decode_record(self, val, d):
-        """The handle of the P_{y,w} in a cached value for a pair with
-        l(w) - l(y) = d > 0, or None when the record is bad: its bytes are
-        not the canonical {"v": {exp: int}} of a polynomial in u with
-        constant term 1, or 2 deg P > d - 1."""
-        got = self._decoded.get(val, False)
-        if got is False:
-            got = None
-            try:
-                p = LaurentPoly.from_json(json.loads(val))
-            except (ValueError, TypeError, LookupError, AttributeError,
-                    ArithmeticError, RecursionError):
-                p = None
-            if (p is not None and p.valuation() == 0 and p.coeff_of_v(0) == 1
-                    and _record_value(p) == val):
-                got = self._intern(p)
-            self._decoded[val] = got
-        if got is None or 2 * self._deg[got] > d - 1:
-            return None
-        return got
 
     def _mu_list(self, v):
         """[(z, l(z), mu(z, v))] over z < v with mu(z, v) != 0, in id order."""

@@ -1,4 +1,4 @@
-"""The KL cache file format and concurrent writers."""
+"""The KL cache: its file format, its one writer and concurrent writers."""
 
 import hashlib
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from heckework import CoxeterSystem
-from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
+from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore, write_kl
 from heckework.cli import main
 from heckework.hecke import KLTable
 
@@ -59,45 +59,29 @@ def test_format_constants():
     assert HEADER == b"HWBC\x01\x00\x00\x00"
 
 
-def test_existing_table_file_loads_and_serves(tmp_path):
-    plain = KLTable(CoxeterSystem.from_label("A3"))
-    pairs = bruhat_pairs(plain.system)
-    blob = HEADER + b"".join(record(*kl_record(y, w, plain.p(y, w))) for y, w in pairs)
-    store = CacheStore(tmp_path)
-    system = CoxeterSystem.from_label("A3")
-    path = store._path("kl", system.content_hash())
-    path.write_bytes(blob)
-    warm = KLTable(system, store=store)
-    assert len(warm._p) == len(pairs)
-    for y, w in pairs:
-        assert warm.p(system.element(y.word), system.element(w.word)) == plain.p(y, w)
-    store.close()
-    assert path.read_bytes() == blob  # every entry was served, none appended
+def filled(system):
+    """A KLTable of the system with every column filled, pair by pair."""
+    table = KLTable(system)
+    for w in system.elements():
+        for y in system.lower_interval(w):
+            table.p(y, w)
+    return table
 
 
-def a3_table(tmp_path, bad=None):
-    """A cache-free A3 KLTable, its Bruhat pairs y < w, and a store whose KL
-    table holds a record for each pair: the true value, or `bad`."""
+def kl_stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def a3_store(tmp_path, bad=None):
+    """The Bruhat pairs y < w of A3 with their true records, and the path of
+    a KL table that holds a record for each pair: the true value, or `bad`."""
     plain = KLTable(CoxeterSystem.from_label("A3"))
     pairs = bruhat_pairs(plain.system)
     records = [kl_record(y, w, plain.p(y, w)) for y, w in pairs]
-    store = CacheStore(tmp_path)
-    store._path("kl", plain.system.content_hash()).write_bytes(
-        HEADER + b"".join(record(k, v if bad is None else bad) for k, v in records)
-    )
-    return plain, pairs, store
-
-
-def test_records_decode_on_first_use_and_share_equal_values(tmp_path):
-    plain, pairs, store = a3_table(tmp_path)
-    system = CoxeterSystem.from_label("A3")
-    warm = KLTable(system, store=store)
-    assert not warm._decoded  # nothing decoded before the first lookup
-    got = [warm.p(system.element(y.word), system.element(w.word)) for y, w in pairs]
-    assert got == [plain.p(y, w) for y, w in pairs]
-    # one decode and one shared polynomial per distinct value bytes
-    assert len({id(p) for p in got}) == len(warm._decoded) == len(set(warm._p.values()))
-    store.close()
+    path = CacheStore(tmp_path)._path("kl", plain.system.content_hash())
+    path.write_bytes(HEADER + b"".join(record(k, v if bad is None else bad) for k, v in records))
+    return dict(records), path
 
 
 BAD_VALUES = {
@@ -118,28 +102,26 @@ BAD_VALUES = {
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES.keys())
-def test_bad_records_are_recomputed_never_served(tmp_path, bad):
-    plain, pairs, store = a3_table(tmp_path, bad)
-    system = CoxeterSystem.from_label("A3")
-    warm = KLTable(system, store=store)
-    for y, w in pairs:
-        assert warm.p(system.element(y.word), system.element(w.word)) == plain.p(y, w)
-    store.close()
-    # every pair was appended again, so the next load holds only good records
-    expected = dict(kl_record(y, w, plain.p(y, w)) for y, w in pairs)
-    assert store.load_table("kl", system.content_hash()) == expected
+def test_bad_records_are_recomputed_never_served(tmp_path, capsys, bad):
+    # kl prints its cache-free text whatever the file holds, and appends the
+    # true record of every pair, so the next load holds only good records
+    # and the next call writes nothing
+    argv = ["kl", "--type", "A3"]
+    plain = kl_stdout(capsys, argv)
+    good, path = a3_store(tmp_path, bad)
+    assert kl_stdout(capsys, [*argv, "--cache-dir", str(tmp_path)]) == plain
+    assert CacheStore(tmp_path).load_table("kl", path.stem.split("-", 1)[1]) == good
+    blob = path.read_bytes()
+    assert kl_stdout(capsys, [*argv, "--cache-dir", str(tmp_path)]) == plain
+    assert path.read_bytes() == blob
 
 
 def test_new_records_keep_the_format(tmp_path):
-    store = CacheStore(tmp_path)
     system = CoxeterSystem.from_label("B3")
-    cold = KLTable(system, store=store)
-    for w in system.elements():
-        for y in system.lower_interval(w):
-            cold.p(y, w)
+    store = CacheStore(tmp_path)
+    write_kl(store, filled(system))
     store.close()
-    plain = KLTable(CoxeterSystem.from_label("B3"))
-    expected = dict(kl_record(y, w, plain.p(y, w)) for y, w in bruhat_pairs(plain.system))
+    expected = dict(kl_record(y, w, KLTable(system).p(y, w)) for y, w in bruhat_pairs(system))
     assert store.load_table("kl", system.content_hash()) == expected
     blob = store._path("kl", system.content_hash()).read_bytes()
     assert blob.startswith(HEADER)
@@ -147,19 +129,13 @@ def test_new_records_keep_the_format(tmp_path):
 
 
 def test_a_half_warm_store_appends_only_the_missing_records(tmp_path):
-    # decoded and computed values meet in one recursion: every pair still
-    # gets the cold table's P, and only the absent records are written
-    plain = KLTable(CoxeterSystem.from_label("B3"))
-    pairs = bruhat_pairs(plain.system)
-    records = [kl_record(y, w, plain.p(y, w)) for y, w in pairs]
-    store = CacheStore(tmp_path)
     system = CoxeterSystem.from_label("B3")
+    records = [kl_record(y, w, KLTable(system).p(y, w)) for y, w in bruhat_pairs(system)]
+    store = CacheStore(tmp_path)
     path = store._path("kl", system.content_hash())
     blob = HEADER + b"".join(record(k, v) for k, v in records[::2])
     path.write_bytes(blob)
-    warm = KLTable(system, store=store)
-    for y, w in pairs:
-        assert warm.p(system.element(y.word), system.element(w.word)) == plain.p(y, w)
+    write_kl(store, filled(system))
     store.close()
     # the kept records stay in place, and the file grew by the others, once
     grown = path.read_bytes()
@@ -169,22 +145,21 @@ def test_a_half_warm_store_appends_only_the_missing_records(tmp_path):
 
 
 def test_computed_values_are_shared(tmp_path):
-    # a cold fill keeps one object per distinct P, with a store or without;
-    # with a store each distinct value is framed once (`_shared`), and the
-    # file holds each pair's record once, with the bytes recorded before
-    # values were shared, in the order the columns filled
-    for store in (None, CacheStore(tmp_path)):
-        system = CoxeterSystem.from_label("B3")
-        cold = KLTable(system, store=store)
-        for w in system.elements():
-            for y in system.lower_interval(w):
-                cold.p(y, w)
-        got = [cold.p(y, w) for y, w in bruhat_pairs(system)]
-        assert len({id(p) for p in got}) == len(set(got))
-        assert len(cold._shared) == (0 if store is None else len(set(got)))
+    # a fill keeps one object per distinct P; the writer writes each pair's
+    # record once, with the bytes recorded before values were shared, in
+    # the order the columns filled
+    system = CoxeterSystem.from_label("B3")
+    table = filled(system)
+    got = [table.p(y, w) for y, w in bruhat_pairs(system)]
+    assert len({id(p) for p in got}) == len(set(got))
+    store = CacheStore(tmp_path)
+    write_kl(store, table)
     store.close()
     records = records_in_order(store._path("kl", system.content_hash()).read_bytes())
     assert len({key for key, _ in records}) == len(records)
+    elts = system._elts
+    assert records == [kl_record(elts[y], elts[w], table.value(h))
+                       for w, col in table.filled() for y, h in col.items() if y != w]
     blob = b"".join(record(k, v) for k, v in sorted(records))
     assert hashlib.sha256(blob).hexdigest() == (
         "a5db7a98451975881809ddb1498a13048fe81cf7338a90f9482872a1b26d511e")
@@ -288,18 +263,19 @@ def written_pairs(kl):
     elts = kl.system._elts
     return dict(
         kl_record(elts[y], elts[w], kl.value(h))
-        for w, col in kl._by_id.items()
+        for w, col in kl.filled()
         for y, h in col.items()
         if y != w
     )
 
 
 def test_every_public_call_leaves_no_record_unwritten(tmp_path):
-    # p, column and _mu_down, the readers that fill columns, each write
-    # what they computed
+    # p, column and _mu_down, the readers that fill columns: after each,
+    # the writer appends exactly the pairs filled since the last write
     store = CacheStore(tmp_path)
     system = CoxeterSystem.from_label("A3")
-    kl = KLTable(system, store=store)
+    kl = KLTable(system)
+    path = store._path("kl", system.content_hash())
     w0 = system.elements()[-1]
     seen = 0
     for call in (
@@ -308,9 +284,10 @@ def test_every_public_call_leaves_no_record_unwritten(tmp_path):
         lambda: kl._mu_down(system._id(w0), 0),
     ):
         call()
-        assert kl._pending == []
+        write_kl(store, kl)
         loaded = store.load_table("kl", system.content_hash())
         assert loaded == written_pairs(kl)
+        assert len(records_in_order(path.read_bytes())) == len(loaded)
         assert len(loaded) > seen  # each call computed new pairs
         seen = len(loaded)
     store.close()
@@ -320,19 +297,56 @@ B4 = "1,4,2,2;4,1,3,2;2,3,1,3;2,2,3,1"
 
 
 def test_a_cold_kl_call_writes_the_records_of_a_per_pair_fill(tmp_path, capsys):
-    # the kl command writes a column per batch, in output order; the file
-    # holds the same records and bytes as p() over every pair, reordered
+    # the kl command fills in output order, a per-pair fill in enumeration
+    # order: the files hold the same records, and the kl file its pinned bytes
     assert main(["kl", "--matrix", B4, "--cache-dir", str(tmp_path / "kl")]) == 0
     capsys.readouterr()
-    store = CacheStore(tmp_path / "p")
     system = CoxeterSystem([[int(x) for x in row.split(",")] for row in B4.split(";")])
-    table = KLTable(system, store=store)
-    for w in system.elements():
-        for y in system.lower_interval(w):
-            table.p(y, w)
+    store = CacheStore(tmp_path / "p")
+    write_kl(store, filled(system))
     store.close()
     by_kl = CacheStore(tmp_path / "kl")
     kind, syshash = "kl", system.content_hash()
     assert by_kl.load_table(kind, syshash) == store.load_table(kind, syshash)
-    sizes = {len(s._path(kind, syshash).read_bytes()) for s in (by_kl, store)}
-    assert sizes == {3124553}
+    blob = by_kl._path(kind, syshash).read_bytes()
+    assert {len(blob), len(store._path(kind, syshash).read_bytes())} == {3124553}
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8d274776dc7ba0599674efbe1b934a04db3b4146da98956b9d37edd12bf64760")
+
+
+def test_a_torn_tail_is_cut_off_before_the_next_batch(tmp_path, capsys):
+    # a file cut mid-record loads up to the torn record; the next kl call
+    # cuts the file back to its last whole record and appends the rest, so
+    # every record loads and the call after it writes nothing
+    argv = ["kl", "--type", "A3", "--cache-dir", str(tmp_path)]
+    plain = kl_stdout(capsys, argv)
+    (path,) = tmp_path.iterdir()
+    whole = path.read_bytes()
+    assert len(whole) == 8607
+    path.write_bytes(whole[:4303])
+    syshash = path.stem.split("-", 1)[1]
+    torn = CacheStore(tmp_path).load_table("kl", syshash)
+    assert 0 < len(torn) < len(records_in_order(whole))
+    assert kl_stdout(capsys, argv) == plain
+    healed = path.read_bytes()
+    assert healed.startswith(b"".join([HEADER, *(record(k, v) for k, v in torn.items())]))
+    assert len(healed) == len(whole)
+    assert CacheStore(tmp_path).load_table("kl", syshash) == dict(records_in_order(whole))
+    assert kl_stdout(capsys, argv) == plain
+    assert path.read_bytes() == healed
+
+
+def test_a_cut_waits_for_a_file_that_grew_since_the_load(tmp_path):
+    # another store appended behind a torn byte after this store's load:
+    # this store's next batch cuts nothing, so no writer's batch is lost
+    store, other = CacheStore(tmp_path), CacheStore(tmp_path)
+    store.append("kl", "h", b"a", b"1")
+    path = store._path("kl", "h")
+    path.write_bytes(path.read_bytes() + b"\x09")
+    assert store.load_table("kl", "h") == {b"a": b"1"}
+    other.append("kl", "h", b"b", b"2")
+    store.append("kl", "h", b"c", b"3")
+    store.close()
+    other.close()
+    assert path.read_bytes() == b"".join(
+        [HEADER, record(b"a", b"1"), b"\x09", record(b"b", b"2"), record(b"c", b"3")])

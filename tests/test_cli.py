@@ -134,7 +134,7 @@ def test_kl_failure_in_the_fill_writes_nothing(capsys, monkeypatch):
 
 
 def test_kl_cache_write_failure_writes_nothing(tmp_path, capsys, monkeypatch):
-    # a batch is written per column, so the 30th write fails within the fill
+    # the cache gets a batch per column, all before the first byte of stdout
     calls = _fail_on_call(monkeypatch, CacheStore, "extend", 30, OSError("disk full"))
     code = main(["kl", "--type", "A4", "--cache-dir", str(tmp_path)])
     captured = capsys.readouterr()
@@ -582,27 +582,54 @@ def _write_table(path, records):
 
 
 def _rewrite_values(path, value):
-    """Rewrite a table file with every record's value replaced by value(v)."""
+    """Rewrite a table file with every record's value replaced by value(key,
+    value); return the records it held."""
     records = CacheStore(path.parent).load_table(*path.stem.split("-", 1))
-    _write_table(path, {k: value(v) for k, v in records.items()})
+    _write_table(path, {k: value(k, v) for k, v in records.items()})
     return records
 
 
+def _records(blob):
+    """The (key, value) records of whole framed records, in file order."""
+    out, pos = [], 0
+    while pos < len(blob):
+        (klen,) = struct.unpack_from("<I", blob, pos)
+        (vlen,) = struct.unpack_from("<I", blob, pos + 4 + klen)
+        out.append((blob[pos + 4 : pos + 4 + klen], blob[pos + 8 + klen : pos + 8 + klen + vlen]))
+        pos += 8 + klen + vlen
+    return out
+
+
 @pytest.mark.parametrize(
-    "value",
-    [lambda v: v.replace(b'"0": 1', b'"0": 7'), lambda v: b"not json"],
-    ids=["constant-term-7", "not-json"],
+    "value, pair, n_fixed",
+    [(lambda k, v: v.replace(b'"0": 1', b'"0": 7'), ["2", "2132"], 55),
+     (lambda k, v: b"not json", ["2", "2132"], 55),
+     # ([], 121) edited from 1 to 1+u: well formed and within the degree bound
+     (lambda k, v: b'{"v": {"0": 1, "1": 1}}' if k == b"[[], [0, 1, 0]]" else v,
+      ["e", "121"], 1)],
+    ids=["constant-term-7", "not-json", "well-formed-wrong-value"],
 )
-def test_bad_cache_records_are_recomputed(tmp_path, capsys, value):
-    plain = [run(capsys, "kl", "--type", "A3", *pair) for pair in ([], ["--y", "2", "--w", "2132"])]
+def test_bad_cache_records_are_recomputed(tmp_path, capsys, value, pair, n_fixed):
+    # kl prints its cache-free text and appends, once, the true record of
+    # each pair it filled whose bytes the file holds otherwise
+    argv = ["kl", "--type", "A3", "--y", pair[0], "--w", pair[1]]
+    plain = [run(capsys, "kl", "--type", "A3"), run(capsys, *argv)]
     assert run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path)) == plain[0]
     (path,) = tmp_path.iterdir()
     good = _rewrite_values(path, value)
-    assert run(capsys, "kl", "--type", "A3", "--y", "2", "--w", "2132",
-               "--cache-dir", str(tmp_path)) == plain[1]
+    blob = path.read_bytes()
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == plain[1]
+    grown = path.read_bytes()
+    assert grown.startswith(blob)
+    fixed = _records(grown[len(blob):])
+    assert len(fixed) == len(dict(fixed)) == n_fixed
+    assert all(good[k] == v for k, v in fixed)
     assert run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path)) == plain[0]
     # each bad record was appended again, and the last record of a key wins
     assert CacheStore(tmp_path).load_table(*path.stem.split("-", 1)) == good
+    blob = path.read_bytes()
+    assert run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path)) == plain[0]
+    assert path.read_bytes() == blob
 
 
 def test_verify_all_fails_recursion_equals_solver_on_a_wrong_kl_value(capsys, monkeypatch):
@@ -762,3 +789,57 @@ def test_a_left_cell_without_one_distinguished_involution_is_a_crash(capsys, mon
     err = capsys.readouterr().err
     assert "internal error: AssertionError: left cell" in err
     assert "distinguished involutions [], not one" in err
+
+
+def _drop_e(cd):
+    # e, the distinguished involution of the left cell {e}, is lost
+    cd._dist = tuple(d for d in cd.distinguished_involutions() if d.word)
+
+
+def _raise_a_of_e(cd):
+    # a(e) = 2 above a(1) = 1 with 1 <=_LR e; {e} is a cell of its own, and
+    # the distinguished involutions are read before the plant
+    cd.distinguished_involutions()
+    cd.a = {**cd.a, cd.system.identity: 2}
+
+
+def _merge_first_cells(cd):
+    # {e} and the cell of 1 (a = 0 and 1) listed as one two-sided cell
+    first, second, *rest = cd.two_sided_cells
+    cd.two_sided_cells = (first | second, *rest)
+
+
+def _double_gamma_of_e(cd):
+    # t_e t_e = 2 t_e: associativity and the cells still hold
+    e = cd.system.identity
+    cd._gamma[e, e] = {e: 2}
+
+
+def _split_off_1(cd):
+    # 1 split off from its two-sided cell, with t_1 t_1 = t_1 != 0
+    same = cd.same_two_sided
+    cd.same_two_sided = lambda x, y: "1" not in (str(x), str(y)) and same(x, y)
+
+
+@pytest.mark.parametrize("command, plant, check, witness", [
+    ("cells", _drop_e, "one-distinguished-per-left-cell", ["e"]),
+    ("cells", _raise_a_of_e, "a-monotone", ["1", "e"]),
+    ("cells", _merge_first_cells, "a-constant-on-cells",
+     ["1", "12", "123", "2", "21", "23", "3", "32", "321", "e"]),
+    ("jring", _double_gamma_of_e, "unit-identity", "e"),
+    ("jring", _split_off_1, "cross-cell-vanishing", ["1", "1"]),
+], ids=["one-distinguished", "a-monotone", "a-constant", "unit-identity", "cross-cell"])
+def test_a_planted_cell_fault_fails_one_check_with_a_witness(
+        capsys, monkeypatch, command, plant, check, witness):
+    # one fault in the built CellData: exactly its check fails, exit 1
+    built = CellData.__init__
+
+    def planted(self, algebra):
+        built(self, algebra)
+        plant(self)
+
+    monkeypatch.setattr(CellData, "__init__", planted)
+    code, data = run_json(capsys, command, "--type", "A3")
+    failed = [(c["id"], c["witness"]) for r in data["reports"]
+              for c in r["checks"] if not c["pass"]]
+    assert (code, failed) == (1, [(check, witness)])

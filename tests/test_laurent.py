@@ -1,4 +1,5 @@
 import ast
+import doctest
 import math
 import random
 from pathlib import Path
@@ -294,3 +295,9 @@ def test_only_laurent_names_the_rational_ring():
             elif isinstance(node, ast.alias):
                 names.add(node.name)
         assert not names & {"RationalFn", "as_laurent"}, path.name
+
+
+def test_module_docstring_examples():
+    # the examples in laurent.py's module docstring run as written
+    result = doctest.testmod(heckework.laurent)
+    assert (result.attempted, result.failed) == (3, 0)
