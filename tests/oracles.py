@@ -4,7 +4,9 @@ tests.
 The group models deliberately avoid the package's own machinery: type A is
 modeled by one-line permutations (length = inversion count), dihedral
 groups by affine maps v -> +-v + c on Z/m (or Z for the infinite one).
-Reduced words and Bruhat order are recomputed here from scratch.
+Reduced words and Bruhat order are recomputed here from scratch, and
+`rsk` gives the type-A cells and a-function by Robinson-Schensted, with no
+Hecke algebra at all.
 
 The Hecke-side oracles compute through the T-basis product and strip-off,
 the route the package's generator recursions for `h_struct` and
@@ -273,6 +275,34 @@ def perm_reduced_words(n, p, _memo=None):
             words.append((i,) + rest)
     _memo[p] = words
     return words
+
+
+def rsk(p):
+    """(P, Q): the Robinson-Schensted insertion and recording tableaux of
+    the one-line permutation p, each a tuple of rows.  Row insertion of
+    p[0], p[1], ... bumps the least larger entry of each row into the next.
+
+    With `perm_of_word` composing left to right, Kazhdan-Lusztig (1979)
+    and Ariki (Adv. Stud. Pure Math. 28, 2000) give, on type A_{n-1}:
+    the left cells are the classes of Q, the two-sided cells the classes of
+    the shape lambda (the row lengths of P and Q), and
+    a = sum_i i * lambda_i with the rows numbered from 0."""
+    rows, rec = [], []
+    for k, x in enumerate(p):
+        r = 0
+        while r < len(rows):
+            row = rows[r]
+            j = next((j for j, y in enumerate(row) if y > x), None)
+            if j is None:
+                break
+            row[j], x = x, row[j]
+            r += 1
+        if r == len(rows):
+            rows.append([])
+            rec.append([])
+        rows[r].append(x)
+        rec[r].append(k)
+    return tuple(map(tuple, rows)), tuple(map(tuple, rec))
 
 
 def _is_subsequence(short, long):

@@ -6,6 +6,7 @@ import pytest
 from heckework import CoxeterSystem, InfiniteGroupError
 from heckework.cells import CellData, _closure
 from heckework.hecke import HeckeAlgebra
+from oracles import perm_of_word, rsk
 
 
 def gamma(cd, x, y, z):
@@ -35,6 +36,31 @@ def test_closure_is_reachability(n):
 
 def cell_strs(cells):
     return [frozenset(str(w) for w in c) for c in cells]
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5"])
+def test_type_a_cells_and_a_are_the_robinson_schensted_classes(label):
+    # Robinson-Schensted needs no Hecke algebra: left cells are the classes
+    # of the recording tableau, two-sided cells those of the shape, and a is
+    # sum i * lambda_i (the convention of `oracles.rsk`)
+    cd = CellData(HeckeAlgebra(CoxeterSystem.from_label(label)))
+    n = cd.system.rank + 1
+    tableaux = {w: rsk(perm_of_word(n, w.word)) for w in cd.elements}
+
+    def classes(key):
+        out = {}
+        for w in cd.elements:
+            out.setdefault(key(tableaux[w]), set()).add(w)
+        return set(map(frozenset, out.values()))
+
+    def shape(pq):
+        return tuple(map(len, pq[0]))
+
+    assert set(cd.left_cells) == classes(lambda pq: pq[1])
+    assert set(cd.two_sided_cells) == classes(shape)
+    bad = [str(w) for w in cd.elements
+           if cd.a[w] != sum(i * k for i, k in enumerate(shape(tableaux[w])))]
+    assert not bad, bad[:3]
 
 
 def test_a1_cells(a1):
