@@ -1,27 +1,24 @@
 """Cells, the a-function, gamma-constants, distinguished involutions, and
 the asymptotic ring J with its block decomposition.  Finite groups only.
 
-The preorders are generated directly from canonical-basis multiplication:
-z <=_L w whenever c_z occurs in some c_x c_w (and symmetrically on the
-right), then closed transitively.  No generation theorem is assumed.  The
-structure constants are read once, one column c_x c_w (all x, one w) of
-the generator recursion `HeckeAlgebra.c_left` at a time, each column
-dropped once read.  That pass sets the preorder bits and a(z) and keeps the
-integer gammas, the top coefficients of the h_{x,y,z} whose degree is the
-running a(z), so no polynomial table outlives it.  The walk runs on the
-system's element ids, which on a finite system that has interned all of W
-are exactly 0..|W|-1.  Each preorder is a list of int-bitset rows indexed
-by id (bit j of row i: element i is below element j), closed by Warshall's
-algorithm (J. ACM 9, 1962).  The two closed preorders are the only copy of
-the cell structure: the cells, their order and the *-stable left cells are
-read off them, each in enumeration order whatever the ids.
+The preorders are closed from the W-graph: each term c_z of c_s c_w
+(`HeckeAlgebra.c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b)) puts z <=_L w
+and, T_w -> T_{w^-1} being an anti-automorphism, z^-1 <=_R w^-1.  As the c_s
+generate H and c_s c_w is one of the c_x c_w, this closes to "c_z occurs
+in some c_x c_w" with no generation theorem.  Each preorder is a list of
+int-bitset rows on element ids (bit j of row i: i is below j), closed by
+Warshall's algorithm (J. ACM 9, 1962); cells, their order and the *-stable
+left cells are read off the rows in enumeration order whatever the ids.
 
-Conventions (all read off the v-variable structure constants h_{x,y,z}):
-
-- a(z) = max over (x, y) of deg_v h_{x,y,z};
-- gamma(x, y, z) = coefficient of v^{a(z^-1)} in h_{x,y,z^-1}, so that
-  t_x t_y = sum_z gamma(x, y, z^-1) t_z;
-- distinguished involutions are the z with a(z) = l(z) - 2 deg_u P_{e,z}.
+Only a, D and gamma assume theorems, Lusztig's P1, P4, P8 and P13 (CRM
+Monograph Series 18, 14.2; finite W, equal parameters).  a(z) = max
+deg_v h_{x,y,z} is the least Delta = l - 2 deg_u P_{e,-} on the left cell
+of z (P1: a <= Delta; P4: a is constant there; P13: equality at one d),
+and D is where it is met.  gamma(x, y, z), the coefficient of v^{a(z^-1)}
+in h_{x,y,z^-1} (t_x t_y = sum_z gamma(x, y, z^-1) t_z), vanishes unless
+x ~_L y^-1 (P8), so column y of `HeckeAlgebra.c_left` is walked over that
+left cell alone, one memo per column.  A visited h_{x,y,z} of degree above
+a(z) raises: the structure constants certify a.
 
 J-ring elements are plain integer dicts {CoxeterElement: int}.
 """
@@ -56,44 +53,53 @@ class CellData:
         system = algebra.system
         if not system.is_finite:
             raise InfiniteGroupError("cell theory here requires a finite group")
-        self.algebra = algebra
-        self.system = system
+        self.algebra, self.system = algebra, system
         self.elements = system.elements()
-        elts, ids = system._elts, [w.id for w in self.elements]
+        elts, kl, n = system._elts, algebra.kl, len(self.elements)
+        inv = [w.inverse().id for w in elts]
 
-        # rows, a(z) and the top lists by id, walked in enumeration order
-        leq_l = [0] * len(ids)
-        leq_lr = [0] * len(ids)
-        a = [0] * len(ids)
-        top = [[] for _ in ids]  # (x, w, coefficient) at v^{a(z)}
-        for w in ids:
-            bw = 1 << w
-            col = {}  # the column c_x c_w over x, dropped once read
-            for x in ids:
-                bx = 1 << x
-                for z, h in algebra.c_left(x, w, algebra.c_gen_mult, col).items():
-                    # c_z occurs in c_x c_w: z <=_L w; and z <=_R x
-                    leq_l[z] |= bw
-                    leq_lr[z] |= bw | bx
-                    d = h.degree()
-                    if d > a[z]:
-                        a[z], top[z] = d, []
-                    if d == a[z]:
-                        top[z].append((x, w, h.coeff_of_v(d)))
-        self.a = {z: a[z.id] for z in self.elements}
+        # the W-graph: each term z of c_s c_w is <=_L w, z^-1 <=_R w^-1
+        leq_l, leq_lr = [0] * n, [0] * n
+        for w in range(n):
+            for s in range(system.rank):
+                for z in algebra.c_gen_mult(s, {w: 1}):
+                    leq_l[z] |= 1 << w
+                    leq_lr[z] |= 1 << w
+                    leq_lr[inv[z]] |= 1 << inv[w]
+        self._leq_l, self._leq_lr = _closure(leq_l), _closure(leq_lr)
+        self.left_cells = self._classes(self._leq_l)
+        self.two_sided_cells = self._classes(self._leq_lr)
+        self._two_sided = {w: i for i, c in enumerate(self.two_sided_cells) for w in c}
+
+        # a: the least Delta on each left cell (P1, P4); D: where it is met (P13)
+        delta = {z: len(z.word) - 2 * kl.p(system.identity, z).degree() for z in self.elements}
+        self.a = {}
+        for c in self.left_cells:
+            self.a.update(dict.fromkeys(c, min(map(delta.get, c))))
+        self._dist = tuple(z for z in self.elements if delta[z] == self.a[z])
+
+        # gamma: column w over the x ~_L w^-1 alone (P8), every visited
+        # h_{x,w,z} checked against a(z)
+        a = [self.a[z] for z in elts]
+        top = [[] for _ in elts]  # (x, w, coefficient) at v^{a(z)}
+        for c in self.left_cells:
+            xs = sorted(x.id for x in c)
+            for w in (inv[x] for x in xs):
+                col = {}  # the memo of column w, dropped once read
+                for x in xs:
+                    for z, h in algebra.c_left(x, w, algebra.c_gen_mult, col).items():
+                        d = h.degree()
+                        if d > a[z]:
+                            raise AssertionError("deg h_{x,w,z} = %d > a(z) = %d at (%s, %s, %s)"
+                                                 % (d, a[z], elts[x], elts[w], elts[z]))
+                        if d == a[z]:
+                            top[z].append((x, w, h.coeff_of_v(d)))
         self._gamma = {}
         for z in self.elements:
             for x, w, g in top[z.id]:
                 self._gamma.setdefault((elts[x], elts[w]), {})[z] = g
-        self._leq_l = _closure(leq_l)
-        self._leq_lr = _closure(leq_lr)
 
-        self.left_cells = self._classes(self._leq_l)
-        self.two_sided_cells = self._classes(self._leq_lr)
-        self._two_sided = {w: i for i, c in enumerate(self.two_sided_cells) for w in c}
-        self._dist = None
-
-    # -- preorders and cells -------------------------------------------------
+    # -- preorders, cells and distinguished involutions --------------------------
 
     def leq_lr(self, z, w):
         """z <=_LR w, the two-sided preorder."""
@@ -137,14 +143,8 @@ class CellData:
             if frozenset(w.star() for w in lam) == lam:
                 yield lam, frozenset(w for w in lam if w.inverse() in lam), lam & dist
 
-    # -- a-function, gamma, distinguished involutions ---------------------------
-
     def distinguished_involutions(self):
-        """{z : a(z) = l(z) - 2 deg_u P_{e,z}}, one per left cell."""
-        if self._dist is None:
-            e, kl = self.system.identity, self.algebra.kl
-            self._dist = tuple(z for z in self.elements
-                               if self.a[z] == len(z.word) - 2 * kl.p(e, z).degree())
+        """{z : a(z) = l(z) - 2 deg_u P_{e,z}}, one per left cell (P13)."""
         return self._dist
 
     # -- the ring J ----------------------------------------------------------------

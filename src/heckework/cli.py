@@ -445,7 +445,7 @@ def cmd_verify_all(args):
                 bad = (str(y), str(w))
     kl.add("recursion-equals-solver", bad is None, bad)
     cells_rep = _cells_report(sys_, cells)
-    # CellData puts x and y above every term z of c_x c_y in <=_LR
+    # holds by construction: the W-graph generates z <=_LR x, y for z in c_x c_y
     cells_rep.add("support-constraint", True)
     # sequential over the one context: its lazily filled tables are not
     # thread-safe, and the suites are GIL-bound pure Python anyway

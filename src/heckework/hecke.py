@@ -39,13 +39,13 @@ completion (`idealmod`) and the rest of the package, each written once:
   K-rings (`KRing.convolve`, `KRing.circ`, `KRing.cgamma_mult`);
 - `KLTable._mu_down`: the mu(z, w) with s in D_L(z), listed once per
   (w, s) on element ids, for the KL recursion and behind c_s c_w
-  (`c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b));
+  (`c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b)), the W-graph of the cells;
 - `HeckeAlgebra.c_left`: the recursion c_x = c_s c_{x'} - sum mu(z, x') c_z
   on the id x = s x', given the action of c_s: with `c_gen_mult` on ids,
-  the column walk of `CellData` (one fresh memo per column) and `h_struct`
-  here, and `f_constants` in the module.  The T-basis product
-  `mult` with `to_c` is the second route: the tests' oracle, and a layer
-  the perfbench trace wraps by name.
+  `h_struct` here and the gamma walk of `CellData` (column w over the left
+  cell of w^-1 alone, one fresh memo per column), and `f_constants` in the
+  module.  The T-basis product `mult` with `to_c` is the second route: the
+  tests' oracle, and a layer the perfbench trace wraps by name.
 
 KL polynomials are stored in u-units (monomial exponent = power of u);
 `subst_v_to_u` converts them to the ambient v-representation.
@@ -456,8 +456,8 @@ class HeckeAlgebra:
 
     def h_struct(self, x, y):
         """All structure constants of c_x c_y: a dict z -> coefficient, by
-        `c_left` with `c_gen_mult` on ids, memoized whole; for `jring
-        --struct` and the tests (`CellData` walks the columns itself)."""
+        `c_left` with `c_gen_mult` on ids, memoized whole; for `jring --struct`
+        and the tests (`CellData` walks one left cell per column, by P8)."""
         sys = self.system
         got = self.c_left(sys._id(x), sys._id(y), self.c_gen_mult, self._h_struct)
         return {sys._elts[z]: h for z, h in got.items()}

@@ -217,19 +217,34 @@ def test_cell_data_does_not_depend_on_interning_order(label, first, column):
 
 @pytest.mark.parametrize("label", ["A3", "B3", "I2(5)", "D4"])
 def test_gamma_row_is_the_top_coefficient_of_h_struct(label):
-    # the column walk keeps only the terms at the running a(z): every row
-    # must be the nonzero coefficients of v^{a(z)} in h_{x,y,z}
+    # the whole table of structure constants against the W-graph, Delta and
+    # one left cell per column: the preorders close the supports of c_x c_y
+    # (z <=_L y, z <=_R x), a(z) is the largest degree of h_{x,y,z}, D is
+    # where a meets Delta, and every gamma row is the nonzero coefficients
+    # of v^{a(z)} in h_{x,y,z}
     system = (CoxeterSystem([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
               if label == "D4" else CoxeterSystem.from_label(label))
     alg = HeckeAlgebra(system)
     cd = CellData(alg)
+    leq_l, leq_lr, a = [0] * len(cd.elements), [0] * len(cd.elements), {}
     bad = []
     for x in cd.elements:
         for y in cd.elements:
-            top = {z: h.coeff_of_v(cd.a[z]) for z, h in alg.h_struct(x, y).items()}
+            hxy = alg.h_struct(x, y)
+            for z, h in hxy.items():
+                leq_l[z.id] |= 1 << y.id
+                leq_lr[z.id] |= 1 << y.id | 1 << x.id
+                a[z] = max(h.degree(), a.get(z, h.degree()))
+            top = {z: h.coeff_of_v(cd.a[z]) for z, h in hxy.items()}
             if cd.gamma_row(x, y) != {z: g for z, g in top.items() if g}:
                 bad.append((str(x), str(y)))
     assert not bad, (label, len(bad), bad[:3])
+    assert cd._leq_l == _closure(leq_l)
+    assert cd._leq_lr == _closure(leq_lr)
+    assert cd.a == a
+    e = system.identity
+    assert set(cd.distinguished_involutions()) == {
+        z for z in cd.elements if a[z] == len(z.word) - 2 * alg.kl.p(e, z).degree()}
 
 
 def test_gamma_same_cell(a2, a3, b2):

@@ -388,8 +388,8 @@ def test_verify_all_a2(capsys):
 
 
 def test_the_cell_path_never_reads_h_struct(capsys, monkeypatch):
-    # CellData is the one reader of the structure constants, a column at a
-    # time; only jring --struct asks h_struct for the table
+    # CellData reads the structure constants itself, one left cell per
+    # column; only jring --struct asks h_struct for the table
     def refuse(self, x, y):
         raise AssertionError("h_struct called on the cell path")
 
@@ -798,8 +798,7 @@ def _drop_e(cd):
 
 def _raise_a_of_e(cd):
     # a(e) = 2 above a(1) = 1 with 1 <=_LR e; {e} is a cell of its own, and
-    # the distinguished involutions are read before the plant
-    cd.distinguished_involutions()
+    # the distinguished involutions were fixed with a, before the plant
     cd.a = {**cd.a, cd.system.identity: 2}
 
 
@@ -843,3 +842,37 @@ def test_a_planted_cell_fault_fails_one_check_with_a_witness(
     failed = [(c["id"], c["witness"]) for r in data["reports"]
               for c in r["checks"] if not c["pass"]]
     assert (code, failed) == (1, [(check, witness)])
+
+
+def _raise_p_e(monkeypatch, word):
+    # P_{e,w} = u P_{e,w} at the one w named, through the KL table: Delta(w)
+    # = l(w) - 2 deg P_{e,w} drops by 2
+    p = KLTable.p
+    monkeypatch.setattr(KLTable, "p", lambda self, y, w: (
+        p(self, y, w).shifted(1) if not y.word and str(w) == word else p(self, y, w)))
+
+
+def test_an_a_below_the_structure_constants_is_caught_by_the_gamma_walk(
+        capsys, monkeypatch):
+    # Delta(1) = -1 lowers a on the left cell {1, 21, 321} to -1; the walk
+    # meets h_{1,1,1} = v + v^-1 and stops with (x, w, z): exit 3
+    _raise_p_e(monkeypatch, "1")
+    assert main(["jring", "--type", "A3"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: AssertionError: deg h_{x,w,z} = 1 > a(z) = -1 at (1, 1, 1)" in err
+
+
+def test_a_tie_of_the_least_delta_fails_one_distinguished(capsys, monkeypatch):
+    # Delta(321) = 1 ties Delta(1) = 1 in the left cell {1, 21, 321}: a is
+    # unchanged, and the cell holds two distinguished involutions
+    _raise_p_e(monkeypatch, "321")
+    code, data = run_json(capsys, "cells", "--type", "A3")
+    failed = [(c["id"], c["witness"]) for r in data["reports"]
+              for c in r["checks"] if not c["pass"]]
+    assert (code, failed) == (1, [("one-distinguished-per-left-cell", ["1", "21", "321"])])
+
+
+def test_a_rank_3_bond_of_5_is_a_usage_error(capsys):
+    # H3 has no integral matrix model: the caller's usage error, not a crash
+    assert main(["group", "--matrix", "1,5,2;5,1,3;2,3,1"]) == 2
+    assert "bond order 5 has no integral model" in capsys.readouterr().err

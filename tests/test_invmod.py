@@ -360,8 +360,8 @@ def _plant_same_two_sided(cd):
     (_plant_same_two_sided, ["beta-cell-support", "block-decomposition"]),
 ])
 def test_single_row_check_witnesses(plant, checks, monkeypatch):
-    # a fresh B2 context, since a planted a-function would reach the memo
-    # of the distinguished involutions
+    # a fresh B2 context keeps the plants off the shared fixture; a planted
+    # a leaves the distinguished involutions as CellData fixed them with a
     alg = HeckeAlgebra(CoxeterSystem.from_label("B2"))
     cd, inv = CellData(alg), InvolutionModule(alg)
     monkeypatch.setattr(cd, *plant(cd))
