@@ -314,6 +314,20 @@ def test_a_cold_kl_call_writes_the_records_of_a_per_pair_fill(tmp_path, capsys):
         "8d274776dc7ba0599674efbe1b934a04db3b4146da98956b9d37edd12bf64760")
 
 
+COLD_FILES = {
+    "A3": (8607, "d40015863a17298cef9c9e1199efe19180a4863e6e9f420d7d2748b82cefa5b5"),
+    "A4": (212107, "a4482b085634c507a69a0b2765f5e78b1dd581ce130a8dfea490fdbdc4e5f660"),
+}
+
+
+@pytest.mark.parametrize("label", COLD_FILES)
+def test_a_cold_kl_call_writes_pinned_bytes(tmp_path, capsys, label):
+    kl_stdout(capsys, ["kl", "--type", label, "--cache-dir", str(tmp_path)])
+    (path,) = tmp_path.iterdir()
+    blob = path.read_bytes()
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == COLD_FILES[label]
+
+
 def test_a_torn_tail_is_cut_off_before_the_next_batch(tmp_path, capsys):
     # a file cut mid-record loads up to the torn record; the next kl call
     # cuts the file back to its last whole record and appends the rest, so
