@@ -9,13 +9,17 @@ creates it.  Each store holds one O_APPEND descriptor per table and makes
 one os.write per batch of whole records, so the batches of concurrent
 writers do not interleave.  A load keeps the last record of each key and
 stops at the first torn record; the store's next batch to that table first
-cuts the torn tail off, unless the file has grown since the load.
+cuts the torn tail off, unless the file has grown since the load.  A
+foreign header (another magic or version) is a torn tail at offset 0, so
+that batch cuts the whole file and writes this schema's header first.
 
 A KL record (`write_kl`) is keyed by json.dumps([y word, w word]) and holds
 the canonical {"v": ...} JSON of P_{y,w} in u-units.  `kl` computes its
-whole table before it writes anything, and then appends only the records
-the file lacks or holds with other bytes; no record, well formed or not,
-ever changes what `kl` prints.
+whole table before it writes anything.  A file that is exactly the header
+and the table's records in fill order, as a cold call leaves it, is
+compared column by column and neither parsed nor written; any other is
+loaded and gets only the records it lacks or holds with other bytes.  No
+record, well formed or not, ever changes what `kl` prints.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from pathlib import Path
 
 MAGIC = b"HWBC"
 SCHEMA_VERSION = 1
+HEADER = MAGIC + struct.pack("<I", SCHEMA_VERSION)
 
 _LEN = struct.Struct("<I")  # the length prefix of a record's key or value
 pack_len = _LEN.pack
@@ -35,7 +40,7 @@ pack_len = _LEN.pack
 class CacheStore:
     def __init__(self, root):
         self._fds = {}
-        self._torn = {}  # (kind, syshash) -> (end of the last whole record, size) at load
+        self._torn = {}  # (kind, syshash) -> (end of the last whole record or 0, size) at load
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
@@ -49,12 +54,10 @@ class CacheStore:
         if not path.exists():
             return out
         blob = path.read_bytes()
-        if len(blob) < 8 or blob[:4] != MAGIC:
+        pos, n, unpack = len(HEADER), len(blob), _LEN.unpack_from
+        if blob[:pos] != HEADER:  # a foreign header: the whole file is torn
+            self._torn[kind, syshash] = (0, n)
             return out
-        (version,) = struct.unpack("<I", blob[4:8])
-        if version != SCHEMA_VERSION:
-            return out
-        pos, n, unpack = 8, len(blob), _LEN.unpack_from
         vals = {}  # each distinct value once, which keeps a KL table small in memory
         while pos + 4 <= n:
             kend = pos + 4 + unpack(blob, pos)[0]
@@ -70,13 +73,24 @@ class CacheStore:
             self._torn[kind, syshash] = (pos, n)
         return out
 
+    def holds(self, kind, syshash, chunks):
+        """Whether the table's file is exactly this schema's header and the
+        byte chunks, read one chunk at a time up to the first difference."""
+        try:
+            f = open(self._path(kind, syshash), "rb")
+        except FileNotFoundError:
+            return False
+        with f:
+            return (f.read(len(HEADER)) == HEADER
+                    and all(f.read(len(c)) == c for c in chunks) and not f.read(1))
+
     def _open(self, kind, syshash):
         path = self._path(kind, syshash)
         if not path.exists():
             tmp = self.root / (".%s.%d-%d" % (path.name, os.getpid(), id(self)))
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             try:
-                os.write(fd, MAGIC + struct.pack("<I", SCHEMA_VERSION))
+                os.write(fd, HEADER)
                 os.link(tmp, path)
             except FileExistsError:
                 pass  # another writer created the table first
@@ -96,6 +110,8 @@ class CacheStore:
         torn = self._torn.pop((kind, syshash), None)
         if torn is not None and os.fstat(fd).st_size == torn[1]:
             os.ftruncate(fd, torn[0])  # back to the last whole record
+            if not torn[0]:  # or to nothing, behind a foreign header
+                framed = [HEADER, *framed]
         os.write(fd, b"".join(framed))
 
     def append(self, kind, syshash, key, value):
@@ -110,19 +126,17 @@ class CacheStore:
         self.close()
 
 
-def write_kl(store, table):
-    """Append to `store` the record of every pair y < w in the columns that
-    the KLTable `table` has filled, unless the store's table already holds
-    those bytes: one load, then one batch per column, in fill order.  Each
-    distinct value is encoded once."""
-    syshash = table.system.content_hash()
-    held = store.load_table("kl", syshash)
+def _kl_columns(table):
+    """The records of every pair y < w in the columns that the KLTable
+    `table` has filled, in fill order: per column one flat list of byte
+    chunks, each record's key length, key and framed value, that joins to
+    the column's records.  Each distinct value is encoded once."""
     # id -> b'[' + json of its word + b', ': the key of (y, w) is y's head
     # and the tail json of w's word + b']'
     heads = [b"[" + json.dumps(list(x.word)).encode() + b", " for x in table.system._elts]
-    vals = {}  # handle -> (value bytes, framed value)
+    vals = {}  # handle -> framed value
     for w, col in table.filled():
-        tail, framed = heads[w][1:-2] + b"]", []
+        tail, parts = heads[w][1:-2] + b"]", []
         for y, h in col.items():
             if y == w:
                 continue  # P_{w,w} = 1 is never a record
@@ -130,7 +144,22 @@ def write_kl(store, table):
             val = vals.get(h)
             if val is None:
                 v = json.dumps(table.value(h).to_json(), sort_keys=True).encode()
-                val = vals[h] = (v, pack_len(len(v)) + v)
-            if held.get(key) != val[0]:
-                framed += (pack_len(len(key)), key, val[1])
-        store.extend("kl", syshash, framed)
+                val = vals[h] = pack_len(len(v)) + v
+            parts += (pack_len(len(key)), key, val)
+        yield parts
+
+
+def write_kl(store, table):
+    """Append to `store` the records of `_kl_columns(table)` that its table
+    lacks or holds with other bytes.  A file that is exactly the header
+    and these records is only compared, column by column; any other is
+    loaded once, then gets one batch per column, in fill order."""
+    syshash = table.system.content_hash()
+    if store.holds("kl", syshash, (b"".join(parts) for parts in _kl_columns(table))):
+        return
+    held = store.load_table("kl", syshash)
+    for parts in _kl_columns(table):
+        if held:  # keep the key length, key and value of each record not held
+            parts = [c for i in range(0, len(parts), 3)
+                     if held.get(parts[i + 1]) != parts[i + 2][4:] for c in parts[i : i + 3]]
+        store.extend("kl", syshash, parts)

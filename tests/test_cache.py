@@ -320,11 +320,18 @@ COLD_FILES = {
 }
 
 
+def cold_file(tmp_path, capsys, label):
+    """The argv of a `kl --cache-dir` call, its cache file and the bytes that
+    a cold call leaves in it."""
+    argv = ["kl", "--type", label, "--cache-dir", str(tmp_path)]
+    kl_stdout(capsys, argv)
+    (path,) = tmp_path.iterdir()
+    return argv, path, path.read_bytes()
+
+
 @pytest.mark.parametrize("label", COLD_FILES)
 def test_a_cold_kl_call_writes_pinned_bytes(tmp_path, capsys, label):
-    kl_stdout(capsys, ["kl", "--type", label, "--cache-dir", str(tmp_path)])
-    (path,) = tmp_path.iterdir()
-    blob = path.read_bytes()
+    _, _, blob = cold_file(tmp_path, capsys, label)
     assert (len(blob), hashlib.sha256(blob).hexdigest()) == COLD_FILES[label]
 
 
@@ -364,3 +371,50 @@ def test_a_cut_waits_for_a_file_that_grew_since_the_load(tmp_path):
     other.close()
     assert path.read_bytes() == b"".join(
         [HEADER, record(b"a", b"1"), b"\x09", record(b"b", b"2"), record(b"c", b"3")])
+
+
+def no_load(*args):
+    raise AssertionError("load_table called")
+
+
+def test_a_warm_call_on_a_cold_file_compares_and_never_loads(tmp_path, capsys, monkeypatch):
+    argv, path, whole = cold_file(tmp_path, capsys, "A4")
+    monkeypatch.setattr(CacheStore, "load_table", no_load)
+    kl_stdout(capsys, argv)
+    assert path.read_bytes() == whole
+
+
+def test_a_later_record_with_other_bytes_gets_the_true_record_appended(tmp_path, capsys):
+    # the file holds the whole stream, then a record that overrides an
+    # earlier key: a compare that stops at the stream's end would miss it
+    argv, path, whole = cold_file(tmp_path, capsys, "A3")
+    key, value = records_in_order(whole)[5]
+    bad = record(key, b'{"v": {"0": 7}}')
+    path.write_bytes(whole + bad)
+    kl_stdout(capsys, argv)
+    assert path.read_bytes() == whole + bad + record(key, value)
+    kl_stdout(capsys, argv)
+    assert path.read_bytes() == whole + bad + record(key, value)
+
+
+def test_a_file_without_its_last_column_gets_only_that_column(tmp_path, capsys):
+    argv, path, whole = cold_file(tmp_path, capsys, "A3")
+    records = records_in_order(whole)
+    last_w = json.loads(records[-1][0])[1]
+    kept = [r for r in records if json.loads(r[0])[1] != last_w]
+    assert records[: len(kept)] == kept and len(kept) < len(records)
+    path.write_bytes(HEADER + b"".join(record(k, v) for k, v in kept))
+    kl_stdout(capsys, argv)
+    assert path.read_bytes() == whole
+
+
+def test_a_foreign_header_is_cut_and_the_file_becomes_warm(tmp_path, capsys, monkeypatch):
+    # a file under another schema version is cut back to nothing and
+    # rewritten as a cold call writes it; the next call only compares
+    argv, path, whole = cold_file(tmp_path, capsys, "A3")
+    path.write_bytes(MAGIC + struct.pack("<I", 2) + whole[len(HEADER):])
+    kl_stdout(capsys, argv)
+    assert path.read_bytes() == whole
+    monkeypatch.setattr(CacheStore, "load_table", no_load)
+    kl_stdout(capsys, argv)
+    assert path.read_bytes() == whole

@@ -820,17 +820,28 @@ def _split_off_1(cd):
     cd.same_two_sided = lambda x, y: "1" not in (str(x), str(y)) and same(x, y)
 
 
-@pytest.mark.parametrize("command, plant, check, witness", [
-    ("cells", _drop_e, "one-distinguished-per-left-cell", ["e"]),
-    ("cells", _raise_a_of_e, "a-monotone", ["1", "e"]),
-    ("cells", _merge_first_cells, "a-constant-on-cells",
+def _double_gamma_of_12_21(cd):
+    # A2: t_12 t_21 = 2 t_1, not t_1; 12 and 21 are not distinguished, so the
+    # unit and the cells still hold, and (t_12 t_21) t_12 = 2 t_12 != t_12
+    x, y, z = (cd.system.element(w) for w in ("12", "21", "1"))
+    assert cd._gamma[x, y] == {z: 1}
+    cd._gamma[x, y] = {z: 2}
+
+
+@pytest.mark.parametrize("command, label, plant, check, witness", [
+    ("cells", "A3", _drop_e, "one-distinguished-per-left-cell", ["e"]),
+    ("cells", "A3", _raise_a_of_e, "a-monotone", ["1", "e"]),
+    ("cells", "A3", _merge_first_cells, "a-constant-on-cells",
      ["1", "12", "123", "2", "21", "23", "3", "32", "321", "e"]),
-    ("jring", _double_gamma_of_e, "unit-identity", "e"),
-    ("jring", _split_off_1, "cross-cell-vanishing", ["1", "1"]),
-], ids=["one-distinguished", "a-monotone", "a-constant", "unit-identity", "cross-cell"])
+    ("jring", "A3", _double_gamma_of_e, "unit-identity", "e"),
+    ("jring", "A3", _split_off_1, "cross-cell-vanishing", ["1", "1"]),
+    ("jring", "A2", _double_gamma_of_12_21, "associativity", ["12", "21", "12"]),
+], ids=["one-distinguished", "a-monotone", "a-constant", "unit-identity", "cross-cell",
+        "associativity"])
 def test_a_planted_cell_fault_fails_one_check_with_a_witness(
-        capsys, monkeypatch, command, plant, check, witness):
-    # one fault in the built CellData: exactly its check fails, exit 1
+        capsys, monkeypatch, command, label, plant, check, witness):
+    # one fault in the built CellData: exactly its check fails, exit 1.  A2
+    # has 6^3 = 216 triples, so associativity checks every one
     built = CellData.__init__
 
     def planted(self, algebra):
@@ -838,7 +849,7 @@ def test_a_planted_cell_fault_fails_one_check_with_a_witness(
         plant(self)
 
     monkeypatch.setattr(CellData, "__init__", planted)
-    code, data = run_json(capsys, command, "--type", "A3")
+    code, data = run_json(capsys, command, "--type", label)
     failed = [(c["id"], c["witness"]) for r in data["reports"]
               for c in r["checks"] if not c["pass"]]
     assert (code, failed) == (1, [(check, witness)])
