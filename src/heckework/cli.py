@@ -5,8 +5,9 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
 3 internal error; a reader that closes stdout early does not change the
 exit code.  `kl` fills its whole table before it writes a byte, then writes
 the text one column at a time, so a failure leaves stdout empty and the
-full text is never held at once; under --cache-dir it first appends to a
-KL cache what the cache lacks, and never reads a value from it.
+full text is never held at once; under --cache-dir it first writes the
+table's records to a KL cache file, unless the file holds exactly them,
+and never reads a value from it.
 """
 
 from __future__ import annotations
@@ -218,11 +219,7 @@ def cmd_kl(args):
         columns = ((label[w.id], sorted(col, key=rank.__getitem__), col)
                    for w, col in zip(order, map(kl.column, order)))
     if args.cache_dir:
-        store = CacheStore(args.cache_dir)
-        try:
-            write_kl(store, kl)
-        finally:
-            store.close()
+        write_kl(CacheStore(args.cache_dir), kl)
     return _kl_chunks(sys_, kl, label, columns), []
 
 

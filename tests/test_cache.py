@@ -1,4 +1,5 @@
-"""The KL cache: its file format, its one writer and concurrent writers."""
+"""The KL cache: its file format, its one writer, and files written whole
+or not at all, also by concurrent writers."""
 
 import hashlib
 import json
@@ -6,7 +7,6 @@ import os
 import struct
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -103,9 +103,9 @@ BAD_VALUES = {
 
 @pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES.keys())
 def test_bad_records_are_recomputed_never_served(tmp_path, capsys, bad):
-    # kl prints its cache-free text whatever the file holds, and appends the
-    # true record of every pair, so the next load holds only good records
-    # and the next call writes nothing
+    # kl prints its cache-free text whatever the file holds, and rewrites
+    # it with the true record of every pair, so the next load holds only
+    # good records and the next call writes nothing
     argv = ["kl", "--type", "A3"]
     plain = kl_stdout(capsys, argv)
     good, path = a3_store(tmp_path, bad)
@@ -120,7 +120,6 @@ def test_new_records_keep_the_format(tmp_path):
     system = CoxeterSystem.from_label("B3")
     store = CacheStore(tmp_path)
     write_kl(store, filled(system))
-    store.close()
     expected = dict(kl_record(y, w, KLTable(system).p(y, w)) for y, w in bruhat_pairs(system))
     assert store.load_table("kl", system.content_hash()) == expected
     blob = store._path("kl", system.content_hash()).read_bytes()
@@ -131,17 +130,18 @@ def test_new_records_keep_the_format(tmp_path):
 def test_a_half_warm_store_appends_only_the_missing_records(tmp_path):
     system = CoxeterSystem.from_label("B3")
     records = [kl_record(y, w, KLTable(system).p(y, w)) for y, w in bruhat_pairs(system)]
-    store = CacheStore(tmp_path)
+    store, fresh = CacheStore(tmp_path / "half"), CacheStore(tmp_path / "fresh")
     path = store._path("kl", system.content_hash())
-    blob = HEADER + b"".join(record(k, v) for k, v in records[::2])
-    path.write_bytes(blob)
-    write_kl(store, filled(system))
-    store.close()
-    # the kept records stay in place, and the file grew by the others, once
-    grown = path.read_bytes()
-    assert grown.startswith(blob)
+    path.write_bytes(HEADER + b"".join(record(k, v) for k, v in records[::2]))
+    table = filled(system)
+    write_kl(store, table)
+    write_kl(fresh, table)
+    # a file holding every other record is replaced by the whole table, in
+    # fill order, byte for byte as a fresh store gets it
+    whole = path.read_bytes()
+    assert whole == fresh._path("kl", system.content_hash()).read_bytes()
     assert store.load_table("kl", system.content_hash()) == dict(records)
-    assert len(grown) == len(HEADER) + sum(len(record(k, v)) for k, v in records)
+    assert len(whole) == len(HEADER) + sum(len(record(k, v)) for k, v in records)
 
 
 def test_computed_values_are_shared(tmp_path):
@@ -154,7 +154,6 @@ def test_computed_values_are_shared(tmp_path):
     assert len({id(p) for p in got}) == len(set(got))
     store = CacheStore(tmp_path)
     write_kl(store, table)
-    store.close()
     records = records_in_order(store._path("kl", system.content_hash()).read_bytes())
     assert len({key for key, _ in records}) == len(records)
     elts = system._elts
@@ -170,91 +169,10 @@ def test_two_stores_share_one_header(tmp_path):
     recs = [(b"key%d" % i, b"value%d" % i) for i in range(40)]
     for i, (k, v) in enumerate(recs):
         (a if i % 3 else b).append("kl", "h", k, v)
-    a.close()
-    b.close()
     assert os.listdir(tmp_path) == ["kl-h.hwc"]
     blob = (tmp_path / "kl-h.hwc").read_bytes()
     assert blob == HEADER + b"".join(record(k, v) for k, v in recs)
     assert CacheStore(tmp_path).load_table("kl", "h") == dict(recs)
-
-
-TAGS = ("a", "b", "c")
-WRITER = """
-import sys, time
-from heckework.cache import CacheStore
-store = CacheStore(sys.argv[1])
-tag = sys.argv[2].encode()
-while time.time() < float(sys.argv[3]):
-    pass
-for i in range(300):
-    store.append("kl", "h", tag + b"%d" % i, b"x" * (i % 50))
-"""
-
-
-def test_concurrent_processes_keep_every_record(tmp_path):
-    # three writers race to create the table, then interleave their appends
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    start = str(time.time() + 1.0)  # after every interpreter has started
-    procs = [
-        subprocess.Popen([sys.executable, "-c", WRITER, str(tmp_path), tag, start], env=env)
-        for tag in TAGS
-    ]
-    assert [p.wait(timeout=60) for p in procs] == [0] * len(TAGS)
-    blob = (tmp_path / "kl-h.hwc").read_bytes()
-    assert blob.startswith(HEADER) and blob.count(MAGIC) == 1
-    got = CacheStore(tmp_path).load_table("kl", "h")
-    assert got == {
-        tag.encode() + b"%d" % i: b"x" * (i % 50) for tag in TAGS for i in range(300)
-    }
-    assert sum(len(record(k, v)) for k, v in got.items()) == len(blob) - len(HEADER)
-
-
-BATCH_SIZES = (1, 7, 40, 3, 120, 2)
-BATCH_WRITER = """
-import sys, time
-from heckework.cache import CacheStore, pack_len
-store = CacheStore(sys.argv[1])
-tag = sys.argv[2].encode()
-sizes = [int(n) for n in sys.argv[4].split(",")]
-while time.time() < float(sys.argv[3]):
-    pass
-for b in range(60):
-    n = sizes[b % len(sizes)]
-    records = [(tag + b"%d-%d" % (b, i), b"x" * ((b + i) % 50)) for i in range(n)]
-    store.extend("kl", "h", [c for k, v in records
-                             for c in (pack_len(len(k)), k, pack_len(len(v)), v)])
-"""
-
-
-def test_concurrent_batches_keep_every_record_and_never_interleave(tmp_path):
-    # three writers race to create the table, then write batches of mixed
-    # sizes: every record survives, and each batch lies whole and in order
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    start = str(time.time() + 1.0)  # after every interpreter has started
-    sizes = ",".join(map(str, BATCH_SIZES))
-    procs = [
-        subprocess.Popen([sys.executable, "-c", BATCH_WRITER, str(tmp_path), tag, start, sizes],
-                         env=env)
-        for tag in TAGS
-    ]
-    assert [p.wait(timeout=60) for p in procs] == [0] * len(TAGS)
-    blob = (tmp_path / "kl-h.hwc").read_bytes()
-    assert blob.count(MAGIC) == 1
-    got = records_in_order(blob)
-    batches = {
-        (tag, b): [(tag.encode() + b"%d-%d" % (b, i), b"x" * ((b + i) % 50))
-                   for i in range(BATCH_SIZES[b % len(BATCH_SIZES)])]
-        for tag in TAGS for b in range(60)
-    }
-    assert sorted(got) == sorted(r for batch in batches.values() for r in batch)
-    pos = {key: i for i, (key, _) in enumerate(got)}
-    for batch in batches.values():
-        first = pos[batch[0][0]]
-        assert got[first : first + len(batch)] == batch
 
 
 def written_pairs(kl):
@@ -271,7 +189,7 @@ def written_pairs(kl):
 
 def test_every_public_call_leaves_no_record_unwritten(tmp_path):
     # p, column and _mu_down, the readers that fill columns: after each,
-    # the writer appends exactly the pairs filled since the last write
+    # the file holds exactly the pairs filled so far
     store = CacheStore(tmp_path)
     system = CoxeterSystem.from_label("A3")
     kl = KLTable(system)
@@ -290,7 +208,6 @@ def test_every_public_call_leaves_no_record_unwritten(tmp_path):
         assert len(records_in_order(path.read_bytes())) == len(loaded)
         assert len(loaded) > seen  # each call computed new pairs
         seen = len(loaded)
-    store.close()
 
 
 B4 = "1,4,2,2;4,1,3,2;2,3,1,3;2,2,3,1"
@@ -304,7 +221,6 @@ def test_a_cold_kl_call_writes_the_records_of_a_per_pair_fill(tmp_path, capsys):
     system = CoxeterSystem([[int(x) for x in row.split(",")] for row in B4.split(";")])
     store = CacheStore(tmp_path / "p")
     write_kl(store, filled(system))
-    store.close()
     by_kl = CacheStore(tmp_path / "kl")
     kind, syshash = "kl", system.content_hash()
     assert by_kl.load_table(kind, syshash) == store.load_table(kind, syshash)
@@ -335,10 +251,26 @@ def test_a_cold_kl_call_writes_pinned_bytes(tmp_path, capsys, label):
     assert (len(blob), hashlib.sha256(blob).hexdigest()) == COLD_FILES[label]
 
 
+def test_concurrent_kl_calls_leave_one_whole_file(tmp_path):
+    # three cold A4 calls race: each writes a temporary file of its own and
+    # moves it onto the table's name, so the directory ends with the one
+    # table file, holding the cold bytes, and no temporary file
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "heckework.cli", "kl", "--type", "A4",
+            "--cache-dir", str(tmp_path)]
+    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL) for _ in range(3)]
+    assert [p.wait(timeout=60) for p in procs] == [0, 0, 0]
+    (path,) = tmp_path.iterdir()
+    blob = path.read_bytes()
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == COLD_FILES["A4"]
+
+
 def test_a_torn_tail_is_cut_off_before_the_next_batch(tmp_path, capsys):
     # a file cut mid-record loads up to the torn record; the next kl call
-    # cuts the file back to its last whole record and appends the rest, so
-    # every record loads and the call after it writes nothing
+    # replaces it with the whole table, whose first records are those that
+    # loaded, so every record loads and the call after it writes nothing
     argv = ["kl", "--type", "A3", "--cache-dir", str(tmp_path)]
     plain = kl_stdout(capsys, argv)
     (path,) = tmp_path.iterdir()
@@ -357,22 +289,6 @@ def test_a_torn_tail_is_cut_off_before_the_next_batch(tmp_path, capsys):
     assert path.read_bytes() == healed
 
 
-def test_a_cut_waits_for_a_file_that_grew_since_the_load(tmp_path):
-    # another store appended behind a torn byte after this store's load:
-    # this store's next batch cuts nothing, so no writer's batch is lost
-    store, other = CacheStore(tmp_path), CacheStore(tmp_path)
-    store.append("kl", "h", b"a", b"1")
-    path = store._path("kl", "h")
-    path.write_bytes(path.read_bytes() + b"\x09")
-    assert store.load_table("kl", "h") == {b"a": b"1"}
-    other.append("kl", "h", b"b", b"2")
-    store.append("kl", "h", b"c", b"3")
-    store.close()
-    other.close()
-    assert path.read_bytes() == b"".join(
-        [HEADER, record(b"a", b"1"), b"\x09", record(b"b", b"2"), record(b"c", b"3")])
-
-
 def no_load(*args):
     raise AssertionError("load_table called")
 
@@ -386,15 +302,16 @@ def test_a_warm_call_on_a_cold_file_compares_and_never_loads(tmp_path, capsys, m
 
 def test_a_later_record_with_other_bytes_gets_the_true_record_appended(tmp_path, capsys):
     # the file holds the whole stream, then a record that overrides an
-    # earlier key: a compare that stops at the stream's end would miss it
+    # earlier key: a compare that stops at the stream's end would keep it,
+    # and the next load would serve the wrong bytes.  The file becomes the
+    # cold bytes, and stays so
     argv, path, whole = cold_file(tmp_path, capsys, "A3")
-    key, value = records_in_order(whole)[5]
-    bad = record(key, b'{"v": {"0": 7}}')
-    path.write_bytes(whole + bad)
+    key, _ = records_in_order(whole)[5]
+    path.write_bytes(whole + record(key, b'{"v": {"0": 7}}'))
     kl_stdout(capsys, argv)
-    assert path.read_bytes() == whole + bad + record(key, value)
+    assert path.read_bytes() == whole
     kl_stdout(capsys, argv)
-    assert path.read_bytes() == whole + bad + record(key, value)
+    assert path.read_bytes() == whole
 
 
 def test_a_file_without_its_last_column_gets_only_that_column(tmp_path, capsys):
@@ -409,8 +326,8 @@ def test_a_file_without_its_last_column_gets_only_that_column(tmp_path, capsys):
 
 
 def test_a_foreign_header_is_cut_and_the_file_becomes_warm(tmp_path, capsys, monkeypatch):
-    # a file under another schema version is cut back to nothing and
-    # rewritten as a cold call writes it; the next call only compares
+    # a file under another schema version is replaced by what a cold call
+    # writes; the next call only compares
     argv, path, whole = cold_file(tmp_path, capsys, "A3")
     path.write_bytes(MAGIC + struct.pack("<I", 2) + whole[len(HEADER):])
     kl_stdout(capsys, argv)

@@ -17,6 +17,7 @@ from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
 from heckework.hecke import HeckeAlgebra, KLTable
+from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly
 from heckework.report import Check, Report
 
@@ -134,12 +135,33 @@ def test_kl_failure_in_the_fill_writes_nothing(capsys, monkeypatch):
 
 
 def test_kl_cache_write_failure_writes_nothing(tmp_path, capsys, monkeypatch):
-    # the cache gets a batch per column, all before the first byte of stdout
-    calls = _fail_on_call(monkeypatch, CacheStore, "extend", 30, OSError("disk full"))
-    code = main(["kl", "--type", "A4", "--cache-dir", str(tmp_path)])
+    # the cache is written before the first byte of stdout, one column at a
+    # time into a temporary file: a write that fails partway leaves stdout
+    # empty, the old file as it was and no temporary file
+    import heckework.cache as cache
+
+    argv = ["kl", "--type", "A4", "--cache-dir", str(tmp_path)]
+    run(capsys, *argv)
+    (path,) = tmp_path.iterdir()
+    old = path.read_bytes()[:-1]  # a torn tail, which the next call replaces
+    path.write_bytes(old)
+    writes, real_open = [], open
+
+    class FullDisk(io.FileIO):
+        def write(self, b):
+            writes.append(len(b))
+            if len(writes) == 30:
+                raise OSError("disk full")
+            return super().write(b)
+
+    monkeypatch.setattr(cache, "open", lambda file, mode="r": (
+        FullDisk(file, "w") if "w" in mode else real_open(file, mode)), raising=False)
+    code = main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out, len(calls)) == (2, "", 30)
+    assert (code, captured.out, len(writes)) == (2, "", 30)
     assert "usage error: disk full" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == old
 
 
 class _WriteLog(io.StringIO):
@@ -601,34 +623,37 @@ def _records(blob):
 
 
 @pytest.mark.parametrize(
-    "value, pair, n_fixed",
+    "value, pair, n_records",
     [(lambda k, v: v.replace(b'"0": 1', b'"0": 7'), ["2", "2132"], 55),
      (lambda k, v: b"not json", ["2", "2132"], 55),
      # ([], 121) edited from 1 to 1+u: well formed and within the degree bound
      (lambda k, v: b'{"v": {"0": 1, "1": 1}}' if k == b"[[], [0, 1, 0]]" else v,
-      ["e", "121"], 1)],
+      ["e", "121"], 13)],
     ids=["constant-term-7", "not-json", "well-formed-wrong-value"],
 )
-def test_bad_cache_records_are_recomputed(tmp_path, capsys, value, pair, n_fixed):
-    # kl prints its cache-free text and appends, once, the true record of
-    # each pair it filled whose bytes the file holds otherwise
+def test_bad_cache_records_are_recomputed(tmp_path, capsys, value, pair, n_records):
+    # kl prints its cache-free text whatever the file holds, and replaces a
+    # file of bad records by the true records of the columns it filled,
+    # byte for byte what the same call writes to an empty directory
     argv = ["kl", "--type", "A3", "--y", pair[0], "--w", pair[1]]
+    full = ["kl", "--type", "A3", "--cache-dir", str(tmp_path / "d")]
     plain = [run(capsys, "kl", "--type", "A3"), run(capsys, *argv)]
-    assert run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path)) == plain[0]
-    (path,) = tmp_path.iterdir()
+    assert run(capsys, *full) == plain[0]
+    (path,) = (tmp_path / "d").iterdir()
     good = _rewrite_values(path, value)
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path / "d")) == plain[1]
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path / "fresh")) == plain[1]
     blob = path.read_bytes()
-    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == plain[1]
-    grown = path.read_bytes()
-    assert grown.startswith(blob)
-    fixed = _records(grown[len(blob):])
-    assert len(fixed) == len(dict(fixed)) == n_fixed
+    assert blob == (tmp_path / "fresh" / path.name).read_bytes()
+    fixed = _records(blob[len(MAGIC) + 4 :])
+    assert len(fixed) == len(dict(fixed)) == n_records
     assert all(good[k] == v for k, v in fixed)
-    assert run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path)) == plain[0]
-    # each bad record was appended again, and the last record of a key wins
-    assert CacheStore(tmp_path).load_table(*path.stem.split("-", 1)) == good
+    # a call over the whole table writes every true record, and the call
+    # after it writes nothing
+    assert run(capsys, *full) == plain[0]
+    assert CacheStore(path.parent).load_table(*path.stem.split("-", 1)) == good
     blob = path.read_bytes()
-    assert run(capsys, "kl", "--type", "A3", "--cache-dir", str(tmp_path)) == plain[0]
+    assert run(capsys, *full) == plain[0]
     assert path.read_bytes() == blob
 
 
@@ -705,11 +730,16 @@ _CELL_DATA = "<cell-data file>"
          "5a5a2546a62dc0d2536419b33183ee6c937619fba163adcbc87eb6a2a09e1aa8"),
         (["jring", "--type", "I2(5)"],
          "c52fdb5ce00189362d359a0c9ee8de8bda9baa9295794d8b788de2cc977ffab4"),
+        (["jring", "--type", "B2", "--struct"],
+         "4e2acbba8aa79600cb7e98946868c3c5b72bae250f49320127f053dab2ef95b1"),
+        (["jring", "--type", "B3", "--struct"],
+         "efbc0555d38331bfb475abf5ea80fce5676840a8256d90a5b8c2e3157fb4b146"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
          "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
          "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
-         "eqvb-B2-cell-data", "verify-all-G2", "kl-G2", "jring-B3", "jring-I2(5)"],
+         "eqvb-B2-cell-data", "verify-all-G2", "kl-G2", "jring-B3", "jring-I2(5)",
+         "jring-B2-struct", "jring-B3-struct"],
 )
 def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
@@ -721,7 +751,8 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # G2 and I2(5), jring B2 and eqvb --cell-data before the cell partition
     # was folded into CellData; verify-all and kl G2 while rank 2 with bonds
     # in {2, 3, 4, 6, inf} still ran on the matrix model; jring B3 and I2(5)
-    # while gamma was read off the h_struct memo
+    # while gamma was read off the h_struct memo; jring B2 and B3 --struct
+    # before the structure constants moved off the h_struct memo
     if _CELL_DATA in argv:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(
@@ -853,6 +884,25 @@ def test_a_planted_cell_fault_fails_one_check_with_a_witness(
     failed = [(c["id"], c["witness"]) for r in data["reports"]
               for c in r["checks"] if not c["pass"]]
     assert (code, failed) == (1, [(check, witness)])
+
+
+def test_a_doubled_beta_row_fails_module_associativity(capsys, monkeypatch):
+    # A2: beta(12, 2) doubled.  Its support is unchanged and 12 is not
+    # distinguished, so the single-row, unit and left-cell checks still
+    # hold; A2 has 6 * 6 * 4 = 144 triples, so associativity checks every one
+    row = InvolutionModule._beta_row
+
+    def doubled(self, x, w, cells):
+        out = row(self, x, w, cells)
+        if (str(x), str(w)) == ("12", "2"):
+            out = {wp: 2 * b for wp, b in out.items()}
+        return out
+
+    monkeypatch.setattr(InvolutionModule, "_beta_row", doubled)
+    code, data = run_json(capsys, "invmod", "--type", "A2")
+    failed = [(c["id"], c["witness"]) for r in data["reports"]
+              for c in r["checks"] if not c["pass"]]
+    assert (code, failed) == (1, [("module-associativity", ["12", "21", "1"])])
 
 
 def _raise_p_e(monkeypatch, word):

@@ -382,7 +382,6 @@ def test_kl_cache_roundtrip(tmp_path):
     for ww in sys1.elements():
         t_cold.column(ww)
     write_kl(store, t_cold)
-    store.close()
     loaded = store.load_table("kl", sys1.content_hash())
     sys2 = CoxeterSystem.from_label("A3")
     t_plain = KLTable(sys2)
