@@ -734,12 +734,16 @@ _CELL_DATA = "<cell-data file>"
          "4e2acbba8aa79600cb7e98946868c3c5b72bae250f49320127f053dab2ef95b1"),
         (["jring", "--type", "B3", "--struct"],
          "efbc0555d38331bfb475abf5ea80fce5676840a8256d90a5b8c2e3157fb4b146"),
+        (["invmod", "--matrix", "1,3,2,2;3,1,3,3;2,3,1,2;2,3,2,1"],
+         "d094b1a2c77ea21af1174808e0f7b4ce5d68e845ad9ac3da9525c40dc20f0318"),
+        (["invmod", "--type", "A3", "--tables"],
+         "dc85a2d46b2c76e920e26d128e3dba598b8aada2672a748b660dcebe963337ee"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
          "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
          "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
          "eqvb-B2-cell-data", "verify-all-G2", "kl-G2", "jring-B3", "jring-I2(5)",
-         "jring-B2-struct", "jring-B3-struct"],
+         "jring-B2-struct", "jring-B3-struct", "invmod-D4", "invmod-A3-tables"],
 )
 def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
@@ -752,7 +756,8 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # was folded into CellData; verify-all and kl G2 while rank 2 with bonds
     # in {2, 3, 4, 6, inf} still ran on the matrix model; jring B3 and I2(5)
     # while gamma was read off the h_struct memo; jring B2 and B3 --struct
-    # before the structure constants moved off the h_struct memo
+    # before the structure constants moved off the h_struct memo; invmod D4
+    # and A3 --tables while beta was read off the f_constants memo
     if _CELL_DATA in argv:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(
