@@ -16,9 +16,9 @@ deg_v h_{x,y,z} is the least Delta = l - 2 deg_u P_{e,-} on the left cell
 of z (P1: a <= Delta; P4: a is constant there; P13: equality at one d),
 and D is where it is met.  gamma(x, y, z), the coefficient of v^{a(z^-1)}
 in h_{x,y,z^-1} (t_x t_y = sum_z gamma(x, y, z^-1) t_z), vanishes unless
-x ~_L y^-1 (P8), so column y of `HeckeAlgebra.c_left` is walked over that
-left cell alone, one memo per column.  A visited h_{x,y,z} of degree above
-a(z) raises: the structure constants certify a.
+x ~_L y^-1 (P8): the first gamma read walks column y of `HeckeAlgebra.c_left`
+over that left cell alone, one memo per column.  A visited h_{x,y,z} of
+degree above a(z) raises: the structure constants certify a.
 
 J-ring elements are plain integer dicts {CoxeterElement: int}.
 """
@@ -77,27 +77,7 @@ class CellData:
         for c in self.left_cells:
             self.a.update(dict.fromkeys(c, min(map(delta.get, c))))
         self._dist = tuple(z for z in self.elements if delta[z] == self.a[z])
-
-        # gamma: column w over the x ~_L w^-1 alone (P8), every visited
-        # h_{x,w,z} checked against a(z)
-        a = [self.a[z] for z in elts]
-        top = [[] for _ in elts]  # (x, w, coefficient) at v^{a(z)}
-        for c in self.left_cells:
-            xs = sorted(x.id for x in c)
-            for w in (inv[x] for x in xs):
-                col = {}  # the memo of column w, dropped once read
-                for x in xs:
-                    for z, h in algebra.c_left(x, w, algebra.c_gen_mult, col).items():
-                        d = h.degree()
-                        if d > a[z]:
-                            raise AssertionError("deg h_{x,w,z} = %d > a(z) = %d at (%s, %s, %s)"
-                                                 % (d, a[z], elts[x], elts[w], elts[z]))
-                        if d == a[z]:
-                            top[z].append((x, w, h.coeff_of_v(d)))
-        self._gamma = {}
-        for z in self.elements:
-            for x, w, g in top[z.id]:
-                self._gamma.setdefault((elts[x], elts[w]), {})[z] = g
+        self._gamma = None  # filled by the first gamma_row
 
     # -- preorders, cells and distinguished involutions --------------------------
 
@@ -152,7 +132,30 @@ class CellData:
     def gamma_row(self, x, y):
         """{z: gamma(x, y, z^-1)} over the nonzero values: the coefficient of
         v^{a(z)} in h_{x,y,z}, which is the coefficient of t_z in t_x t_y.
-        The row is the table's own dict, not a copy: read it only."""
+        The first call fills the whole table by the gamma walk.  The row is
+        the table's own dict, not a copy: read it only."""
+        if self._gamma is None:
+            # column w over the x ~_L w^-1 alone (P8), each h_{x,w,z} checked against a(z)
+            algebra, elts = self.algebra, self.system._elts
+            a = [self.a[z] for z in elts]
+            top = [[] for _ in elts]  # (x, w, coefficient) at v^{a(z)}
+            for c in self.left_cells:
+                ids = sorted(i.id for i in c)
+                for w in (elts[i].inverse().id for i in ids):
+                    col = {}  # the memo of column w, dropped once read
+                    for i in ids:
+                        for z, h in algebra.c_left(i, w, algebra.c_gen_mult, col).items():
+                            d = h.degree()
+                            if d > a[z]:
+                                raise AssertionError(
+                                    "deg h_{x,w,z} = %d > a(z) = %d at (%s, %s, %s)"
+                                    % (d, a[z], elts[i], elts[w], elts[z]))
+                            if d == a[z]:
+                                top[z].append((i, w, h.coeff_of_v(d)))
+            self._gamma = {}
+            for z in self.elements:
+                for i, w, g in top[z.id]:
+                    self._gamma.setdefault((elts[i], elts[w]), {})[z] = g
         return self._gamma.get((x, y), {})
 
     def j_mult(self, ja, jb):

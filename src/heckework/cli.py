@@ -348,11 +348,10 @@ def cmd_invmod(args):
         ]
         payload["beta"] = [
             {"x": str(x), "w": str(w), "wp": str(wp), "beta": b}
-            for (x, w), row in sorted(
-                inv.beta_table(cells).items(),
-                key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()),
-            )
-            for wp, b in sorted(row.items(), key=lambda kv: kv[0].sort_key())
+            for x in cells.elements
+            for w in inv.basis
+            for wp, b in sorted(inv._beta_row(x, w, cells).items(),
+                                key=lambda kv: kv[0].sort_key())
         ]
     return payload, [rep]
 

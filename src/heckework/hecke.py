@@ -31,7 +31,7 @@ completion (`idealmod`) and the rest of the package, each written once:
 - `bar_invariant_solve`: the certifying triangular solve for the canonical
   basis element (c_w here, A_w in the module);
 - `strip_off`: coordinates in a unitriangular canonical basis (`to_c` here,
-  `f_constants` in the module);
+  the c_s rows of the module's `_cs_action`);
 - `add_into` / `add_scaled`: the sparse accumulator for every dict-of-
   coefficients sum;
 - `bilinear`: the bilinear extension of a product given on basis pairs,
@@ -43,8 +43,9 @@ completion (`idealmod`) and the rest of the package, each written once:
 - `HeckeAlgebra.c_left`: the recursion c_x = c_s c_{x'} - sum mu(z, x') c_z
   on the id x = s x', given the action of c_s: with `c_gen_mult` on ids,
   `h_struct` here and the gamma walk of `CellData` (column w over the left
-  cell of w^-1 alone, one fresh memo per column), and `f_constants` in the
-  module.  The T-basis product `mult` with `to_c` is the second route: the
+  cell of w^-1 alone); with the module's `_cs_action`, its beta walk (column
+  w over every x) and `f_constants`.  Each walk takes one fresh memo per
+  column.  The T-basis product `mult` with `to_c` is the second route: the
   tests' oracle, and a layer the perfbench trace wraps by name.
 
 KL polynomials are stored in u-units (monomial exponent = power of u);

@@ -1,6 +1,8 @@
 """The Hecke module spanned by twisted involutions, its bar operator and
 upper canonical basis, the leading-coefficient constants, and the induced
-module over the asymptotic ring.
+module over the asymptotic ring, given by the integers beta_{x,w,w'} (the
+v^{2a(w')} coefficients of c_x A_w): one table, filled by walking
+`HeckeAlgebra.c_left` a column w at a time over every x.
 
 The module M is free over Z[u, u^-1] on (a_w), w in the twisted involution
 set; the generator action is the four-case rule
@@ -60,9 +62,9 @@ class InvolutionModule:
         self.basis = tuple(self.system.twisted_involutions(max_len=max_len))
         self._bar_a = {}
         self._a_upper = {}
-        self._psigma = {}
         self._f = {}
         self._cs_rows = {}
+        self._beta = None  # (cells, {(x, w): beta row}, {check: witness})
 
     # -- the four-case generator action ------------------------------------------
 
@@ -133,11 +135,10 @@ class InvolutionModule:
         """A_w = v^{-l(w)} sum_{y <= w} P^sigma_{y,w}(u) a_y: the unique
         bar-invariant element with this triangular, degree-bounded shape.
 
-        Returns the module element; the P^sigma table entry is cached and
-        available through `psigma`.  The triangular solve
-        (`hecke.bar_invariant_solve`) certifies existence and uniqueness;
-        the P^sigma degree bound and bar-invariance are checked on top (any
-        failure raises).
+        Returns the module element, memoized; `psigma` reads P^sigma off it.
+        The triangular solve (`hecke.bar_invariant_solve`) certifies existence
+        and uniqueness; the P^sigma degree bound and bar-invariance are
+        checked on top (any failure raises).
         """
         got = self._a_upper.get(w)
         if got is not None:
@@ -145,36 +146,31 @@ class InvolutionModule:
         sub = [y for y in self.basis if self.system.bruhat_leq(y, w)]
         pi = bar_invariant_solve(w, sub, self.bar_a)
         lw = len(w.word)
-        psig = {}
         for y, c in pi.items():
-            p = c.shifted(lw).halve_exponents()
-            d = p.degree()
+            d = c.shifted(lw).halve_exponents().degree()
             if y != w and d is not None and 2 * d > lw - len(y.word) - 1:
                 raise AssertionError("P^sigma degree bound violated at (%s,%s)" % (y, w))
-            psig[y] = p
         if self.bar_m(pi) != pi:
             raise AssertionError("A_%s is not bar-invariant" % w)
         self._a_upper[w] = pi
-        self._psigma[w] = psig
         return pi
 
     def psigma(self, y, w):
-        """P^sigma_{y,w} in u-units (integer coefficients, possibly negative)."""
-        if w not in self._psigma:
-            self.a_upper(w)
-        return self._psigma[w].get(y, ZERO)
+        """P^sigma_{y,w} in u-units (integer coefficients, possibly negative):
+        the coefficient of a_y in A_w, shifted by v^{l(w)} and halved."""
+        return self.a_upper(w).get(y, ZERO).shifted(len(w.word)).halve_exponents()
 
     # -- leading-coefficient constants and the induced module ---------------------------
 
     def f_constants(self, x, w):
-        """A-basis coordinates of c_x A_w: a dict w' -> f_{x,w,w'}, by
-        `HeckeAlgebra.c_left` (exponent doubling is a ring map, mu an
-        integer) with c_s A_w = u^-1 (T_s + 1) A_w (c_s at parameter u^2)."""
+        """A-basis coordinates of c_x A_w, a dict w' -> f_{x,w,w'}, memoized for
+        every (x, w): for `invmod --tables` and the tests, not the verifier."""
         return self.algebra.c_left(x.id, w, self._cs_action, self._f)
 
     def _cs_action(self, i, m):
-        """c_{s_i} on A-basis coordinates: the sum of the rows
-        u^-1 (T_s + 1) A_w, each stripped off once."""
+        """c_{s_i} = u^-1 (T_s + 1) on A-basis coordinates (c_s at parameter
+        u^2: exponent doubling is a ring map, mu an integer), the sum of the
+        rows u^-1 (T_s + 1) A_w, each stripped off once."""
         out = {}
         for w, c in m.items():
             row = self._cs_rows.get((i, w))
@@ -187,26 +183,48 @@ class InvolutionModule:
             add_scaled(out, row, c)
         return out
 
-    def beta_table(self, cells):
-        """{(x, w) -> {w' -> beta}} over all x in W, w in I_* (nonzero only)."""
-        return {
-            (x, w): self._beta_row(x, w, cells)
-            for x in cells.elements
-            for w in self.basis
-        }
-
     def cm_action(self, j, t, cells):
         """The induced action of the asymptotic ring: t_x tau_w = sum beta tau_{w'}."""
         return bilinear(j, t, lambda x, w: self._beta_row(x, w, cells))
 
     def _beta_row(self, x, w, cells):
-        """{w' -> beta_{x,w,w'}}: the nonzero leading coefficients of c_x A_w."""
-        row = {}
-        for wp, f in self.f_constants(x, w).items():
-            b = f.coeff_of_v(2 * cells.a[wp])
-            if b:
-                row[wp] = b
-        return row
+        """{w' -> beta_{x,w,w'}}, the nonzero leading coefficients of c_x A_w,
+        from the table of `cells`: the table's own dict, to be read only."""
+        return self._beta_walk(cells)[1].get((x, w), {})
+
+    def _beta_walk(self, cells):
+        """(cells, beta, bad), filled on first use from column w of `c_left`
+        over every x, and owned by `cells` (else ValueError).  beta maps (x, w)
+        to the nonzero integer v^{2a(w')} coefficients of c_x A_w; bad maps each
+        failed single-row check to the last bad (x, w) in x-outer order, with
+        its first bad w' for the leading-term law, else its last."""
+        if self._beta is None:
+            a, leq_lr, same = cells.a, cells.leq_lr, cells.same_two_sided
+            beta, bad = {}, {}
+            for j, w in enumerate(self.basis):
+                col = {}  # the memo of column w, dropped once read
+                for i, x in enumerate(cells.elements):
+                    row, found, same_xw = {}, {}, same(x, w)
+                    for wp, f in self.algebra.c_left(x.id, w, self._cs_action, col).items():
+                        if f.degree() > 2 * a[wp]:
+                            found.setdefault("leading-term-law", (str(x), str(w), str(wp)))
+                        if not (leq_lr(wp, w) and leq_lr(wp, x)):
+                            found["support-constraint"] = (str(x), str(w), str(wp))
+                        b = f.coeff_of_v(2 * a[wp])
+                        if b:
+                            row[wp] = b
+                            if not (same_xw and same(w, wp)):
+                                found["beta-cell-support"] = (str(x), str(w), str(wp), b)
+                    if row:
+                        beta[x, w] = row
+                        if not same_xw:
+                            found["block-decomposition"] = (str(x), str(w))
+                    for check, witness in found.items():  # the later (x, w) wins
+                        bad[check] = max(bad.get(check, ()), ((i, j), witness))
+            self._beta = cells, beta, {check: got[1] for check, got in bad.items()}
+        elif self._beta[0] is not cells:
+            raise ValueError("the beta table was filled with another CellData")
+        return self._beta
 
     # -- the verifier suite -------------------------------------------------------------
 
@@ -218,30 +236,9 @@ class InvolutionModule:
         els = cells.elements
         inv = self.basis
 
-        # one sweep for the checks of single rows: each keeps the last bad
-        # (x, w), and the leading-term law the first bad w' in it
-        lead = support = cell_support = block = None
-        for x in els:
-            for w in inv:
-                row = self.f_constants(x, w)
-                for wp, f in row.items():
-                    d = f.degree()
-                    if d is not None and d > 2 * cells.a[wp]:
-                        lead = (str(x), str(w), str(wp))
-                        break
-                for wp in row:
-                    if not (cells.leq_lr(wp, w) and cells.leq_lr(wp, x)):
-                        support = (str(x), str(w), str(wp))
-                beta = self._beta_row(x, w, cells)
-                same = cells.same_two_sided(x, w)
-                for wp, b in beta.items():
-                    if not (same and cells.same_two_sided(w, wp)):
-                        cell_support = (str(x), str(w), str(wp), b)
-                if beta and not same:
-                    block = (str(x), str(w))
-        rep.add("leading-term-law", lead is None, lead)
-        rep.add("support-constraint", support is None, support)
-        rep.add("beta-cell-support", cell_support is None, cell_support)
+        single = self._beta_walk(cells)[2]
+        for check in ("leading-term-law", "support-constraint", "beta-cell-support"):
+            rep.add(check, check not in single, single.get(check))
 
         bad = None
         unit = cells.j_unit()
@@ -260,8 +257,8 @@ class InvolutionModule:
                 bad = (str(x), str(y), str(w))
                 break
         rep.add("module-associativity", bad is None, bad)
-
-        rep.add("block-decomposition", block is None, block)
+        rep.add("block-decomposition", "block-decomposition" not in single,
+                single.get("block-decomposition"))
 
         bad = None
         dist = set(cells.distinguished_involutions())

@@ -127,7 +127,7 @@ def test_new_records_keep_the_format(tmp_path):
     assert len(blob) == len(HEADER) + sum(len(record(k, v)) for k, v in expected.items())
 
 
-def test_a_half_warm_store_appends_only_the_missing_records(tmp_path):
+def test_a_half_warm_store_is_rewritten_as_the_whole_table(tmp_path):
     system = CoxeterSystem.from_label("B3")
     records = [kl_record(y, w, KLTable(system).p(y, w)) for y, w in bruhat_pairs(system)]
     store, fresh = CacheStore(tmp_path / "half"), CacheStore(tmp_path / "fresh")
@@ -267,7 +267,7 @@ def test_concurrent_kl_calls_leave_one_whole_file(tmp_path):
     assert (len(blob), hashlib.sha256(blob).hexdigest()) == COLD_FILES["A4"]
 
 
-def test_a_torn_tail_is_cut_off_before_the_next_batch(tmp_path, capsys):
+def test_a_torn_file_is_rewritten_whole(tmp_path, capsys):
     # a file cut mid-record loads up to the torn record; the next kl call
     # replaces it with the whole table, whose first records are those that
     # loaded, so every record loads and the call after it writes nothing
@@ -300,7 +300,7 @@ def test_a_warm_call_on_a_cold_file_compares_and_never_loads(tmp_path, capsys, m
     assert path.read_bytes() == whole
 
 
-def test_a_later_record_with_other_bytes_gets_the_true_record_appended(tmp_path, capsys):
+def test_a_later_record_with_other_bytes_is_rewritten_away(tmp_path, capsys):
     # the file holds the whole stream, then a record that overrides an
     # earlier key: a compare that stops at the stream's end would keep it,
     # and the next load would serve the wrong bytes.  The file becomes the
@@ -314,7 +314,7 @@ def test_a_later_record_with_other_bytes_gets_the_true_record_appended(tmp_path,
     assert path.read_bytes() == whole
 
 
-def test_a_file_without_its_last_column_gets_only_that_column(tmp_path, capsys):
+def test_a_file_without_its_last_column_is_rewritten_whole(tmp_path, capsys):
     argv, path, whole = cold_file(tmp_path, capsys, "A3")
     records = records_in_order(whole)
     last_w = json.loads(records[-1][0])[1]

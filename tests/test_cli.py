@@ -845,8 +845,10 @@ def _merge_first_cells(cd):
 
 
 def _double_gamma_of_e(cd):
-    # t_e t_e = 2 t_e: associativity and the cells still hold
+    # t_e t_e = 2 t_e: associativity and the cells still hold.  One read
+    # fills the gamma table first, so that there is a table to plant into
     e = cd.system.identity
+    cd.gamma_row(e, e)
     cd._gamma[e, e] = {e: 2}
 
 
@@ -860,7 +862,7 @@ def _double_gamma_of_12_21(cd):
     # A2: t_12 t_21 = 2 t_1, not t_1; 12 and 21 are not distinguished, so the
     # unit and the cells still hold, and (t_12 t_21) t_12 = 2 t_12 != t_12
     x, y, z = (cd.system.element(w) for w in ("12", "21", "1"))
-    assert cd._gamma[x, y] == {z: 1}
+    assert cd.gamma_row(x, y) == {z: 1}  # fills the table before the plant
     cd._gamma[x, y] = {z: 2}
 
 

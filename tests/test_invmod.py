@@ -274,6 +274,24 @@ def test_verify_section1_reports(a2, a3, b2):
         assert rep.passed, [c.to_json() for c in rep.checks]
 
 
+def test_the_verifier_keeps_beta_as_integers_and_no_polynomial_of_c_x_a_w():
+    # columns of c_x A_w are walked one at a time and dropped once read:
+    # the verifier leaves the f_constants memo empty, and beta is integers
+    alg = HeckeAlgebra(CoxeterSystem.from_label("B3"))
+    cd, inv = CellData(alg), InvolutionModule(alg)
+    assert inv.verify_section1(cd, n_random=50).passed
+    assert inv._f == {}
+    rows = [inv._beta_row(x, w, cd) for x in cd.elements for w in inv.basis]
+    assert any(rows) and all(type(b) is int for row in rows for b in row.values())
+
+
+def test_the_beta_table_belongs_to_the_cell_data_that_filled_it(a2):
+    e = a2.sys.identity
+    assert a2.inv._beta_row(e, e, a2.cells) == {e: 1}
+    with pytest.raises(ValueError, match="another CellData"):
+        a2.inv._beta_row(e, e, CellData(a2.alg))
+
+
 def test_missing_distinguished_involution_fails_left_cell_restriction(b2, monkeypatch):
     # a *-stable left cell without its distinguished involution is a failed
     # check with a witness, not a crash of the unpack
@@ -337,7 +355,9 @@ def _single_row_witnesses(inv, cd):
 
 def _plant_a(cd):
     # a lowered to 0 on the middle cell of B2: every c_x A_w with a term
-    # of positive degree there breaks the leading-term law
+    # of positive degree there breaks the leading-term law.  One gamma row
+    # is read first, so the gamma table is filled with the true a
+    cd.gamma_row(cd.system.identity, cd.system.identity)
     return "a", {z: 0 if a == 1 else a for z, a in cd.a.items()}
 
 
