@@ -5,10 +5,11 @@ The preorders are closed from the W-graph: each term c_z of c_s c_w
 (`HeckeAlgebra.c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b)) puts z <=_L w
 and, T_w -> T_{w^-1} being an anti-automorphism, z^-1 <=_R w^-1.  As the c_s
 generate H and c_s c_w is one of the c_x c_w, this closes to "c_z occurs
-in some c_x c_w" with no generation theorem.  Each preorder is a list of
-int-bitset rows on element ids (bit j of row i: i is below j), closed by
-Warshall's algorithm (J. ACM 9, 1962); cells, their order and the *-stable
-left cells are read off the rows in enumeration order whatever the ids.
+in some c_x c_w" with no generation theorem: z <= w when w is reachable
+from z.  Edges are int-bitset rows on element ids, kept up (bit w of row z)
+and down (bit z of row w); a cell is what its least member reaches both up
+and down (Fleischer, Hendrickson and Pinar, 2000); each member's row of
+<=_LR is its two-sided cell's up-reach, and cells come in enumeration order.
 
 Only a, D and gamma assume theorems, Lusztig's P1, P4, P8 and P13 (CRM
 Monograph Series 18, 14.2; finite W, equal parameters).  a(z) = max
@@ -33,17 +34,17 @@ def _sorted(ws):
     return tuple(sorted(ws, key=lambda w: w.sort_key()))
 
 
-def _closure(rows):
-    """Reflexive-transitive closure of a relation given by int-bitset rows
-    (bit j of rows[i] set when i relates to j), in place: Warshall's
-    algorithm, one row union per pair (i, k) with k in row i."""
-    for i in range(len(rows)):
-        rows[i] |= 1 << i
-    for k, row_k in enumerate(rows):
-        for i, row_i in enumerate(rows):
-            if row_i >> k & 1:
-                rows[i] = row_i | row_k
-    return rows
+def _reach(edges, i):
+    """The int bitset of the ids reachable from i, i included, along edges
+    given as int-bitset rows (bit j of edges[k]: an edge k -> j)."""
+    seen = new = 1 << i
+    while new:
+        out = 0
+        for j in bits(new):
+            out |= edges[j]
+        new = out & ~seen
+        seen |= new
+    return seen
 
 
 class CellData:
@@ -58,17 +59,18 @@ class CellData:
         elts, kl, n = system._elts, algebra.kl, len(self.elements)
         inv = [w.inverse().id for w in elts]
 
-        # the W-graph: each term z of c_s c_w is <=_L w, z^-1 <=_R w^-1
-        leq_l, leq_lr = [0] * n, [0] * n
+        # the W-graph, kept up and down: each term z of c_s c_w is <=_L w, z^-1 <=_R w^-1
+        l_up, l_down, lr_up, lr_down = ([0] * n for _ in range(4))
         for w in range(n):
             for s in range(system.rank):
                 for z in algebra.c_gen_mult(s, {w: 1}):
-                    leq_l[z] |= 1 << w
-                    leq_lr[z] |= 1 << w
-                    leq_lr[inv[z]] |= 1 << inv[w]
-        self._leq_l, self._leq_lr = _closure(leq_l), _closure(leq_lr)
-        self.left_cells = self._classes(self._leq_l)
-        self.two_sided_cells = self._classes(self._leq_lr)
+                    l_up[z] |= 1 << w
+                    l_down[w] |= 1 << z
+                    for lo, hi in ((z, w), (inv[z], inv[w])):
+                        lr_up[lo] |= 1 << hi
+                        lr_down[hi] |= 1 << lo
+        self.left_cells = self._classes(l_up, l_down)[0]
+        self.two_sided_cells, self._leq_lr = self._classes(lr_up, lr_down)
         self._two_sided = {w: i for i, c in enumerate(self.two_sided_cells) for w in c}
 
         # a: the least Delta on each left cell (P1, P4); D: where it is met (P13)
@@ -85,22 +87,22 @@ class CellData:
         """z <=_LR w, the two-sided preorder."""
         return bool(self._leq_lr[z.id] >> w.id & 1)
 
-    def _classes(self, leq):
-        """The equivalence classes of a closed preorder on ids, in order of
-        least member: the enumeration order is the sort_key order, so the
-        first element not yet seen is the least member of its class."""
+    def _classes(self, up, down):
+        """The classes of the preorder closed from the edges up (reversed in
+        down) in order of least member, and each id's row, its up-reach: in
+        sort_key order, the first id not yet reached is the least of its class."""
         elts = self.system._elts
-        seen = 0
-        classes = []
+        rows, classes = [0] * len(up), []
         for w in self.elements:
             i = w.id
-            if seen >> i & 1:
+            if rows[i]:
                 continue
-            cls = [j for j in bits(leq[i]) if leq[j] >> i & 1]
+            above = _reach(up, i)
+            cls = bits(above & _reach(down, i))
             for j in cls:
-                seen |= 1 << j
+                rows[j] = above
             classes.append(frozenset(elts[j] for j in cls))
-        return tuple(classes)
+        return tuple(classes), rows
 
     def two_sided_index(self, w):
         """The index of the two-sided cell of w in `two_sided_cells`."""

@@ -261,9 +261,11 @@ def cmd_cells(args):
         ],
     }
     rep = _cells_report(sys_, cells)
+    # the first x <=_LR y with a(x) < a(y): y is scanned once row x meets higher a
     els, a = cells.elements, cells.a
-    bad = next(((str(x), str(y)) for x in els for y in els
-                if cells.leq_lr(x, y) and a[x] < a[y]), None)
+    higher = {k: sum(1 << y.id for y in els if a[y] > k) for k in set(a.values())}
+    bad = next(((str(x), str(y)) for x in els if (m := cells._leq_lr[x.id] & higher[a[x]])
+                for y in els if m >> y.id & 1), None)
     rep.add("a-monotone", bad is None, bad)
     bad = next((sorted(str(w) for w in c) for c in cells.two_sided_cells
                 if len({a[w] for w in c}) != 1), None)

@@ -6,7 +6,8 @@ modeled by one-line permutations (length = inversion count), dihedral
 groups by affine maps v -> +-v + c on Z/m (or Z for the infinite one).
 Reduced words and Bruhat order are recomputed here from scratch, and
 `rsk` gives the type-A cells and a-function by Robinson-Schensted, with no
-Hecke algebra at all.
+Hecke algebra at all.  `closure` closes a relation by Warshall's algorithm,
+the route the cells' reachability replaced.
 
 The Hecke-side oracles compute through the T-basis product and strip-off,
 the route the package's generator recursions for `h_struct` and
@@ -199,6 +200,23 @@ def sign_split_check(inv, x, w, wp):
         if hc == 1 and abs(fc) != 1:
             return False, ("unit", e, fc, hc)
     return True, None
+
+
+# -- relations on ids ------------------------------------------------------------------
+
+
+def closure(rows):
+    """Reflexive-transitive closure of a relation given by int-bitset rows
+    (bit j of rows[i] set when i relates to j), in place: Warshall's
+    algorithm (J. ACM 9, 1962), one row union per pair (i, k) with k in
+    row i.  The second route to the preorders `cells._reach` reads off."""
+    for i in range(len(rows)):
+        rows[i] |= 1 << i
+    for k, row_k in enumerate(rows):
+        for i, row_i in enumerate(rows):
+            if row_i >> k & 1:
+                rows[i] = row_i | row_k
+    return rows
 
 
 # -- the reflection representation ---------------------------------------------------

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from heckework import CoxeterSystem, InfiniteGroupError
-from heckework.cells import CellData, _closure
+from heckework.cells import CellData, _reach
 from heckework.hecke import HeckeAlgebra
-from oracles import perm_of_word, rsk
+from oracles import closure, perm_of_word, rsk
 
 
 def gamma(cd, x, y, z):
@@ -18,12 +18,13 @@ def gamma(cd, x, y, z):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 33, 64, 65, 130])
 def test_closure_is_reachability(n):
-    # the bitset Warshall closure against a search from every vertex, on
-    # seeded random relations from empty through sparse chains to dense
+    # the reach from every vertex against the bitset Warshall closure and a
+    # search, on seeded random relations from empty through sparse chains to dense
     rng = random.Random(n)
     for density in (0.0, 1 / n, 3 / n, 0.3):
         succ = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
-        rows = _closure([sum(1 << j for j in out) for out in succ])
+        edges = [sum(1 << j for j in out) for out in succ]
+        rows = closure(list(edges))
         for i in range(n):
             seen, stack = {i}, [i]
             while stack:
@@ -32,6 +33,7 @@ def test_closure_is_reachability(n):
                         seen.add(j)
                         stack.append(j)
             assert rows[i] == sum(1 << j for j in seen), (n, density, i)
+            assert _reach(edges, i) == rows[i], (n, density, i)
 
 
 def cell_strs(cells):
@@ -239,8 +241,12 @@ def test_gamma_row_is_the_top_coefficient_of_h_struct(label):
             if cd.gamma_row(x, y) != {z: g for z, g in top.items() if g}:
                 bad.append((str(x), str(y)))
     assert not bad, (label, len(bad), bad[:3])
-    assert cd._leq_l == _closure(leq_l)
-    assert cd._leq_lr == _closure(leq_lr)
+    leq_l, leq_lr = closure(leq_l), closure(leq_lr)
+    assert set(cd.left_cells) == {
+        frozenset(y for y in cd.elements if leq_l[x.id] >> y.id & 1 and leq_l[y.id] >> x.id & 1)
+        for x in cd.elements}
+    assert leq_lr == [sum(1 << y.id for y in cd.elements if cd.leq_lr(x, y))
+                      for x in system._elts]
     assert cd.a == a
     e = system.identity
     assert set(cd.distinguished_involutions()) == {

@@ -738,12 +738,17 @@ _CELL_DATA = "<cell-data file>"
          "d094b1a2c77ea21af1174808e0f7b4ce5d68e845ad9ac3da9525c40dc20f0318"),
         (["invmod", "--type", "A3", "--tables"],
          "dc85a2d46b2c76e920e26d128e3dba598b8aada2672a748b660dcebe963337ee"),
+        (["cells", "--matrix", "1,3,2,2,2;3,1,3,2,2;2,3,1,3,3;2,2,3,1,2;2,2,3,2,1"],
+         "50428a1250fbf68de49bf4ffa1c00cedaf9616f55f3f0965b1fd1285c370b3da"),
+        (["cells", "--matrix", "1,3,2,2;3,1,4,2;2,4,1,3;2,2,3,1"],
+         "edc05b1d5591047dc0471261588985212ec48ab8fb94c24be0fbe1fbb53b5be8"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
          "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
          "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
          "eqvb-B2-cell-data", "verify-all-G2", "kl-G2", "jring-B3", "jring-I2(5)",
-         "jring-B2-struct", "jring-B3-struct", "invmod-D4", "invmod-A3-tables"],
+         "jring-B2-struct", "jring-B3-struct", "invmod-D4", "invmod-A3-tables", "cells-D5",
+         "cells-F4"],
 )
 def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
@@ -757,7 +762,8 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # in {2, 3, 4, 6, inf} still ran on the matrix model; jring B3 and I2(5)
     # while gamma was read off the h_struct memo; jring B2 and B3 --struct
     # before the structure constants moved off the h_struct memo; invmod D4
-    # and A3 --tables while beta was read off the f_constants memo
+    # and A3 --tables while beta was read off the f_constants memo; cells D5
+    # and F4 while the preorders were closed by Warshall's algorithm
     if _CELL_DATA in argv:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(
@@ -838,6 +844,14 @@ def _raise_a_of_e(cd):
     cd.a = {**cd.a, cd.system.identity: 2}
 
 
+def _lower_a_of_cell_of_232(cd):
+    # B3: a = 1 on the two-sided cell of 232 (a = 3), still constant on it,
+    # below the cell of 13 (a = 2): 232 is its first element and the first
+    # x to fail, 13 the first y above it of higher a
+    c = cd.two_sided_cells[cd.two_sided_index(cd.system.element("232"))]
+    cd.a = {**cd.a, **dict.fromkeys(c, 1)}
+
+
 def _merge_first_cells(cd):
     # {e} and the cell of 1 (a = 0 and 1) listed as one two-sided cell
     first, second, *rest = cd.two_sided_cells
@@ -869,12 +883,13 @@ def _double_gamma_of_12_21(cd):
 @pytest.mark.parametrize("command, label, plant, check, witness", [
     ("cells", "A3", _drop_e, "one-distinguished-per-left-cell", ["e"]),
     ("cells", "A3", _raise_a_of_e, "a-monotone", ["1", "e"]),
+    ("cells", "B3", _lower_a_of_cell_of_232, "a-monotone", ["232", "13"]),
     ("cells", "A3", _merge_first_cells, "a-constant-on-cells",
      ["1", "12", "123", "2", "21", "23", "3", "32", "321", "e"]),
     ("jring", "A3", _double_gamma_of_e, "unit-identity", "e"),
     ("jring", "A3", _split_off_1, "cross-cell-vanishing", ["1", "1"]),
     ("jring", "A2", _double_gamma_of_12_21, "associativity", ["12", "21", "12"]),
-], ids=["one-distinguished", "a-monotone", "a-constant", "unit-identity", "cross-cell",
+], ids=["one-distinguished", "a-monotone", "a-monotone-B3", "a-constant", "unit-identity", "cross-cell",
         "associativity"])
 def test_a_planted_cell_fault_fails_one_check_with_a_witness(
         capsys, monkeypatch, command, label, plant, check, witness):
