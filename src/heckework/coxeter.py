@@ -264,7 +264,6 @@ class CoxeterSystem:
         self._rmul = [[] for _ in range(n)]
         self._desc = []  # left-descent bitmask
         self._ivl = []  # lower Bruhat interval as a bitset over ids
-        self._ivl_set = {}
         self._layers = [[self._intern((), self._backend.identity)]]
         self.identity = self._elts[0]
         self._ivl[0] = 1
@@ -521,12 +520,8 @@ class CoxeterSystem:
 
     def lower_interval(self, w):
         """{y : y <= w}, from the subword property on the normal form."""
-        x = self._id(w)
-        got = self._ivl_set.get(x)
-        if got is None:
-            elts = self._elts
-            got = self._ivl_set[x] = frozenset(elts[y] for y in bits(self._lower_bits(x)))
-        return got
+        elts = self._elts
+        return frozenset(elts[y] for y in bits(self._lower_bits(self._id(w))))
 
     def bruhat_leq(self, y, w):
         y, w = self._id(y), self._id(w)

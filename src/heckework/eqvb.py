@@ -219,9 +219,6 @@ class KRing:
         n = self.gs.size
         return (p % n) * n + (p // n)
 
-    def orbit_of_pair(self, x, y):
-        return self._pair_orbit_of[self._pair(x, y)]
-
     def _scalar(self, oi, phi, g, p):
         """Scalar of tau_g on the transported basis vector at point p of the
         indecomposable (orbit oi, character phi)."""
@@ -405,7 +402,7 @@ class KRing:
         out = {}
         for o in self.x_orbits:
             y0 = o.base
-            oi = self.orbit_of_pair(self.gs.act(g0, y0), y0)
+            oi = self._pair_orbit_of[self._pair(self.gs.act(g0, y0), y0)]
             add_into(out, self._restricted(oi, phi), 1)
         return out
 
@@ -448,11 +445,11 @@ class KRing:
 # -- reports -------------------------------------------------------------------------
 
 
-def count_check(kr, name=""):
+def count_check(kr, name):
     """Rank of Kbar(C) against |Gamma| x #orbits(X), the brute-force
     self-dual count, and the scalar action of every C_Gamma generator."""
     gs = kr.gs
-    rep = Report("eqvb-count", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
+    rep = Report("eqvb-count", name)
     rank = len(kr.kbar)
     expected = (1 << gs.rank) * len(kr.x_orbits)
     rep.add("rank-formula", rank == expected, {"rank": rank, "expected": expected})
@@ -467,10 +464,9 @@ def count_check(kr, name=""):
     return rep
 
 
-def star_axioms_report(kr, name=""):
+def star_axioms_report(kr, name):
     """Exhaustive associativity/unit/sigma checks for the convolution ring."""
-    gs = kr.gs
-    rep = Report("eqvb-star", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
+    rep = Report("eqvb-star", name)
     nb = range(len(kr.basis))
     one = kr.unit()
     bad = next((i for i in nb
@@ -490,11 +486,10 @@ def star_axioms_report(kr, name=""):
     return rep
 
 
-def circ_axioms_report(kr, name=""):
+def circ_axioms_report(kr, name):
     """Module axioms of the circ action on the signed quotient, and
     centrality of the Psi image."""
-    gs = kr.gs
-    rep = Report("eqvb-circ", name or "gamma-set(r=%d,|X|=%d)" % (gs.rank, gs.size))
+    rep = Report("eqvb-circ", name)
     nb = range(len(kr.basis))
     one = kr.unit()
     bad = next((j for j in kr.kbar if kr.circ(one, {j: 1}) != {j: 1}), None)

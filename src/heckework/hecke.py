@@ -15,8 +15,8 @@ serve as each other's oracle:
   column at a time over a pool of distinct polynomials, from nothing else:
   the KL cache of `kl --cache-dir` is written from a filled table
   (`cache.write_kl`) and never read for a value;
-- `HeckeAlgebra.c_elt_solved` / `kl_solved`: a triangular bar-invariance
-  solve that only uses the expansion of bar(T_w) in the T-basis.
+- `HeckeAlgebra.kl_solved`: a triangular bar-invariance solve for c_w,
+  memoized per w, that only uses the expansion of bar(T_w) in the T-basis.
 
 The algorithms below are shared with the involution module (`invmod`), the
 completion (`idealmod`) and the rest of the package, each written once:
@@ -366,27 +366,15 @@ class HeckeAlgebra:
 
     # -- T-basis multiplication ------------------------------------------------
 
-    def t_gen_mult(self, i, coeffs):
-        """Left multiplication by T_{s_i}."""
-        return t_gen_action(self.system, i, coeffs, U_V)
-
-    def t_word_mult(self, word, coeffs):
-        """Left multiplication by T_{s_{i1}} ... T_{s_{ik}} for word (i1..ik)."""
-        for i in reversed(word):
-            coeffs = self.t_gen_mult(i, coeffs)
-        return coeffs
-
     def mult(self, h1, h2):
         """Product of two T-basis coefficient dicts."""
         out = {}
         for w, c in h1.items():
-            part = self.t_word_mult(w.word, h2)
+            part = h2
+            for i in reversed(w.word):
+                part = t_gen_action(self.system, i, part, U_V)
             add_scaled(out, part, c)
         return out
-
-    def t_inv_gen_mult(self, i, coeffs):
-        """Left multiplication by T_{s_i}^{-1} = u^-1 T_{s_i} + (u^-1 - 1)."""
-        return t_inv_gen_action(self.t_gen_mult(i, coeffs), coeffs, UINV_V)
 
     # -- bar involution -----------------------------------------------------------
 
@@ -399,7 +387,7 @@ class HeckeAlgebra:
             else:
                 i = w.word[0]
                 rest = self.bar_t(self.system.generator(i) * w)
-                got = self.t_inv_gen_mult(i, rest)
+                got = t_inv_gen_action(t_gen_action(self.system, i, rest, U_V), rest, UINV_V)
             self._bar_t[w] = got
         return got
 
@@ -465,21 +453,16 @@ class HeckeAlgebra:
 
     # -- independent bar-invariance solver ----------------------------------------
 
-    def c_elt_solved(self, w):
-        """The canonical basis element by the triangular bar-invariance solve
-        of `bar_invariant_solve`, memoized per w.
+    def kl_solved(self, y, w):
+        """P_{y,w} in u-units, read off c_w as the triangular bar-invariance
+        solve of `bar_invariant_solve` gives it, memoized per w.
 
         Independent of the mu-recursion: only uses bar(T_y).
         """
-        got = self._c_elt_solved.get(w)
-        if got is None:
-            got = bar_invariant_solve(w, self.system.lower_interval(w), self.bar_t)
-            self._c_elt_solved[w] = got
-        return got
-
-    def kl_solved(self, y, w):
-        """P_{y,w} read off from the bar-invariance solver, in u-units."""
         if not self.system.bruhat_leq(y, w):
             return ZERO
-        coeff = self.c_elt_solved(w).get(y, ZERO)
-        return coeff.shifted(len(w.word)).halve_exponents()
+        c_w = self._c_elt_solved.get(w)
+        if c_w is None:
+            c_w = self._c_elt_solved[w] = bar_invariant_solve(
+                w, self.system.lower_interval(w), self.bar_t)
+        return c_w.get(y, ZERO).shifted(len(w.word)).halve_exponents()

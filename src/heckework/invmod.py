@@ -228,7 +228,7 @@ class InvolutionModule:
 
     # -- the verifier suite -------------------------------------------------------------
 
-    def verify_section1(self, cells, n_random=2000):
+    def verify_section1(self, cells):
         """Pass/fail report for the leading-term law, support constraints,
         associativity and unit laws of the induced module, and its block and
         left-cell restrictions."""
@@ -250,7 +250,7 @@ class InvolutionModule:
         rep.add("unit-identity", bad is None, bad)
 
         bad = None
-        for x, y, w in sample_triples(els, els, inv, n_random):
+        for x, y, w in sample_triples(els, els, inv):
             lhs = self.cm_action(cells.j_mult({x: 1}, {y: 1}), {w: 1}, cells)
             rhs = self.cm_action({x: 1}, self.cm_action({y: 1}, {w: 1}, cells), cells)
             if lhs != rhs:

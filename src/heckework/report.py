@@ -10,13 +10,13 @@ import itertools
 import random
 
 
-def sample_triples(xs, ys, zs, n_random=2000):
+def sample_triples(xs, ys, zs):
     """The triples a three-variable law is checked on: every triple when there
-    are at most 4000, else n_random seeded draws (from xs, then ys, then zs)."""
+    are at most 4000, else 2000 seeded draws (from xs, then ys, then zs)."""
     if len(xs) * len(ys) * len(zs) <= 4000:
         return itertools.product(xs, ys, zs)
     rng = random.Random(0)
-    return ((rng.choice(xs), rng.choice(ys), rng.choice(zs)) for _ in range(n_random))
+    return ((rng.choice(xs), rng.choice(ys), rng.choice(zs)) for _ in range(2000))
 
 
 class Check:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -11,12 +12,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckework import InfiniteGroupError
 from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
 from heckework.hecke import HeckeAlgebra, KLTable
+from heckework.idealmod import IdealModel
 from heckework.invmod import InvolutionModule
 from heckework.laurent import LaurentPoly
 from heckework.report import Check, Report
@@ -742,13 +745,21 @@ _CELL_DATA = "<cell-data file>"
          "50428a1250fbf68de49bf4ffa1c00cedaf9616f55f3f0965b1fd1285c370b3da"),
         (["cells", "--matrix", "1,3,2,2;3,1,4,2;2,4,1,3;2,2,3,1"],
          "edc05b1d5591047dc0471261588985212ec48ab8fb94c24be0fbe1fbb53b5be8"),
+        (["pi", "--type", "Dinf", "--max-len", "12"],
+         "7340ebbce1521de6479dc9e4c38dee6f2ad45b549a745ce5c75bbe79b9743fe3"),
+        (["conj34", "--matrix", "1,3,3;3,1,3;3,3,1", "--max-len", "4"],
+         "8172b9bf10321b77ea7553613b368faa460d9b81aacf773c3292f323f9550927"),
+        (["pi", "--matrix", "1,3,3;3,1,3;3,3,1", "--max-len", "5"],
+         "6f8bebdcae56ae5d0b1470c1dad4347620b201990cc0e7761bee90138da55613"),
+        (["kl", "--type", "A4", "--y", "2", "--w", "1213214321"],
+         "0398be30f76a595807735f9009e7a5fc87fe4293147484ca6442ad6612f2df16"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
          "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
          "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
          "eqvb-B2-cell-data", "verify-all-G2", "kl-G2", "jring-B3", "jring-I2(5)",
          "jring-B2-struct", "jring-B3-struct", "invmod-D4", "invmod-A3-tables", "cells-D5",
-         "cells-F4"],
+         "cells-F4", "pi-Dinf-12", "conj34-affine-A2-4", "pi-affine-A2-5", "kl-A4-one-pair"],
 )
 def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
@@ -763,7 +774,9 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # while gamma was read off the h_struct memo; jring B2 and B3 --struct
     # before the structure constants moved off the h_struct memo; invmod D4
     # and A3 --tables while beta was read off the f_constants memo; cells D5
-    # and F4 while the preorders were closed by Warshall's algorithm
+    # and F4 while the preorders were closed by Warshall's algorithm; pi on
+    # Dinf and affine A2, conj34 on affine A2 and kl A4 at one pair while
+    # HeckeAlgebra still forwarded to the T-basis actions
     if _CELL_DATA in argv:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(
@@ -927,6 +940,62 @@ def test_a_doubled_beta_row_fails_module_associativity(capsys, monkeypatch):
     assert (code, failed) == (1, [("module-associativity", ["12", "21", "1"])])
 
 
+def _e_from_second_descent_of_121(monkeypatch):
+    # the rule read from s_2, a descent of 121 the map is not built from,
+    # gives e: pi itself is unchanged, so only well-definedness fails
+    step = IdealModel._pi_step
+
+    def planted(self, pi, x, i):
+        if str(x) == "121" and i != x.word[0]:
+            return self.system.identity
+        return step(self, pi, x, i)
+
+    monkeypatch.setattr(IdealModel, "_pi_step", planted)
+
+
+def _plant_in_pi_map(monkeypatch, edit):
+    built = IdealModel.pi_map
+
+    def planted(self, max_len=None):
+        pi = built(self, max_len)
+        edit(self.system, pi)
+        return pi
+
+    monkeypatch.setattr(IdealModel, "pi_map", planted)
+
+
+def _pi_of_12_is_12(system, pi):
+    # 12 is no involution, and 121 = 212 reads pi(12) from its descent s_2
+    x = system.element("12")
+    pi[x] = x
+
+
+def _fiber_of_2_moved_to_e(system, pi):
+    # 2 leaves the image, and e's fiber gains 2, whose length does not add up
+    two = system.element("2")
+    pi.update((x, system.identity) for x, w in pi.items() if w == two)
+
+
+@pytest.mark.parametrize("plant, failed", [
+    (_e_from_second_descent_of_121, [("pi-well-defined", ["121", ["121", "e"]])]),
+    (lambda mp: _plant_in_pi_map(mp, _pi_of_12_is_12), [
+        ("pi-well-defined", ["121", ["12", "121"]]),
+        ("pi-involution-valued", ["12", "12"]),
+        ("specialization-identity", ["121", ["12", "121", "21"], ["121", "21"]])]),
+    (lambda mp: _plant_in_pi_map(mp, _fiber_of_2_moved_to_e), [
+        ("pi-surjective", ["2"]),
+        ("specialization-identity", ["2", ["2"], []]),
+        ("length-identity", ["e", "2"])]),
+], ids=["well-defined", "involution-valued", "surjective"])
+def test_a_planted_pi_fault_fails_its_checks_with_witnesses(capsys, monkeypatch, plant, failed):
+    # A3: each fault in the projection pi fails exactly the listed checks
+    plant(monkeypatch)
+    code, data = run_json(capsys, "pi", "--type", "A3")
+    got = [(c["id"], c["witness"]) for r in data["reports"]
+           for c in r["checks"] if not c["pass"]]
+    assert (code, got) == (1, failed)
+
+
 def _raise_p_e(monkeypatch, word):
     # P_{e,w} = u P_{e,w} at the one w named, through the KL table: Delta(w)
     # = l(w) - 2 deg P_{e,w} drops by 2
@@ -959,3 +1028,40 @@ def test_a_rank_3_bond_of_5_is_a_usage_error(capsys):
     # H3 has no integral matrix model: the caller's usage error, not a crash
     assert main(["group", "--matrix", "1,5,2;5,1,3;2,3,1"]) == 2
     assert "bond order 5 has no integral model" in capsys.readouterr().err
+
+
+# a --matrix cell: a small int, a blank, or one that is no Coxeter order
+_CELL = st.one_of(st.integers(-2, 9).map(str),
+                  st.sampled_from(["", " ", "x", "1.5", "+2", "-0", "12345678901234567890"]))
+
+
+@st.composite
+def _matrix_text(draw):
+    # a symmetric matrix with 1 on the diagonal, then perhaps (one time in
+    # four each) one cell replaced and one row cut short, joined by , and ;
+    # or by spaces
+    n = draw(st.integers(1, 4))
+    rows = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.one_of(st.sampled_from(["0", "2", "3", "4", "6"]),
+                                                     _CELL))
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_CELL)
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, n - 1))].pop()
+    if draw(st.booleans()):
+        return ";".join(",".join(row) for row in rows)
+    return " ".join(cell for row in rows for cell in row)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_matrix_text(), st.one_of(st.none(), st.text("0123456789,x- ", max_size=5)))
+def test_malformed_matrix_and_star_are_usage_errors(matrix, star):
+    # whatever the text, the CLI runs or refuses it (exit 2), never crashes
+    argv = ["group", "--matrix=" + matrix, "--max-len", "1"]
+    if star is not None:
+        argv.append("--star=" + star)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2), argv

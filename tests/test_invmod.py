@@ -270,7 +270,7 @@ def test_sign_split_against_triple_product(a2, a3):
 
 def test_verify_section1_reports(a2, a3, b2):
     for ctx in (a2, a3, b2):
-        rep = ctx.inv.verify_section1(ctx.cells, n_random=300)
+        rep = ctx.inv.verify_section1(ctx.cells)
         assert rep.passed, [c.to_json() for c in rep.checks]
 
 
@@ -279,7 +279,7 @@ def test_the_verifier_keeps_beta_as_integers_and_no_polynomial_of_c_x_a_w():
     # the verifier leaves the f_constants memo empty, and beta is integers
     alg = HeckeAlgebra(CoxeterSystem.from_label("B3"))
     cd, inv = CellData(alg), InvolutionModule(alg)
-    assert inv.verify_section1(cd, n_random=50).passed
+    assert inv.verify_section1(cd).passed
     assert inv._f == {}
     rows = [inv._beta_row(x, w, cd) for x in cd.elements for w in inv.basis]
     assert any(rows) and all(type(b) is int for row in rows for b in row.values())
@@ -300,7 +300,7 @@ def test_missing_distinguished_involution_fails_left_cell_restriction(b2, monkey
     stable = [lam for lam in cd.left_cells if frozenset(w.star() for w in lam) == lam]
     lam = stable[-1]
     monkeypatch.setattr(cd, "distinguished_involutions", lambda: tuple(d for d in dist if d not in lam))
-    rep = b2.inv.verify_section1(cd, n_random=50)
+    rep = b2.inv.verify_section1(cd)
     (check,) = [c for c in rep.checks if c.check_id == "left-cell-restriction"]
     least = min(lam, key=lambda w: w.sort_key())
     assert not check.passed
@@ -321,7 +321,7 @@ def test_unit_identity_witness_is_the_last_bad_pair(b2, monkeypatch):
             if total != (1 if w == wp else 0):
                 bad = (str(w), str(wp), total)
     assert bad is not None and bad[2] not in (0, 1)
-    rep = b2.inv.verify_section1(cd, n_random=10)
+    rep = b2.inv.verify_section1(cd)
     (check,) = [c for c in rep.checks if c.check_id == "unit-identity"]
     assert check.witness == bad
 
@@ -386,7 +386,7 @@ def test_single_row_check_witnesses(plant, checks, monkeypatch):
     cd, inv = CellData(alg), InvolutionModule(alg)
     monkeypatch.setattr(cd, *plant(cd))
     expected = _single_row_witnesses(inv, cd)
-    rep = inv.verify_section1(cd, n_random=10)
+    rep = inv.verify_section1(cd)
     got = {c.check_id: c for c in rep.checks}
     assert [c.check_id for c in rep.checks] == [
         "leading-term-law", "support-constraint", "beta-cell-support", "unit-identity",
