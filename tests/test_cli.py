@@ -18,6 +18,7 @@ from heckework import InfiniteGroupError
 from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
+from heckework.eqvb import KRing
 from heckework.hecke import HeckeAlgebra, KLTable
 from heckework.idealmod import IdealModel
 from heckework.invmod import InvolutionModule
@@ -994,6 +995,41 @@ def test_a_planted_pi_fault_fails_its_checks_with_witnesses(capsys, monkeypatch,
     got = [(c["id"], c["witness"]) for r in data["reports"]
            for c in r["checks"] if not c["pass"]]
     assert (code, got) == (1, failed)
+
+
+def _negated_at_the_first_signed_class(kr, i, j, out):
+    # (U, kappa) for the first self-dual U comes back as (U, -kappa)
+    return {k: -c for k, c in out.items()} if j == kr.kbar[0] else out
+
+
+def _doubled_off_the_diagonal(kr, i, j, out):
+    # every V that is no summand of the diagonal bundle acts twice over
+    return out if i in kr.unit() else {k: 2 * c for k, c in out.items()}
+
+
+@pytest.mark.parametrize("edit, first_failures", [
+    (_negated_at_the_first_signed_class, {
+        "scalar-action": ("trivial-1pt", {"basis": 0, "g": 0, "phi": 0}),
+        "unit-action": ("trivial-1pt", 0),
+        "composition": ("trivial-1pt", [0, 0, 0])}),
+    (_doubled_off_the_diagonal, {
+        "composition": ("trivial-3pt", [3, 1, 4]),
+        "scalar-action": ("z2-regular", {"basis": 0, "g": 1, "phi": 0})}),
+], ids=["negated", "doubled"])
+def test_a_planted_circ_fault_fails_its_checks_with_witnesses(
+        capsys, monkeypatch, edit, first_failures):
+    # the library: each fault in the circ product fails exactly the listed
+    # checks, each first on the named pair with the given witness
+    circ_basis = KRing.circ_basis
+    monkeypatch.setattr(KRing, "circ_basis",
+                        lambda self, i, j: edit(self, i, j, circ_basis(self, i, j)))
+    code, data = run_json(capsys, "eqvb")
+    first = {}
+    for r in data["reports"]:
+        for c in r["checks"]:
+            if not c["pass"]:
+                first.setdefault(c["id"], (r["system"], c["witness"]))
+    assert (code, first) == (1, first_failures)
 
 
 def _raise_p_e(monkeypatch, word):
