@@ -7,8 +7,9 @@ bitmasks 0..2^r-1 under xor; every character is +-1-valued:
 chi_phi(h) = (-1)^popcount(phi & h) for a dual bitmask phi.  Because the
 group is abelian, all points of an orbit share one stabilizer and a
 stabilizing element acts on every fiber of an indecomposable bundle by the
-same character value; only the twist bookkeeping (kappa signs) needs
-orbit transporters.
+same character value.  Each character is one of all of Gamma, so the
+transporter signs of the twisted circ product cancel in closed form: one
+sign per target orbit and stabilizer element times a count of points.
 
 Basis conventions:
 
@@ -19,9 +20,8 @@ Basis conventions:
   swap (x,y) -> (y,x)); the sign of kappa is normalized to +1 at the base
   point.  Classes are integer dicts over basis indices.
 
-Everything is brute-force fiber materialization at desk scale, which
-doubles as its own oracle: isomorphism tests compare stabilizer traces of
-explicitly materialized bundles.
+Convolution counts fibers point by point at desk scale, and isomorphism
+tests compare stabilizer traces of explicitly materialized bundles.
 """
 
 from __future__ import annotations
@@ -208,7 +208,6 @@ class KRing:
         self.kbar = [i for i, j in enumerate(self.sigma_of) if i == j]  # self-dual
         self._conv_memo = {}
         self._circ_memo = {}
-        self._kappa_memo = {}
 
     # -- generic helpers ------------------------------------------------------
 
@@ -218,15 +217,6 @@ class KRing:
     def _sigma_point(self, p):
         n = self.gs.size
         return (p % n) * n + (p // n)
-
-    def _scalar(self, oi, phi, g, p):
-        """Scalar of tau_g on the transported basis vector at point p of the
-        indecomposable (orbit oi, character phi)."""
-        o = self.pair_orbits[oi]
-        q = self.gs.act(g, p // self.gs.size) * self.gs.size + self.gs.act(
-            g, p % self.gs.size
-        )
-        return char_value(phi, o.transporter[q] ^ g ^ o.transporter[p]), q
 
     def _restricted(self, oi, phi):
         """Index of the basis element on orbit oi whose character agrees with
@@ -299,83 +289,46 @@ class KRing:
 
     # -- the signed quotient Kbar(C), on the self-dual indices kbar --------------------
 
-    def _kappa(self, i):
-        """Canonical kappa signs eps: point -> +-1 for a self-dual basis
-        element, normalized to +1 at the base point."""
-        got = self._kappa_memo.get(i)
-        if got is not None:
-            return got
-        (oi, phi) = self.basis[i]
-        o = self.pair_orbits[oi]
-        eps = {o.base: 1}
-        queue = [o.base]
-        while queue:
-            p = queue.pop(0)
-            for g in self.gs.group:
-                spx = self._sigma_point(p)
-                s1, q = self._scalar(oi, phi, g, p)
-                s2, _ = self._scalar(oi, phi, g, spx)
-                val = eps[p] * s1 * s2
-                if q in eps:
-                    if eps[q] != val:
-                        raise AssertionError("kappa signs inconsistent")
-                else:
-                    eps[q] = val
-                    queue.append(q)
-        for p, v in eps.items():
-            if eps[self._sigma_point(p)] != v:
-                raise AssertionError("kappa not involutive")
-        self._kappa_memo[i] = eps
-        return eps
-
     def circ_basis(self, i, j):
         """Signed class of V_i . (U_j, kappa_j): the multiplicities n+ - n-
         of each self-dual indecomposable with its canonical kappa inside
-        (V * U * V^sigma, kappa')."""
+        (V * U * V^sigma, kappa').
+
+        Every character is one of all of Gamma, so the transporter signs
+        cancel in closed form.  With T(p) the transporter from the base of
+        p's orbit to p and b the base of U's, kappa_j(p) = chi(T(p))
+        chi(T(sigma p)) chi(T(sigma b)), so kappa_j(b) = 1.  On a
+        sigma-stable orbit with base (x0, y0), t = T(y0, x0) and h in its
+        stabilizer, the twist A after tau_h fixes the fiber (z, z') only when
+        z' = t h z; there (y0, z') = t h (x0, z) lies in V's orbit, V's four
+        signs multiply to 1, and U's two with kappa_j leave chi_U(t h)
+        chi_U(T(sigma b)), the same for every z.  So the trace of h is that
+        sign times #{z : (x0, z) in V's orbit, (z, t h z) in U's}."""
         key = (i, j)
         got = self._circ_memo.get(key)
         if got is not None:
             return got
         if self.sigma_of[j] != j:
             raise ValueError("circ acts on the signed (self-dual) basis")
-        (ov, phi_v) = self.basis[i]
+        ov = self.basis[i][0]
         (ou, phi_u) = self.basis[j]
-        eps_u = self._kappa(j)
+        u = self.pair_orbits[ou]
+        twist = char_value(phi_u, u.transporter[self._sigma_point(u.base)])
         n = self.gs.size
-        pts_v = set(self.pair_orbits[ov].points)
-        pts_u = set(self.pair_orbits[ou].points)
+        orbit_of = self._pair_orbit_of
         out = {}
         for ot in self._sigma_stable:
             o = self.pair_orbits[ot]
-            x0, y0 = o.base // n, o.base % n
-            pairs = [
-                (z, zp)
-                for z in range(n)
-                for zp in range(n)
-                if self._pair(x0, z) in pts_v
-                and self._pair(z, zp) in pts_u
-                and self._pair(y0, zp) in pts_v
-            ]
-            if not pairs:
-                continue
+            x0 = o.base // n
             t = o.transporter[self._sigma_point(o.base)]
+            zs = [z for z in range(n) if orbit_of[x0 * n + z] == ov]
             traces = {}
             for h in o.stabilizer:
-                tr = 0
-                for (z, zp) in pairs:
-                    # tau_h then the twist operator A; diagonal terms only
-                    sh1, _ = self._scalar(ov, phi_v, h, self._pair(x0, z))
-                    sh2, _ = self._scalar(ou, phi_u, h, self._pair(z, zp))
-                    sh3, _ = self._scalar(ov, phi_v, h, self._pair(y0, zp))
-                    a, b = self.gs.act(h, z), self.gs.act(h, zp)
-                    if (self.gs.act(t, b), self.gs.act(t, a)) != (z, zp):
-                        continue
-                    sa1, _ = self._scalar(ov, phi_v, t, self._pair(y0, b))
-                    sa2, _ = self._scalar(ou, phi_u, t, self._pair(b, a))
-                    sa3, _ = self._scalar(ov, phi_v, t, self._pair(x0, a))
-                    tr += sh1 * sh2 * sh3 * eps_u[self._pair(a, b)] * sa1 * sa2 * sa3
-                traces[h] = tr
-            out.update(self._multiplicities(ot, traces))
+                th = self.gs.action[t ^ h]
+                count = sum(1 for z in zs if orbit_of[z * n + th[z]] == ou)
+                traces[h] = twist * char_value(phi_u, t ^ h) * count
+            if any(traces.values()):
+                out.update(self._multiplicities(ot, traces))
         self._circ_memo[key] = out
         return out
 
@@ -424,8 +377,7 @@ class KRing:
                 for g in self.gs.group:
                     if self.gs.act(g, p // self.gs.size) == p // self.gs.size and \
                        self.gs.act(g, p % self.gs.size) == p % self.gs.size:
-                        s, _ = self._scalar(oi, phi, g, p)
-                        add_into(sig, (p, g), mult * s)
+                        add_into(sig, (p, g), mult * char_value(phi, g))
         return sig
 
     def selfdual_count_bruteforce(self):

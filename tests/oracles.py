@@ -18,10 +18,16 @@ h a_empty, and `ideal_basis` row-reduces the ideal itself.
 `bar_a_by_chain` and `x_elt_by_chain` replay the whole descent chain over
 Q(v), dividing by u + 1 through `RationalFn`, where the package takes one
 memoized step that divides exactly in Z[v, v^-1].
+
+`circ_basis_by_kappa` is the twisted circ product of the equivariant K-ring
+by the route `KRing.circ_basis` replaced with its closed form: the twist
+kappa found by a search over the orbit, and each trace a sum over fixed
+fibers of six transporter signs.
 """
 
 from __future__ import annotations
 
+from heckework.eqvb import char_value
 from heckework.hecke import add_scaled, strip_off
 from heckework.idealmod import CompletionElement, canonical_rref
 from heckework.laurent import ONE, ZERO, LaurentPoly, RationalFn
@@ -200,6 +206,82 @@ def sign_split_check(inv, x, w, wp):
         if hc == 1 and abs(fc) != 1:
             return False, ("unit", e, fc, hc)
     return True, None
+
+
+# -- the twisted circ product by its kappa signs --------------------------------------
+
+
+def _scalar(kr, oi, phi, g, p):
+    """Scalar of tau_g on the transported basis vector at point p of the
+    indecomposable (orbit oi, character phi), and the point g . p."""
+    o = kr.pair_orbits[oi]
+    n = kr.gs.size
+    q = kr.gs.act(g, p // n) * n + kr.gs.act(g, p % n)
+    return char_value(phi, o.transporter[q] ^ g ^ o.transporter[p]), q
+
+
+def kappa_by_search(kr, i):
+    """The kappa signs eps: point -> +-1 of a self-dual basis element,
+    normalized to +1 at the base point, by a breadth-first search that checks
+    every edge it meets again and that eps is sigma-invariant."""
+    (oi, phi) = kr.basis[i]
+    o = kr.pair_orbits[oi]
+    eps = {o.base: 1}
+    queue = [o.base]
+    while queue:
+        p = queue.pop(0)
+        for g in kr.gs.group:
+            s1, q = _scalar(kr, oi, phi, g, p)
+            s2, _ = _scalar(kr, oi, phi, g, kr._sigma_point(p))
+            val = eps[p] * s1 * s2
+            if q in eps:
+                if eps[q] != val:
+                    raise AssertionError("kappa signs inconsistent")
+            else:
+                eps[q] = val
+                queue.append(q)
+    for p, v in eps.items():
+        if eps[kr._sigma_point(p)] != v:
+            raise AssertionError("kappa not involutive")
+    return eps
+
+
+def circ_basis_by_kappa(kr, i, j):
+    """V_i . (U_j, kappa_j) for j in kbar: on each sigma-stable orbit, the
+    trace of tau_h then the twist A over the fibers (z, z') of V * U * V^sigma
+    that A tau_h fixes, six transporter signs and one kappa sign each."""
+    (ov, phi_v) = kr.basis[i]
+    (ou, phi_u) = kr.basis[j]
+    eps_u = kappa_by_search(kr, j)
+    gs, n = kr.gs, kr.gs.size
+    pts_v = set(kr.pair_orbits[ov].points)
+    pts_u = set(kr.pair_orbits[ou].points)
+    out = {}
+    for ot in kr._sigma_stable:
+        o = kr.pair_orbits[ot]
+        x0, y0 = o.base // n, o.base % n
+        pairs = [(z, zp) for z in range(n) for zp in range(n)
+                 if x0 * n + z in pts_v and z * n + zp in pts_u and y0 * n + zp in pts_v]
+        if not pairs:
+            continue
+        t = o.transporter[kr._sigma_point(o.base)]
+        traces = {}
+        for h in o.stabilizer:
+            tr = 0
+            for (z, zp) in pairs:
+                a, b = gs.act(h, z), gs.act(h, zp)
+                if (gs.act(t, b), gs.act(t, a)) != (z, zp):
+                    continue
+                sh1, _ = _scalar(kr, ov, phi_v, h, x0 * n + z)
+                sh2, _ = _scalar(kr, ou, phi_u, h, z * n + zp)
+                sh3, _ = _scalar(kr, ov, phi_v, h, y0 * n + zp)
+                sa1, _ = _scalar(kr, ov, phi_v, t, y0 * n + b)
+                sa2, _ = _scalar(kr, ou, phi_u, t, b * n + a)
+                sa3, _ = _scalar(kr, ov, phi_v, t, x0 * n + a)
+                tr += sh1 * sh2 * sh3 * eps_u[a * n + b] * sa1 * sa2 * sa3
+            traces[h] = tr
+        out.update(kr._multiplicities(ot, traces))
+    return out
 
 
 # -- relations on ids ------------------------------------------------------------------

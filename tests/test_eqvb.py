@@ -13,6 +13,7 @@ from heckework.eqvb import (
     standard_pairs,
     star_axioms_report,
 )
+from oracles import circ_basis_by_kappa
 
 
 def test_gamma_set_validation():
@@ -153,6 +154,36 @@ def test_circ_unit_and_composition():
             prod = kr.convolve_basis(ip, i)
             for j in kr.kbar:
                 assert kr.circ(prod, {j: 1}) == kr.circ({ip: 1}, kr.circ_basis(i, j))
+
+
+def _relabelled(gs, rng):
+    # the same Gamma-set with its points renamed by a random permutation
+    perm = list(range(gs.size))
+    rng.shuffle(perm)
+    action = [[0] * gs.size for _ in gs.group]
+    for g in gs.group:
+        for x in range(gs.size):
+            action[g][perm[x]] = perm[gs.act(g, x)]
+    return GammaSet(gs.rank, gs.size, tuple(map(tuple, action)))
+
+
+def test_circ_basis_equals_the_kappa_route():
+    # the closed form against the kappa search and its six-sign traces, on
+    # every i and every self-dual j: the library, five rank-2 and rank-3
+    # coset spaces, and those five with their points relabelled
+    extra = [GammaSet.from_subgroups(r, gens) for r, gens in [
+        (3, [[]]), (3, [[1], [2]]), (3, [[1, 2], [4]]), (3, [[1, 2, 4], [3], []]),
+        (2, [[3], [1, 2], []])]]
+    rng = random.Random(1)
+    sets = [gs for _, gs in standard_pairs()] + extra + [_relabelled(gs, rng) for gs in extra]
+    checked = 0
+    for gs in sets:
+        kr = KRing(gs)
+        for i in range(len(kr.basis)):
+            for j in kr.kbar:
+                assert kr.circ_basis(i, j) == circ_basis_by_kappa(kr, i, j), (gs.action, i, j)
+                checked += 1
+    assert (len(sets), checked) == (22, 4685)
 
 
 def test_signed_negation_cancels():

@@ -463,7 +463,7 @@ def test_bar_invariant_solve_rejects_an_inconsistent_column(a2):
         bar_invariant_solve(s, [e, s], bar_col)
 
 
-def test_c_elt_solved_solves_once_per_w(monkeypatch):
+def test_kl_solved_solves_once_per_w(monkeypatch):
     sys = CoxeterSystem.from_label("A3")
     alg = HeckeAlgebra(sys)
     solved = []
