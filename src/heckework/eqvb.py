@@ -14,8 +14,8 @@ sign per target orbit and stabilizer element times a count of points.
 Basis conventions:
 
 - K(C_0) has basis (orbit of X x X, character of the orbit stabilizer);
-  orbits are based at their lexicographically least point, preferring
-  diagonal points (x, x) so the kappa normalization below is canonical.
+  orbits are based at their lexicographically least point.  The diagonal is
+  Gamma-stable, so an orbit is all diagonal or has no diagonal point.
 - Kbar(C) has signed basis the sigma-self-dual pairs (orbit fixed by the
   swap (x,y) -> (y,x)); the sign of kappa is normalized to +1 at the base
   point.  Classes are integer dicts over basis indices.
@@ -27,7 +27,7 @@ tests compare stabilizer traces of explicitly materialized bundles.
 from __future__ import annotations
 
 from .hecke import add_into, add_scaled, bilinear
-from .report import Report
+from .report import Report, first_nonassociative
 
 
 def char_value(phi, h):
@@ -124,11 +124,8 @@ class Orbit:
         self.stabilizer = stabilizer
 
 
-def _orbits(gs, points, act, prefer=None):
-    """Orbit decomposition with base points, transporters and stabilizers.
-
-    prefer(p) marks points preferred as base (diagonal points for X x X).
-    """
+def _orbits(gs, points, act):
+    """Orbit decomposition with base points, transporters and stabilizers."""
     remaining = set(points)
     orbits = []
     for p0 in points:
@@ -140,10 +137,6 @@ def _orbits(gs, points, act, prefer=None):
             trans.setdefault(act(g, p0), g)
         pts = sorted(trans)
         base = min(pts)
-        if prefer is not None:
-            preferred = [p for p in pts if prefer(p)]
-            if preferred:
-                base = min(preferred)
         # rebase transporters at the chosen base
         t0 = trans[base]
         trans = {p: g ^ t0 for p, g in trans.items()}
@@ -172,7 +165,6 @@ def orbit_stabilizers(gs):
         gs,
         [x * n + y for x in range(n) for y in range(n)],
         lambda g, p: gs.act(g, p // n) * n + gs.act(g, p % n),
-        prefer=lambda p: p // n == p % n,
     )
     return {"x": x_orbits, "pairs": pair_orbits}
 
@@ -425,9 +417,8 @@ def star_axioms_report(kr, name):
                 if kr.convolve(one, {i: 1}) != {i: 1} or kr.convolve({i: 1}, one) != {i: 1}),
                None)
     rep.add("unit", bad is None, bad)
-    bad = next(((i, j, k) for i in nb for j in nb for k in nb
-                if kr.convolve(kr.convolve_basis(i, j), {k: 1})
-                != kr.convolve({i: 1}, kr.convolve_basis(j, k))), None)
+    conv = {(i, j): row for i in nb for j in nb if (row := kr.convolve_basis(i, j))}
+    bad = first_nonassociative(nb, nb, conv, conv)
     rep.add("associativity", bad is None, bad)
     bad = next((i for i in nb if kr.sigma({kr.sigma_of[i]: 1}) != {i: 1}), None)
     rep.add("sigma-involutive", bad is None, bad)

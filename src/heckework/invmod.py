@@ -42,7 +42,7 @@ from .hecke import (
     strip_off,
     t_inv_gen_action,
 )
-from .report import Report, sample_triples
+from .report import Report, first_nonassociative
 
 # v-units scalars of the four-case action (u = v^2)
 _U_PLUS_1 = LaurentPoly({2: 1, 0: 1})
@@ -249,14 +249,10 @@ class InvolutionModule:
                     bad = (str(w), str(wp), total.get(wp, 0))
         rep.add("unit-identity", bad is None, bad)
 
-        bad = None
-        for x, y, w in sample_triples(els, els, inv):
-            lhs = self.cm_action(cells.j_mult({x: 1}, {y: 1}), {w: 1}, cells)
-            rhs = self.cm_action({x: 1}, self.cm_action({y: 1}, {w: 1}, cells), cells)
-            if lhs != rhs:
-                bad = (str(x), str(y), str(w))
-                break
-        rep.add("module-associativity", bad is None, bad)
+        gamma = {(x, y): row for x in els for y in els if (row := cells.gamma_row(x, y))}
+        beta = {(x, w): row for x in els for w in inv if (row := self._beta_row(x, w, cells))}
+        bad = first_nonassociative(els, inv, gamma, beta)
+        rep.add("module-associativity", bad is None, bad and tuple(map(str, bad)))
         rep.add("block-decomposition", "block-decomposition" not in single,
                 single.get("block-decomposition"))
 

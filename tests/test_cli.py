@@ -894,6 +894,24 @@ def _double_gamma_of_12_21(cd):
     cd._gamma[x, y] = {z: 2}
 
 
+def _double_gamma_of_12_21_at_1(cd):
+    # B3: t_12 t_21 = 2 t_1 + t_121, not t_1 + t_121.  Of the 110,592
+    # triples only 788 have a side the gamma table can make nonzero, and ten
+    # of those fail, the first (t_12 t_21) t_12
+    x, y, z = (cd.system.element(w) for w in ("12", "21", "1"))
+    row = cd.gamma_row(x, y)  # fills the table before the plant
+    cd._gamma[x, y] = {**row, z: 2 * row[z]}
+
+
+def _drop_gamma_row(a, b):
+    # t_a t_b = 0: a triple it fails on may be reached by one side only
+    def plant(cd):
+        x, y = cd.system.element(a), cd.system.element(b)
+        assert cd.gamma_row(x, y)  # fills the table before the plant
+        del cd._gamma[x, y]
+    return plant
+
+
 @pytest.mark.parametrize("command, label, plant, check, witness", [
     ("cells", "A3", _drop_e, "one-distinguished-per-left-cell", ["e"]),
     ("cells", "A3", _raise_a_of_e, "a-monotone", ["1", "e"]),
@@ -903,8 +921,14 @@ def _double_gamma_of_12_21(cd):
     ("jring", "A3", _double_gamma_of_e, "unit-identity", "e"),
     ("jring", "A3", _split_off_1, "cross-cell-vanishing", ["1", "1"]),
     ("jring", "A2", _double_gamma_of_12_21, "associativity", ["12", "21", "12"]),
+    ("jring", "B3", _double_gamma_of_12_21_at_1, "associativity", ["12", "21", "12"]),
+    # A2: with t_12 t_21 = 0, only t_12 (t_21 t_12) = t_12 reaches the failure;
+    # with t_21 t_12 = 0, only (t_12 t_21) t_12 = t_12 does
+    ("jring", "A2", _drop_gamma_row("12", "21"), "associativity", ["12", "21", "12"]),
+    ("jring", "A2", _drop_gamma_row("21", "12"), "associativity", ["12", "21", "12"]),
 ], ids=["one-distinguished", "a-monotone", "a-monotone-B3", "a-constant", "unit-identity", "cross-cell",
-        "associativity"])
+        "associativity", "associativity-B3", "associativity-right-side-only",
+        "associativity-left-side-only"])
 def test_a_planted_cell_fault_fails_one_check_with_a_witness(
         capsys, monkeypatch, command, label, plant, check, witness):
     # one fault in the built CellData: exactly its check fails, exit 1.  A2
@@ -939,6 +963,35 @@ def test_a_doubled_beta_row_fails_module_associativity(capsys, monkeypatch):
     failed = [(c["id"], c["witness"]) for r in data["reports"]
               for c in r["checks"] if not c["pass"]]
     assert (code, failed) == (1, [("module-associativity", ["12", "21", "1"])])
+
+
+@pytest.mark.parametrize("label, x, w, edit, witness", [
+    # beta(12, 2, 121) doubled, its support unchanged.  Of the 46,080 triples
+    # only 320 have a side the tables can make nonzero; eight of those fail
+    ("B3", "12", "2", lambda row: {wp: 2 * b if str(wp) == "121" else b for wp, b in row.items()},
+     ["12", "21", "1"]),
+    # beta(12, 2) dropped: (t_12 t_21) tau_1 = tau_1, and only the left side
+    # reaches it, since t_12 (t_21 tau_1) = t_12 tau_2 = 0
+    ("A2", "12", "2", lambda row: {}, ["12", "21", "1"]),
+    # beta(123, 3) dropped: t_12 (t_23 tau_3) = t_12 tau_2 = tau_1, and only
+    # the right side reaches it, since (t_12 t_23) tau_3 = t_123 tau_3 = 0
+    ("A3", "123", "3", lambda row: {}, ["12", "23", "3"]),
+], ids=["doubled-B3", "left-side-only", "right-side-only"])
+def test_a_planted_beta_fault_fails_module_associativity(capsys, monkeypatch, label, x, w, edit,
+                                                          witness):
+    # the single-row checks read the beta walk, not the edited rows, and x is
+    # not distinguished, so the unit and left-cell checks still hold
+    row = InvolutionModule._beta_row
+
+    def planted(self, x_, w_, cells):
+        out = row(self, x_, w_, cells)
+        return edit(out) if (str(x_), str(w_)) == (x, w) else out
+
+    monkeypatch.setattr(InvolutionModule, "_beta_row", planted)
+    code, data = run_json(capsys, "invmod", "--type", label)
+    failed = [(c["id"], c["witness"]) for r in data["reports"]
+              for c in r["checks"] if not c["pass"]]
+    assert (code, failed) == (1, [("module-associativity", witness)])
 
 
 def _e_from_second_descent_of_121(monkeypatch):
@@ -1023,6 +1076,64 @@ def test_a_planted_circ_fault_fails_its_checks_with_witnesses(
     circ_basis = KRing.circ_basis
     monkeypatch.setattr(KRing, "circ_basis",
                         lambda self, i, j: edit(self, i, j, circ_basis(self, i, j)))
+    code, data = run_json(capsys, "eqvb")
+    first = {}
+    for r in data["reports"]:
+        for c in r["checks"]:
+            if not c["pass"]:
+                first.setdefault(c["id"], (r["system"], c["witness"]))
+    assert (code, first) == (1, first_failures)
+
+
+def test_a_failing_check_prints_its_witness_under_pretty(capsys, monkeypatch):
+    # rank-formula passes with a witness, and only the failed check prints one
+    circ_basis = KRing.circ_basis
+    monkeypatch.setattr(KRing, "circ_basis", lambda self, i, j: _negated_at_the_first_signed_class(
+        self, i, j, circ_basis(self, i, j)))
+    code, out = run(capsys, "eqvb", "--pretty")
+    assert (code, out.splitlines()[:4]) == (1, [
+        "[eqvb-count] trivial-1pt",
+        "  ok   rank-formula",
+        "  ok   rank-bruteforce",
+        "  FAIL scalar-action  witness={'g': 0, 'phi': 0, 'basis': 0}"])
+
+
+def _doubled_off_the_unit(kr, i, j, out):
+    # a product of two classes that are no summand of the diagonal bundle
+    # comes out twice over, so the unit still holds
+    unit = kr.unit()
+    return out if i in unit or j in unit else {k: 2 * c for k, c in out.items()}
+
+
+def _doubled_left_of_the_unit(kr, i, j, out):
+    # a summand of the diagonal bundle times any other class comes out twice
+    # over: the unit fails on the left and holds on the right
+    unit = kr.unit()
+    return {k: 2 * c for k, c in out.items()} if i in unit and j not in unit else out
+
+
+@pytest.mark.parametrize("edit, first_failures", [
+    (_doubled_off_the_unit, {
+        "associativity": ("trivial-3pt", [1, 3, 2]),
+        "composition": ("trivial-3pt", [3, 1, 4]),
+        "psi-ring-hom": ("z2-regular", [[1, 0], [1, 0]]),
+        "psi-central": ("z2-two-fixed-plus-regular", {"basis": 4, "g": 0, "phi": 1})}),
+    (_doubled_left_of_the_unit, {
+        "unit": ("trivial-3pt", 1),
+        "associativity": ("trivial-3pt", [0, 0, 1]),
+        "sigma-antiautomorphism": ("trivial-3pt", [0, 1]),
+        "composition": ("trivial-3pt", [0, 1, 4]),
+        "psi-central": ("trivial-3pt", {"basis": 1, "g": 0, "phi": 0}),
+        "psi-ring-hom": ("z2-regular", [[0, 0], [1, 0]])}),
+], ids=["doubled-off-the-unit", "doubled-left-of-the-unit"])
+def test_a_planted_convolution_fault_fails_its_checks_with_witnesses(
+        capsys, monkeypatch, edit, first_failures):
+    # the library: each fault in the convolution product fails exactly the
+    # listed checks, each first on the named pair with the given witness,
+    # which for associativity is the first failing (i, j, k) of all nb^3
+    convolve_basis = KRing.convolve_basis
+    monkeypatch.setattr(KRing, "convolve_basis",
+                        lambda self, i, j: edit(self, i, j, convolve_basis(self, i, j)))
     code, data = run_json(capsys, "eqvb")
     first = {}
     for r in data["reports"]:
