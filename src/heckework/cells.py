@@ -79,7 +79,7 @@ class CellData:
         for c in self.left_cells:
             self.a.update(dict.fromkeys(c, min(map(delta.get, c))))
         self._dist = tuple(z for z in self.elements if delta[z] == self.a[z])
-        self._gamma = None  # filled by the first gamma_row
+        self._gamma = None  # filled by the first gamma_table
 
     # -- preorders, cells and distinguished involutions --------------------------
 
@@ -131,21 +131,24 @@ class CellData:
 
     # -- the ring J ----------------------------------------------------------------
 
-    def gamma_row(self, x, y):
-        """{z: gamma(x, y, z^-1)} over the nonzero values: the coefficient of
-        v^{a(z)} in h_{x,y,z}, which is the coefficient of t_z in t_x t_y.
-        The first call fills the whole table by the gamma walk.  The row is
-        the table's own dict, not a copy: read it only."""
+    def gamma_table(self):
+        """{(x, y): {z: gamma(x, y, z^-1)}} over the nonzero rows, keyed in
+        (x, y) enumeration order with each row in z order: gamma(x, y, z^-1)
+        is the coefficient of v^{a(z)} in h_{x,y,z}, and of t_z in t_x t_y.
+        The first call fills it by the gamma walk; it is the table itself,
+        to be read only."""
         if self._gamma is None:
             # column w over the x ~_L w^-1 alone (P8), each h_{x,w,z} checked against a(z)
-            algebra, elts = self.algebra, self.system._elts
+            algebra, elts, els = self.algebra, self.system._elts, self.elements
             a = [self.a[z] for z in elts]
-            top = [[] for _ in elts]  # (x, w, coefficient) at v^{a(z)}
+            pos = {z.id: k for k, z in enumerate(els)}  # id -> enumeration position
+            rows = [[] for _ in elts]  # id x -> [(pos[w], row (x, w))]
             for c in self.left_cells:
                 ids = sorted(i.id for i in c)
                 for w in (elts[i].inverse().id for i in ids):
                     col = {}  # the memo of column w, dropped once read
                     for i in ids:
+                        top = []  # (pos[z], coefficient at v^{a(z)})
                         for z, h in algebra.c_left(i, w, algebra.c_gen_mult, col).items():
                             d = h.degree()
                             if d > a[z]:
@@ -153,12 +156,15 @@ class CellData:
                                     "deg h_{x,w,z} = %d > a(z) = %d at (%s, %s, %s)"
                                     % (d, a[z], elts[i], elts[w], elts[z]))
                             if d == a[z]:
-                                top[z].append((i, w, h.coeff_of_v(d)))
-            self._gamma = {}
-            for z in self.elements:
-                for i, w, g in top[z.id]:
-                    self._gamma.setdefault((elts[i], elts[w]), {})[z] = g
-        return self._gamma.get((x, y), {})
+                                top.append((pos[z], h.coeff_of_v(d)))
+                        if top:
+                            rows[i].append((pos[w], {els[k]: g for k, g in sorted(top)}))
+            self._gamma = {(x, els[k]): row for x in els for k, row in sorted(rows[x.id])}
+        return self._gamma
+
+    def gamma_row(self, x, y):
+        """Row (x, y) of `gamma_table`, {} if it is zero: read it only."""
+        return self.gamma_table().get((x, y), {})
 
     def j_mult(self, ja, jb):
         """Product in J of two integer dicts: t_x t_y = sum gamma(x,y,z^-1) t_z."""

@@ -52,14 +52,8 @@ def _add_common(p):
 
 
 def _parse_matrix(text):
-    if ";" in text:
-        rows = [[int(x) for x in row.split(",") if x.strip() != ""] for row in text.split(";")]
-        return rows
-    flat = [int(x) for x in text.replace(",", " ").split()]
-    n = int(round(len(flat) ** 0.5))
-    if n * n != len(flat):
-        raise ValueError("matrix needs n^2 entries")
-    return [flat[i * n : (i + 1) * n] for i in range(n)]
+    """The rows of --matrix: comma-separated integers, rows joined by ';'."""
+    return [[int(x) for x in row.split(",") if x.strip() != ""] for row in text.split(";")]
 
 
 def build_system(args):
@@ -278,7 +272,7 @@ def cmd_jring(args):
     els = cells.elements
     gamma_entries = sorted(
         ({"x": str(x), "y": str(y), "z": str(z.inverse()), "gamma": g}
-         for x in els for y in els for z, g in cells.gamma_row(x, y).items()),
+         for (x, y), row in cells.gamma_table().items() for z, g in row.items()),
         key=lambda e: (e["x"], e["y"], e["z"]))
     cell_blocks, left_blocks = cells.j_blocks()
     payload = {
@@ -319,7 +313,7 @@ def jring_report(sys_, cells):
                 if cells.j_mult(u, {w: 1}) != {w: 1} or cells.j_mult({w: 1}, u) != {w: 1}),
                None)
     rep.add("unit-identity", bad is None, bad)
-    gamma = {(x, y): row for x in els for y in els if (row := cells.gamma_row(x, y))}
+    gamma = cells.gamma_table()
     bad = first_nonassociative(els, els, gamma, gamma)
     rep.add("associativity", bad is None, bad and tuple(map(str, bad)))
     bad = next(((str(x), str(y)) for x, y in gamma if not cells.same_two_sided(x, y)), None)

@@ -296,8 +296,6 @@ class CoxeterSystem:
                 if m < 2:
                     raise ValueError("I2(m) needs m >= 2")
                 return cls([[1, m], [m, 1]], star=star, label="I2(%d)" % m)
-            if "INF" in key:
-                return cls([[1, INF], [INF, 1]], star=star, label="Dinf")
         raise ValueError("unknown type label %r" % label)
 
     def content_hash(self):

@@ -125,25 +125,22 @@ class Orbit:
 
 
 def _orbits(gs, points, act):
-    """Orbit decomposition with base points, transporters and stabilizers."""
+    """Orbit decomposition with base points, transporters and stabilizers.
+    The points come in increasing order, so the first one not yet reached
+    is the least of its orbit: its base, with transporter 0."""
     remaining = set(points)
     orbits = []
-    for p0 in points:
-        if p0 not in remaining:
+    for base in points:
+        if base not in remaining:
             continue
-        # the first g with g . p0 = p is the transporter of p
+        # the first g with g . base = p is the transporter of p
         trans = {}
         for g in gs.group:
-            trans.setdefault(act(g, p0), g)
+            trans.setdefault(act(g, base), g)
         pts = sorted(trans)
-        base = min(pts)
-        # rebase transporters at the chosen base
-        t0 = trans[base]
-        trans = {p: g ^ t0 for p, g in trans.items()}
-        stab = tuple(sorted(g for g in gs.group if act(g, base) == base))
+        stab = tuple(g for g in gs.group if act(g, base) == base)
         orbits.append(Orbit(tuple(pts), base, trans, stab))
         remaining -= set(pts)
-    orbits.sort(key=lambda o: o.base)
     return orbits
 
 

@@ -325,10 +325,7 @@ class IdealModel:
         for w in targets:
             xw = self.x_elt(w, max_len=None if finite else max_len)
             spec = self.specialize(xw)
-            fib = fibers.get(w, [])
-            if not finite:
-                cut = xw.exact_len
-                fib = [x for x in fib if len(x.word) <= cut]
+            fib = fibers.get(w, [])  # pi reads the window, so X_w is exact on it
             expected = {x: 1 for x in fib}
             if spec != expected:
                 bad_spec = (
@@ -383,7 +380,7 @@ def _row_normalize(row, order):
         g = c if g is None else poly_gcd(g, c)
         if g == ONE:
             break
-    if g is not None and g != ONE:
+    if g != ONE:
         row = {k: v.try_divide(g) for k, v in row.items()}
     shift = min(c.valuation() for c in row.values())
     if shift:

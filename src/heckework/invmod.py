@@ -236,7 +236,7 @@ class InvolutionModule:
         els = cells.elements
         inv = self.basis
 
-        single = self._beta_walk(cells)[2]
+        _, beta, single = self._beta_walk(cells)
         for check in ("leading-term-law", "support-constraint", "beta-cell-support"):
             rep.add(check, check not in single, single.get(check))
 
@@ -249,9 +249,7 @@ class InvolutionModule:
                     bad = (str(w), str(wp), total.get(wp, 0))
         rep.add("unit-identity", bad is None, bad)
 
-        gamma = {(x, y): row for x in els for y in els if (row := cells.gamma_row(x, y))}
-        beta = {(x, w): row for x in els for w in inv if (row := self._beta_row(x, w, cells))}
-        bad = first_nonassociative(els, inv, gamma, beta)
+        bad = first_nonassociative(els, inv, cells.gamma_table(), beta)
         rep.add("module-associativity", bad is None, bad and tuple(map(str, bad)))
         rep.add("block-decomposition", "block-decomposition" not in single,
                 single.get("block-decomposition"))

@@ -166,7 +166,8 @@ def test_computed_values_are_shared(tmp_path):
 
 def test_two_stores_share_one_header(tmp_path):
     a, b = CacheStore(tmp_path), CacheStore(tmp_path)
-    recs = [(b"key%d" % i, b"value%d" % i) for i in range(40)]
+    # the last record has an empty value, and still ends the file whole
+    recs = [(b"key%d" % i, b"value%d" % i) for i in range(40)] + [(b"empty", b"")]
     for i, (k, v) in enumerate(recs):
         (a if i % 3 else b).append("kl", "h", k, v)
     assert os.listdir(tmp_path) == ["kl-h.hwc"]
@@ -293,9 +294,15 @@ def no_load(*args):
     raise AssertionError("load_table called")
 
 
+def no_write(*args):
+    raise AssertionError("write called")
+
+
 def test_a_warm_call_on_a_cold_file_compares_and_never_loads(tmp_path, capsys, monkeypatch):
+    # nor writes: the file that holds exactly the records keeps its bytes
     argv, path, whole = cold_file(tmp_path, capsys, "A4")
     monkeypatch.setattr(CacheStore, "load_table", no_load)
+    monkeypatch.setattr(CacheStore, "write", no_write)
     kl_stdout(capsys, argv)
     assert path.read_bytes() == whole
 

@@ -192,8 +192,8 @@ def _cell_data_by_str(cd):
         "two_sided": [sorted(map(str, c)) for c in cd.two_sided_cells],
         "order": cd.cell_order(),
         "a": [(str(z), cd.a[z]) for z in els],
-        "gamma": [(str(x), str(y), [(str(z), g) for z, g in cd.gamma_row(x, y).items()])
-                  for x in els for y in els],
+        "gamma": [(str(x), str(y), [(str(z), g) for z, g in row.items()])
+                  for (x, y), row in cd.gamma_table().items()],
         "dist": [str(d) for d in cd.distinguished_involutions()],
     }
 
@@ -215,6 +215,12 @@ def test_cell_data_does_not_depend_on_interning_order(label, first, column):
     fresh = CellData(HeckeAlgebra(CoxeterSystem.from_label(label)))
     assert all(w.id == i for i, w in enumerate(fresh.elements))
     assert _cell_data_by_str(cd) == _cell_data_by_str(fresh)
+    # the gamma table is keyed in (x, y) enumeration order, each row in z order
+    pos = {w: i for i, w in enumerate(els)}
+    keys = [(pos[x], pos[y]) for x, y in cd.gamma_table()]
+    assert keys == sorted(keys)
+    assert all(list(map(pos.get, row)) == sorted(map(pos.get, row))
+               for row in cd.gamma_table().values())
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "I2(5)", "D4"])

@@ -499,6 +499,11 @@ _INT_SUBGROUPS = {"cells": [{"representative": "1", "gamma_rank": 1, "subgroups"
         (["verify-all", "--type", "B2", "--max-len", "3"], None),
         (["cells", "--type", "A3", "--max-len", "2"], None),
         (["jring", "--type", "A2", "--max-len", "1"], None),
+        # a label of I2 spells its bond in digits, or as I2(inf) or I2inf;
+        # --matrix rows are joined by ';'
+        (["group", "--type", "I2 inf"], None),
+        (["group", "--matrix", "1,3,3,1"], None),
+        (["group", "--matrix", "1 3 3 1"], None),
     ],
     ids=["cell-data-no-cells", "cell-data-no-gamma-rank", "cell-data-index-99",
          "cell-data-index-true", "cell-data-gamma-rank-str", "cell-data-subgroups-int",
@@ -507,7 +512,8 @@ _INT_SUBGROUPS = {"cells": [{"representative": "1", "gamma_rank": 1, "subgroups"
          "gamma-config-action-rank-true", "gamma-config-action-points-true",
          "negative-max-len", "invmod-finite-max-len",
          "conj34-finite-max-len", "pi-finite-max-len", "verify-all-finite-max-len",
-         "cells-finite-max-len", "jring-finite-max-len"],
+         "cells-finite-max-len", "jring-finite-max-len", "label-i2-space-inf",
+         "matrix-flat-commas", "matrix-flat-spaces"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if config is not None:
@@ -521,7 +527,7 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
 
 
 @pytest.mark.parametrize("rank, subgroups", [(6, [[]]), (64, [[]]), (64, []),
-                                             (2, [[], [], [], [1, 2]])])
+                                             (2, [[], [], [], [1, 2]]), (5, [])])
 @pytest.mark.parametrize("flag", ["--gamma-config", "--cell-data"])
 def test_oversized_gamma_set_is_refused_before_any_table(
         tmp_path, capsys, monkeypatch, flag, rank, subgroups):
@@ -565,6 +571,46 @@ def test_gamma_limit_admits_its_bound_and_the_library(tmp_path, capsys):
     path.write_text(json.dumps({"rank": 2, "subgroups": [[], [], []]}))  # 4 + 12
     assert main(["eqvb", "--gamma-config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["pairs"][0]["points"] == 12
+
+
+def _cells_entry(index):
+    return {"cells": [{"index": index, "gamma_rank": 0, "subgroups": [[]]}]}
+
+
+def _trivial_action(rank, points):
+    return {"rank": rank, "points": points, "action": [list(range(points))] * (1 << rank)}
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    # B2 has three two-sided cells, so 0 and 2 name one and 3 names none
+    (["eqvb", "--type", "B2", "--cell-data"], _cells_entry(0), 0),
+    (["eqvb", "--type", "B2", "--cell-data"], _cells_entry(2), 0),
+    (["eqvb", "--type", "B2", "--cell-data"], _cells_entry(3), 2),
+    # the least rank, generator and point count
+    (["eqvb", "--gamma-config"], {"rank": 0, "subgroups": [[]]}, 0),
+    (["eqvb", "--gamma-config"], {"rank": 1, "subgroups": [[0]]}, 0),
+    (["eqvb", "--gamma-config"], _trivial_action(0, 0), 0),
+    # |Gamma| + |X| at GAMMA_LIMIT = 16 and at 17, for an action table and
+    # for coset spaces of proper subgroups: 4 + (4 + 4 + 2 + 1 + 1), and one
+    # more point, Gamma/Gamma
+    (["eqvb", "--gamma-config"], _trivial_action(2, 12), 0),
+    (["eqvb", "--gamma-config"], _trivial_action(2, 13), 2),
+    (["eqvb", "--gamma-config"], {"rank": 2, "subgroups": [[], [], [1], [1, 2], [1, 2]]}, 0),
+    (["eqvb", "--gamma-config"], {"rank": 2, "subgroups": [[], [], [1], [1, 2], [1, 2], [1, 2]]},
+     2),
+], ids=["cell-data-index-0", "cell-data-last-index", "cell-data-index-n-cells",
+        "gamma-config-rank-0", "gamma-config-generator-0", "gamma-config-points-0",
+        "action-at-limit", "action-past-limit", "subgroups-at-limit", "subgroups-past-limit"])
+def test_config_boundaries(tmp_path, capsys, monkeypatch, argv, config, code):
+    # the built-in library is left out: only the file is read and checked
+    import heckework.cli as cli
+
+    monkeypatch.setattr(cli, "standard_pairs", list)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(argv + [str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") == (code == 2)
 
 
 def test_layer_trace_targets_resolve():
@@ -754,13 +800,18 @@ _CELL_DATA = "<cell-data file>"
          "6f8bebdcae56ae5d0b1470c1dad4347620b201990cc0e7761bee90138da55613"),
         (["kl", "--type", "A4", "--y", "2", "--w", "1213214321"],
          "0398be30f76a595807735f9009e7a5fc87fe4293147484ca6442ad6612f2df16"),
+        (["jring", "--matrix", "1,3,2,2;3,1,3,3;2,3,1,2;2,3,2,1"],
+         "4d80f91143b63325886d466cb354e567ecbfb37262407b13e10422bff7bb4b05"),
+        (["jring", "--matrix", "1,4,2,2;4,1,3,2;2,3,1,3;2,2,3,1"],
+         "40633246da7c2d5f4f59c1d8f73d202dcf202e6f887d552730e7185287044ae5"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
          "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
          "verify-all-A3", "verify-all-A3-star-321", "cells-G2", "cells-I2(5)", "jring-B2",
          "eqvb-B2-cell-data", "verify-all-G2", "kl-G2", "jring-B3", "jring-I2(5)",
          "jring-B2-struct", "jring-B3-struct", "invmod-D4", "invmod-A3-tables", "cells-D5",
-         "cells-F4", "pi-Dinf-12", "conj34-affine-A2-4", "pi-affine-A2-5", "kl-A4-one-pair"],
+         "cells-F4", "pi-Dinf-12", "conj34-affine-A2-4", "pi-affine-A2-5", "kl-A4-one-pair",
+         "jring-D4", "jring-B4"],
 )
 def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
@@ -777,7 +828,8 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # and A3 --tables while beta was read off the f_constants memo; cells D5
     # and F4 while the preorders were closed by Warshall's algorithm; pi on
     # Dinf and affine A2, conj34 on affine A2 and kl A4 at one pair while
-    # HeckeAlgebra still forwarded to the T-basis actions
+    # HeckeAlgebra still forwarded to the T-basis actions; jring D4 and B4
+    # while its checks rebuilt the gamma table pair by pair
     if _CELL_DATA in argv:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(
@@ -946,19 +998,46 @@ def test_a_planted_cell_fault_fails_one_check_with_a_witness(
     assert (code, failed) == (1, [(check, witness)])
 
 
+def test_a_one_sided_unit_fault_fails_unit_identity(capsys, monkeypatch):
+    # A2: t_1 t_12 = 2 t_12, so the left unit fails at 12 while t_12 u =
+    # t_12 t_2 = t_12 holds; (t_1 t_1) t_12 != t_1 (t_1 t_12) fails too
+    built = CellData.__init__
+
+    def planted(self, algebra):
+        built(self, algebra)
+        x, y = self.system.element("1"), self.system.element("12")
+        self._gamma[x, y] = {z: 2 * g for z, g in self.gamma_row(x, y).items()}
+
+    monkeypatch.setattr(CellData, "__init__", planted)
+    code, data = run_json(capsys, "jring", "--type", "A2")
+    failed = [(c["id"], c["witness"]) for r in data["reports"]
+              for c in r["checks"] if not c["pass"]]
+    assert (code, failed) == (1, [("unit-identity", "12"), ("associativity", ["1", "1", "12"])])
+
+
+def _plant_beta(monkeypatch, x, w, edit):
+    # row (x, w) of the beta table edited once, right after the walk fills
+    # it: every reader of the table sees the edit, and an empty row is dropped
+    walk = InvolutionModule._beta_walk
+
+    def planted(self, cells):
+        fresh = self._beta is None
+        got = walk(self, cells)
+        if fresh:
+            key = (self.system.element(x), self.system.element(w))
+            row = edit(got[1].pop(key, {}))
+            if row:
+                got[1][key] = row
+        return got
+
+    monkeypatch.setattr(InvolutionModule, "_beta_walk", planted)
+
+
 def test_a_doubled_beta_row_fails_module_associativity(capsys, monkeypatch):
     # A2: beta(12, 2) doubled.  Its support is unchanged and 12 is not
     # distinguished, so the single-row, unit and left-cell checks still
     # hold; A2 has 6 * 6 * 4 = 144 triples, so associativity checks every one
-    row = InvolutionModule._beta_row
-
-    def doubled(self, x, w, cells):
-        out = row(self, x, w, cells)
-        if (str(x), str(w)) == ("12", "2"):
-            out = {wp: 2 * b for wp, b in out.items()}
-        return out
-
-    monkeypatch.setattr(InvolutionModule, "_beta_row", doubled)
+    _plant_beta(monkeypatch, "12", "2", lambda row: {wp: 2 * b for wp, b in row.items()})
     code, data = run_json(capsys, "invmod", "--type", "A2")
     failed = [(c["id"], c["witness"]) for r in data["reports"]
               for c in r["checks"] if not c["pass"]]
@@ -979,15 +1058,9 @@ def test_a_doubled_beta_row_fails_module_associativity(capsys, monkeypatch):
 ], ids=["doubled-B3", "left-side-only", "right-side-only"])
 def test_a_planted_beta_fault_fails_module_associativity(capsys, monkeypatch, label, x, w, edit,
                                                           witness):
-    # the single-row checks read the beta walk, not the edited rows, and x is
-    # not distinguished, so the unit and left-cell checks still hold
-    row = InvolutionModule._beta_row
-
-    def planted(self, x_, w_, cells):
-        out = row(self, x_, w_, cells)
-        return edit(out) if (str(x_), str(w_)) == (x, w) else out
-
-    monkeypatch.setattr(InvolutionModule, "_beta_row", planted)
+    # the single-row checks are settled by the walk, before the edit, and x
+    # is not distinguished, so the unit and left-cell checks still hold
+    _plant_beta(monkeypatch, x, w, edit)
     code, data = run_json(capsys, "invmod", "--type", label)
     failed = [(c["id"], c["witness"]) for r in data["reports"]
               for c in r["checks"] if not c["pass"]]

@@ -387,6 +387,9 @@ def test_enumeration_has_one_size_limit(monkeypatch):
     assert len(CoxeterSystem.from_label("A3").elements(max_len=2)) == 9
     with pytest.raises(ValueError, match="too large"):
         CoxeterSystem.from_label("A3").elements()
+    # a window of exactly the limit is enumerated, and no layer past it
+    monkeypatch.setattr(coxeter, "ELEMENT_LIMIT", 9)
+    assert len(CoxeterSystem.from_label("A3").elements(max_len=2)) == 9
 
 
 def test_element_parsing_and_display(a3):
@@ -432,6 +435,13 @@ def test_enumeration_independent_of_interning_order():
     assert [w.word for w in used.elements(max_len=3)] == [
         w.word for w in fresh.elements() if len(w.word) <= 3
     ]
+    # a dihedral longest element met first is spelled by the word model,
+    # whose two words tie there: ShortLex takes the one starting with 1
+    for label, w0 in (("A2", "212"), ("I2(5)", "21212")):
+        used = CoxeterSystem.from_label(label)
+        assert str(used.element(w0)) == "12121"[:len(w0)]
+        assert [w.word for w in used.elements()] == [
+            w.word for w in CoxeterSystem.from_label(label).elements()]
 
 
 def test_elements_of_an_equal_system_are_rejected():

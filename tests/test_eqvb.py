@@ -259,6 +259,24 @@ def test_cell_consistency_detects_mismatch(a2):
     assert not rep.passed
 
 
+def test_each_orbit_is_based_at_its_least_point():
+    # the points come in increasing order, so the first one not yet reached
+    # is its orbit's least point, and the orbits come by increasing base
+    from heckework.eqvb import orbit_stabilizers
+
+    sets = [gs for _, gs in standard_pairs()] + [GammaSet.from_subgroups(3, [[1, 2, 4]] * 4)]
+    for gs in sets:
+        n = gs.size
+        for kind, orbits in orbit_stabilizers(gs).items():
+            act = gs.act if kind == "x" else (
+                lambda g, p: gs.act(g, p // n) * n + gs.act(g, p % n))
+            bases = [o.base for o in orbits]
+            assert all(o.base == min(o.points) for o in orbits)
+            assert all(o.transporter[o.base] == 0 for o in orbits)
+            assert all(act(g, o.base) == p for o in orbits for p, g in o.transporter.items())
+            assert bases == sorted(set(bases))
+
+
 def test_orbit_stabilizers_public():
     from heckework.eqvb import orbit_stabilizers
 

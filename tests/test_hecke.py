@@ -197,6 +197,27 @@ def test_kl_degree_bound_is_checked_per_pair(monkeypatch):
         (hecke._ONE_H, hecke._ONE_H)]
 
 
+def test_a_column_lists_its_diagonal_last():
+    # 321 is interned before most of [e, 321], so its id is not the largest
+    # there; the column still lists the y < w by id and then w itself
+    system = CoxeterSystem.from_label("A3")
+    w = system.element("321")
+    ys = list(KLTable(system).column(w))
+    assert ys[-1] == w.id and ys[:-1] == sorted(ys[:-1]) and max(ys) > w.id
+
+
+def test_a_kl_value_one_degree_over_the_bound_fails():
+    # P_{2,21} edited from 1 to u + 1 before column 121 = s_1 21 reads it:
+    # P_{12,121} = u P_{12,21} + P_{2,21} = u + 1, one degree over the bound
+    # 2 deg <= l(121) - l(12) - 1 = 0, at a pair whose y = 2 is not e
+    system = CoxeterSystem.from_label("A3")
+    kl = KLTable(system)
+    kl.column(system.element("21"))[system.element("2").id] = kl._intern(
+        LaurentPoly({0: 1, 1: 1}))
+    with pytest.raises(AssertionError, match=r"degree bound violated at \(12, 121\)"):
+        kl.column(system.element("121"))
+
+
 def test_kl_degree_bound(a3):
     for w in a3.sys.elements():
         for y in a3.sys.lower_interval(w):

@@ -8,7 +8,7 @@ from heckework.cli import main
 from heckework.hecke import HeckeAlgebra, InexactDivision
 from heckework.idealmod import CompletionElement, IdealModel, canonical_rref
 from heckework.invmod import InvolutionModule
-from heckework.laurent import LaurentPoly, ONE
+from heckework.laurent import LaurentPoly, ONE, ZERO
 from oracles import UINV, bar_a_by_chain, eta_by_rref, ideal_basis, x_elt_by_chain
 
 
@@ -303,6 +303,25 @@ def test_specialization_check_dinf(dinf):
     assert rep.passed, [c.to_json() for c in rep.checks]
 
 
+def test_a_fault_at_the_top_of_the_window_fails_the_specialization(dinf, monkeypatch):
+    # the module reaches length 13 and the check stops at 11: X_w of the
+    # last w of length 11, given a T_e term, is still compared
+    ideal, e = dinf.ideal, dinf.sys.identity
+    top = max((w for w in dinf.inv.basis if len(w.word) <= 11), key=lambda w: w.sort_key())
+    x_elt = ideal.x_elt
+
+    def planted(w, max_len=None):
+        got = x_elt(w, max_len=max_len)
+        if w != top:
+            return got
+        return CompletionElement({**got.coeffs, e: got.coeffs.get(e, ZERO) + ONE}, got.exact_len)
+
+    monkeypatch.setattr(ideal, "x_elt", planted)
+    rep, _ = ideal.specialization_check(max_len=11)
+    (check,) = [c for c in rep.checks if c.check_id == "specialization-identity"]
+    assert len(top.word) == 11 and not check.passed and check.witness[0] == str(top)
+
+
 def test_specialize_x1_a1(a1):
     s = a1.sys.element("1")
     assert a1.ideal.specialize(a1.ideal.x_elt(s)) == {s: 1}
@@ -444,6 +463,39 @@ def test_a_dropped_term_of_the_equivariance_fails(monkeypatch):
     checks = _checks(ideal.eta_check()[0])
     assert checks["kernel-equality"].witness == {"equivariance": [1, "1"]}
     assert not checks["ideal-dimension"].passed
+
+
+def _summed(x1, x2):
+    coeffs = dict(x1.coeffs)
+    for x, c in x2.coeffs.items():
+        coeffs[x] = coeffs.get(x, ZERO) + c
+    return CompletionElement({x: c for x, c in coeffs.items() if c})
+
+
+@pytest.mark.parametrize("edit, rank", [
+    # X_2 read as a copy of X_1: the rows are dependent at every point
+    (lambda x1, x2, x3: x1, 9),
+    # X_2 read as X_1 + X_2: the rows stay independent, but row 2 now
+    # starts in a column of row 1, which the reduction must clear
+    (lambda x1, x2, x3: _summed(x1, x2), 10),
+    # X_2 read as X_1 + X_3: row 3 is dependent, which only clearing it
+    # against rows 1 and 2 shows
+    (lambda x1, x2, x3: _summed(x1, x3), 9),
+], ids=["equal-rows", "summed-rows", "dependent-later-row"])
+def test_the_rank_certificate_reads_the_x_rows(monkeypatch, edit, rank):
+    # the edit is seen by the rank alone, after equivariance held on the
+    # true table; a rank below |I| = 10 fails both checks with its witness
+    ideal = _ideal("A3")
+    certify = ideal.specialized_rank
+    one, two, three = (ideal.system.element(w) for w in ("1", "2", "3"))
+    monkeypatch.setattr(ideal, "specialized_rank", lambda table: certify(
+        {**table, two: edit(table[one], table[two], table[three])}))
+    checks = _checks(ideal.eta_check()[0])
+    points = list(idealmod.SPECIALIZATION_POINTS)
+    fault = None if rank == 10 else {"rank": rank, "points": points}
+    assert checks["kernel-equality"].witness == fault
+    assert checks["ideal-dimension"].witness == {
+        "dim": None if fault else 10, "involutions": 10, **(fault or {})}
 
 
 def test_every_point_dropping_rank_exits_1(monkeypatch, capsys):

@@ -374,10 +374,43 @@ def _plant_same_two_sided(cd):
     return "same_two_sided", lambda x, y: "121" not in (str(x), str(y)) and same(x, y)
 
 
+def _plant_leq_lr_at_w(cd):
+    # 1 not below 2: 2 is a twisted involution and 1 never sits in a row
+    # c_2 A_w, so only the test of w' <=_LR w sees the plant
+    leq = cd.leq_lr
+    return "leq_lr", lambda z, w: (str(z), str(w)) != ("1", "2") and leq(z, w)
+
+
+def _plant_leq_lr_at_x(cd):
+    # nothing below 12, which is no twisted involution: only the test of
+    # w' <=_LR x sees the plant
+    leq = cd.leq_lr
+    return "leq_lr", lambda z, w: str(w) != "12" and leq(z, w)
+
+
+def _plant_same_two_sided_at_x(cd):
+    # 12, no twisted involution, split off: only the test of x ~ w sees it
+    same = cd.same_two_sided
+    return "same_two_sided", lambda x, y: "12" not in (str(x), str(y)) and same(x, y)
+
+
+def _plant_same_two_sided_at_wp(cd):
+    # 2 apart from 1, in this order only: row (2, 1) is zero, so only the
+    # test of w ~ w' at w = 2, w' = 1 sees the plant
+    same = cd.same_two_sided
+    return "same_two_sided", lambda x, y: (str(x), str(y)) != ("2", "1") and same(x, y)
+
+
 @pytest.mark.parametrize("plant, checks", [
     (_plant_a, ["leading-term-law"]),
     (_plant_leq_lr, ["support-constraint"]),
     (_plant_same_two_sided, ["beta-cell-support", "block-decomposition"]),
+    # one plant per conjunct of the support and beta-cell tests: a check
+    # weakened to either conjunct misses one of them
+    (_plant_leq_lr_at_w, ["support-constraint"]),
+    (_plant_leq_lr_at_x, ["support-constraint"]),
+    (_plant_same_two_sided_at_x, ["beta-cell-support", "block-decomposition"]),
+    (_plant_same_two_sided_at_wp, ["beta-cell-support"]),
 ])
 def test_single_row_check_witnesses(plant, checks, monkeypatch):
     # a fresh B2 context keeps the plants off the shared fixture; a planted
