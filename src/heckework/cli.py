@@ -330,7 +330,7 @@ def cmd_invmod(args):
             {"y": str(y), "w": str(w), "P": _poly_json(inv.psigma(y, w).subst_v_to_u())}
             for w in inv.basis
             for y in inv.basis
-            if sys_.bruhat_leq(y, w) and inv.psigma(y, w)
+            if y in inv.a_upper(w)
         ]
         payload["f"] = [
             {"x": str(x), "w": str(w), "wp": str(wp), "f": _poly_json(f)}

@@ -22,7 +22,9 @@ memoized step that divides exactly in Z[v, v^-1].
 `circ_basis_by_kappa` is the twisted circ product of the equivariant K-ring
 by the route `KRing.circ_basis` replaced with its closed form: the twist
 kappa found by a search over the orbit, and each trace a sum over fixed
-fibers of six transporter signs.
+fibers of six transporter signs.  `convolve_basis_by_points` is the
+convolution by the route `KRing.convolve_basis` replaced: the two orbits'
+point sets, and each trace a sum of one sign per fixed point z.
 """
 
 from __future__ import annotations
@@ -280,6 +282,32 @@ def circ_basis_by_kappa(kr, i, j):
                 sa3, _ = _scalar(kr, ov, phi_v, t, x0 * n + a)
                 tr += sh1 * sh2 * sh3 * eps_u[a * n + b] * sa1 * sa2 * sa3
             traces[h] = tr
+        out.update(kr._multiplicities(ot, traces))
+    return out
+
+
+def convolve_basis_by_points(kr, i, j):
+    """V_i * V_j: on each orbit with base (x0, y0), the trace of h in its
+    stabilizer summed over the points z with (x0, z) in V_i's orbit and
+    (z, y0) in V_j's, one sign chi_i(h) chi_j(h) for each z that h fixes."""
+    (oi, phi_i) = kr.basis[i]
+    (oj, phi_j) = kr.basis[j]
+    n = kr.gs.size
+    pts_i = set(kr.pair_orbits[oi].points)
+    pts_j = set(kr.pair_orbits[oj].points)
+    out = {}
+    for ot, o in enumerate(kr.pair_orbits):
+        x0, y0 = o.base // n, o.base % n
+        zs = [z for z in range(n) if x0 * n + z in pts_i and z * n + y0 in pts_j]
+        if not zs:
+            continue
+        traces = {}
+        for h in o.stabilizer:
+            t = 0
+            for z in zs:
+                if kr.gs.act(h, z) == z:
+                    t += char_value(phi_i, h) * char_value(phi_j, h)
+            traces[h] = t
         out.update(kr._multiplicities(ot, traces))
     return out
 

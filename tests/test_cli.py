@@ -18,7 +18,7 @@ from heckework import InfiniteGroupError
 from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
-from heckework.eqvb import KRing
+from heckework.eqvb import KRing, standard_pairs
 from heckework.hecke import HeckeAlgebra, KLTable
 from heckework.idealmod import IdealModel
 from heckework.invmod import InvolutionModule
@@ -1133,17 +1133,29 @@ def _doubled_off_the_diagonal(kr, i, j, out):
     return out if i in kr.unit() else {k: 2 * c for k, c in out.items()}
 
 
-@pytest.mark.parametrize("edit, first_failures", [
+def _assert_composition_witness_by_brute_force(first_failures, i_major):
+    # every (ip, i, j) of the named Gamma-set, with (V_ip * V_i) . U_j !=
+    # V_ip . (V_i . U_j): the witness is the least in (ip, i, j) order, and
+    # i_major the least in the i-major order of the search it replaced
+    name, witness = first_failures["composition"]
+    kr = KRing(dict(standard_pairs())[name])
+    nb = range(len(kr.basis))
+    failing = [[ip, i, j] for ip in nb for i in nb for j in kr.kbar
+               if kr.circ(kr.convolve_basis(ip, i), {j: 1}) != kr.circ({ip: 1}, kr.circ_basis(i, j))]
+    assert (failing[0], min(failing, key=lambda t: (t[1], t[0], t[2]))) == (witness, i_major)
+
+
+@pytest.mark.parametrize("edit, first_failures, i_major", [
     (_negated_at_the_first_signed_class, {
         "scalar-action": ("trivial-1pt", {"basis": 0, "g": 0, "phi": 0}),
         "unit-action": ("trivial-1pt", 0),
-        "composition": ("trivial-1pt", [0, 0, 0])}),
+        "composition": ("trivial-1pt", [0, 0, 0])}, [0, 0, 0]),
     (_doubled_off_the_diagonal, {
-        "composition": ("trivial-3pt", [3, 1, 4]),
-        "scalar-action": ("z2-regular", {"basis": 0, "g": 1, "phi": 0})}),
+        "composition": ("trivial-3pt", [1, 3, 0]),
+        "scalar-action": ("z2-regular", {"basis": 0, "g": 1, "phi": 0})}, [3, 1, 4]),
 ], ids=["negated", "doubled"])
 def test_a_planted_circ_fault_fails_its_checks_with_witnesses(
-        capsys, monkeypatch, edit, first_failures):
+        capsys, monkeypatch, edit, first_failures, i_major):
     # the library: each fault in the circ product fails exactly the listed
     # checks, each first on the named pair with the given witness
     circ_basis = KRing.circ_basis
@@ -1156,6 +1168,7 @@ def test_a_planted_circ_fault_fails_its_checks_with_witnesses(
             if not c["pass"]:
                 first.setdefault(c["id"], (r["system"], c["witness"]))
     assert (code, first) == (1, first_failures)
+    _assert_composition_witness_by_brute_force(first_failures, i_major)
 
 
 def test_a_failing_check_prints_its_witness_under_pretty(capsys, monkeypatch):
@@ -1185,28 +1198,71 @@ def _doubled_left_of_the_unit(kr, i, j, out):
     return {k: 2 * c for k, c in out.items()} if i in unit and j not in unit else out
 
 
-@pytest.mark.parametrize("edit, first_failures", [
+@pytest.mark.parametrize("edit, first_failures, i_major", [
     (_doubled_off_the_unit, {
         "associativity": ("trivial-3pt", [1, 3, 2]),
-        "composition": ("trivial-3pt", [3, 1, 4]),
+        "composition": ("trivial-3pt", [1, 3, 0]),
         "psi-ring-hom": ("z2-regular", [[1, 0], [1, 0]]),
-        "psi-central": ("z2-two-fixed-plus-regular", {"basis": 4, "g": 0, "phi": 1})}),
+        "psi-central": ("z2-two-fixed-plus-regular", {"basis": 4, "g": 0, "phi": 1})}, [3, 1, 4]),
     (_doubled_left_of_the_unit, {
         "unit": ("trivial-3pt", 1),
         "associativity": ("trivial-3pt", [0, 0, 1]),
         "sigma-antiautomorphism": ("trivial-3pt", [0, 1]),
         "composition": ("trivial-3pt", [0, 1, 4]),
         "psi-central": ("trivial-3pt", {"basis": 1, "g": 0, "phi": 0}),
-        "psi-ring-hom": ("z2-regular", [[0, 0], [1, 0]])}),
+        "psi-ring-hom": ("z2-regular", [[0, 0], [1, 0]])}, [0, 1, 4]),
 ], ids=["doubled-off-the-unit", "doubled-left-of-the-unit"])
 def test_a_planted_convolution_fault_fails_its_checks_with_witnesses(
-        capsys, monkeypatch, edit, first_failures):
+        capsys, monkeypatch, edit, first_failures, i_major):
     # the library: each fault in the convolution product fails exactly the
     # listed checks, each first on the named pair with the given witness,
     # which for associativity is the first failing (i, j, k) of all nb^3
     convolve_basis = KRing.convolve_basis
     monkeypatch.setattr(KRing, "convolve_basis",
                         lambda self, i, j: edit(self, i, j, convolve_basis(self, i, j)))
+    code, data = run_json(capsys, "eqvb")
+    first = {}
+    for r in data["reports"]:
+        for c in r["checks"]:
+            if not c["pass"]:
+                first.setdefault(c["id"], (r["system"], c["witness"]))
+    assert (code, first) == (1, first_failures)
+    _assert_composition_witness_by_brute_force(first_failures, i_major)
+
+
+def _negated_sigma(monkeypatch):
+    # the sigma-twist of every class comes back negated: applied twice it is
+    # still the identity on classes, but sigma of a basis element is no
+    # basis element, and sigma(V * V') = -(sigma V' * sigma V)
+    sigma = KRing.sigma
+    monkeypatch.setattr(KRing, "sigma", lambda self, a: {k: -c for k, c in sigma(self, a).items()})
+
+
+def _signature_negated_above_the_diagonal(monkeypatch):
+    # the materialized traces change sign at every point (x, y) with x < y,
+    # so no bundle on an off-diagonal orbit matches its sigma-twist
+    signature = KRing.trace_signature
+
+    def planted(self, cls):
+        n = self.gs.size
+        return {(p, g): -v if p // n < p % n else v
+                for (p, g), v in signature(self, cls).items()}
+
+    monkeypatch.setattr(KRing, "trace_signature", planted)
+
+
+@pytest.mark.parametrize("plant, first_failures", [
+    (_negated_sigma, {
+        "sigma-involutive": ("trivial-1pt", 0),
+        "sigma-antiautomorphism": ("trivial-1pt", [0, 0])}),
+    (_signature_negated_above_the_diagonal, {
+        "rank-bruteforce": ("z2-regular", {"brute": 1, "rank": 2})}),
+], ids=["negated-sigma", "signature-negated-above-the-diagonal"])
+def test_a_planted_sigma_or_signature_fault_fails_its_checks_with_witnesses(
+        capsys, monkeypatch, plant, first_failures):
+    # the library: each fault fails exactly the listed checks, each first on
+    # the named pair with the given witness
+    plant(monkeypatch)
     code, data = run_json(capsys, "eqvb")
     first = {}
     for r in data["reports"]:

@@ -14,7 +14,7 @@ from heckework.eqvb import (
 )
 from heckework.hecke import add_scaled
 import oracles
-from oracles import circ_basis_by_kappa
+from oracles import circ_basis_by_kappa, convolve_basis_by_points
 
 
 def test_gamma_set_validation():
@@ -152,15 +152,20 @@ def _relabelled(gs, rng):
     return GammaSet(gs.rank, gs.size, tuple(map(tuple, action)))
 
 
-def test_circ_basis_equals_the_kappa_route():
-    # the closed form against the kappa search and its six-sign traces, on
-    # every i and every self-dual j: the library, five rank-2 and rank-3
-    # coset spaces, and those five with their points relabelled
+def _oracle_sets():
+    # the library, five rank-2 and rank-3 coset spaces, and those five with
+    # their points relabelled
     extra = [GammaSet.from_subgroups(r, gens) for r, gens in [
         (3, [[]]), (3, [[1], [2]]), (3, [[1, 2], [4]]), (3, [[1, 2, 4], [3], []]),
         (2, [[3], [1, 2], []])]]
     rng = random.Random(1)
-    sets = [gs for _, gs in standard_pairs()] + extra + [_relabelled(gs, rng) for gs in extra]
+    return [gs for _, gs in standard_pairs()] + extra + [_relabelled(gs, rng) for gs in extra]
+
+
+def test_circ_basis_equals_the_kappa_route():
+    # the closed form against the kappa search and its six-sign traces, on
+    # every i and every self-dual j of the oracle sets
+    sets = _oracle_sets()
     checked = 0
     for gs in sets:
         kr = KRing(gs)
@@ -169,6 +174,22 @@ def test_circ_basis_equals_the_kappa_route():
                 assert kr.circ_basis(i, j) == circ_basis_by_kappa(kr, i, j), (gs.action, i, j)
                 checked += 1
     assert (len(sets), checked) == (22, 4685)
+
+
+def test_convolve_basis_equals_the_point_route():
+    # the closed form against one sign per fixed point, on every (i, j) of
+    # the oracle sets and of the rank-3 config on four fixed points
+    sets = _oracle_sets() + [GammaSet.from_subgroups(3, [[1, 2, 4]] * 4)]
+    checked = nonzero = 0
+    for gs in sets:
+        kr = KRing(gs)
+        for i in range(len(kr.basis)):
+            for j in range(len(kr.basis)):
+                got = kr.convolve_basis(i, j)
+                assert got == convolve_basis_by_points(kr, i, j), (gs.action, i, j)
+                checked += 1
+                nonzero += bool(got)
+    assert (len(sets), checked, nonzero) == (23, 24095, 6981)
 
 
 def test_signed_negation_cancels(monkeypatch):
