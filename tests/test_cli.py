@@ -1272,6 +1272,60 @@ def test_a_planted_sigma_or_signature_fault_fails_its_checks_with_witnesses(
     assert (code, first) == (1, first_failures)
 
 
+def _graph_classes(kr):
+    # the basis classes on an orbit of some (g y, y) with g != 0 and no
+    # diagonal point: the off-diagonal summands of the Psi images
+    n = kr.gs.size
+    orbits = {kr._pair_orbit_of[kr.gs.act(g, o.base) * n + o.base]
+              for g in kr.gs.group if g for o in kr.x_orbits}
+    return {i for i, (oi, _) in enumerate(kr.basis)
+            if oi in orbits and kr.pair_orbits[oi].base // n != kr.pair_orbits[oi].base % n}
+
+
+def _doubled_right_of_a_graph_class(kr, i, j, out):
+    # a summand of a Psi image times a class off the unit and off the Psi
+    # images comes out twice over in that order only, so Psi(Y) * V != V * Psi(Y)
+    graph = _graph_classes(kr)
+    doubled = i in graph and j not in graph and j not in kr.unit()
+    return {k: 2 * c for k, c in out.items()} if doubled else out
+
+
+def _doubled_between_graph_classes(kr, i, j, out):
+    # the product of two summands of Psi images comes out twice over, in
+    # either order, so Psi(Y) * Psi(Y') != Psi(Y Y') and centrality holds
+    graph = _graph_classes(kr)
+    return {k: 2 * c for k, c in out.items()} if i in graph and j in graph else out
+
+
+@pytest.mark.parametrize("edit, first_failures", [
+    (_doubled_right_of_a_graph_class, {
+        "associativity": ("z2-two-fixed-plus-regular", [4, 13, 10]),
+        "sigma-antiautomorphism": ("z2-two-fixed-plus-regular", [4, 13]),
+        "composition": ("z2-two-fixed-plus-regular", [13, 10, 0]),
+        "psi-central": ("z2-two-fixed-plus-regular", {"basis": 10, "g": 1, "phi": 0}),
+        "psi-ring-hom": ("v4-line-plus-point", [[2, 0], [0, 1]])}),
+    (_doubled_between_graph_classes, {
+        "composition": ("z2-regular", [1, 1, 0]),
+        "psi-ring-hom": ("z2-regular", [[1, 0], [1, 0]]),
+        "associativity": ("z2-two-fixed-plus-regular", [4, 13, 13])}),
+], ids=["psi-central", "psi-ring-hom"])
+def test_a_planted_psi_fault_fails_its_checks_with_witnesses(
+        capsys, monkeypatch, edit, first_failures):
+    # the library: each fault in the convolution beside the Psi images fails
+    # exactly the listed checks, each first on the named pair with the given
+    # witness
+    convolve_basis = KRing.convolve_basis
+    monkeypatch.setattr(KRing, "convolve_basis",
+                        lambda self, i, j: edit(self, i, j, convolve_basis(self, i, j)))
+    code, data = run_json(capsys, "eqvb")
+    first = {}
+    for r in data["reports"]:
+        for c in r["checks"]:
+            if not c["pass"]:
+                first.setdefault(c["id"], (r["system"], c["witness"]))
+    assert (code, first) == (1, first_failures)
+
+
 def _raise_p_e(monkeypatch, word):
     # P_{e,w} = u P_{e,w} at the one w named, through the KL table: Delta(w)
     # = l(w) - 2 deg P_{e,w} drops by 2
