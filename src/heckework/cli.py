@@ -209,7 +209,8 @@ def cmd_kl(args):
             kl.column(w)
         rank = {x.id: r for r, x in enumerate(order)}
         label = {x.id: enc(str(x)) for x in order}
-        # a walk over the filled table, each column dropped once written
+        # a walk over the filled table, whose columns stay in the KLTable;
+        # only each column's sorted y list is transient
         columns = ((label[w.id], sorted(col, key=rank.__getitem__), col)
                    for w, col in zip(order, map(kl.column, order)))
     if args.cache_dir:
@@ -351,8 +352,8 @@ def cmd_invmod(args):
 
 
 def cmd_conj34(args):
-    sys_, alg, _, inv = _context(args, need_inv=True)
-    ideal = IdealModel(alg, inv)
+    sys_, _, _, inv = _context(args, need_inv=True)
+    ideal = IdealModel(inv)
     reports = []
     payload = {"system": sys_.describe(), "x_elements": []}
     if sys_.is_finite:
@@ -374,8 +375,8 @@ def cmd_conj34(args):
 
 
 def cmd_pi(args):
-    sys_, alg, _, inv = _context(args, need_inv=True)
-    ideal = IdealModel(alg, inv)
+    sys_, _, _, inv = _context(args, need_inv=True)
+    ideal = IdealModel(inv)
     rep, pi = ideal.specialization_check(max_len=args.max_len)
     fibers = ideal.pi_fibers(pi)
     payload = {
@@ -426,7 +427,7 @@ def cmd_eqvb(args):
 
 def cmd_verify_all(args):
     sys_, alg, cells, inv = _context(args, need_cells=True, need_inv=True)
-    ideal = IdealModel(alg, inv)
+    ideal = IdealModel(inv)
     kl = Report("kl-oracle", sys_.describe())
     bad = None
     for w in cells.elements:

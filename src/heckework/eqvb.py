@@ -20,11 +20,17 @@ Basis conventions:
 - Kbar(C) has signed basis the sigma-self-dual pairs (orbit fixed by the
   swap (x,y) -> (y,x)); the sign of kappa is normalized to +1 at the base
   point.  Classes are integer dicts over basis indices.
+- K(C_Gamma) has basis (g0, phi), the object at g0 with character phi.
+
+`KRing` builds two tables once and reads them in place: `conv_table()`,
+{(i, j): V_i * V_j} over the nonzero products, and `psi_of`, {(g0, phi):
+Psi(Y)}.  `circ_basis` stays a per-pair memo, since the counting check
+reads only its rows at Psi images.
 """
 
 from __future__ import annotations
 
-from .hecke import add_into, add_scaled, bilinear
+from .hecke import add_into, bilinear
 from .report import Report, first_nonassociative
 
 
@@ -151,28 +157,18 @@ def characters_of(rank, stab):
     return sorted(seen.values())
 
 
-def orbit_stabilizers(gs):
-    """Orbits of X and of X x X (diagonal action), each with its base point,
-    transporters and stabilizer subgroup."""
-    n = gs.size
-    x_orbits = _orbits(gs, range(n), gs.act)
-    pair_orbits = _orbits(
-        gs,
-        [x * n + y for x in range(n) for y in range(n)],
-        lambda g, p: gs.act(g, p // n) * n + gs.act(g, p % n),
-    )
-    return {"x": x_orbits, "pairs": pair_orbits}
-
-
 class KRing:
     """The convolution ring of equivariant bundles on X x X, its signed
-    quotient, and the ring of conjugation-equivariant bundles on Gamma."""
+    quotient, and the central map Psi from the ring of conjugation-
+    equivariant bundles on Gamma."""
 
     def __init__(self, gs):
         self.gs = gs
-        orbits = orbit_stabilizers(gs)
-        self.x_orbits = orbits["x"]
-        self.pair_orbits = orbits["pairs"]
+        n = gs.size
+        # orbits of X and of X x X (diagonal action), point (x, y) as x n + y
+        self.x_orbits = _orbits(gs, range(n), gs.act)
+        self.pair_orbits = _orbits(
+            gs, range(n * n), lambda g, p: gs.act(g, p // n) * n + gs.act(g, p % n))
         self._pair_orbit_of = {}
         for oi, o in enumerate(self.pair_orbits):
             for p in o.points:
@@ -193,13 +189,19 @@ class KRing:
         # carried along (stabilizers agree since the group is abelian)
         self.sigma_of = [self._restricted(swapped[oi], phi) for oi, phi in self.basis]
         self.kbar = [i for i, j in enumerate(self.sigma_of) if i == j]  # self-dual
-        self._conv_memo = {}
+        # Psi(Y) for the basis object Y at g0 with character phi: the bundle
+        # on the graph {(g0 y, y)}, one summand per orbit of X
+        self.psi_of = {}
+        for g0 in gs.group:
+            graph = [self._pair_orbit_of[gs.act(g0, o.base) * n + o.base] for o in self.x_orbits]
+            for phi in range(1 << gs.rank):
+                out = self.psi_of[g0, phi] = {}
+                for oi in graph:
+                    add_into(out, self._restricted(oi, phi), 1)
+        self._conv = None
         self._circ_memo = {}
 
     # -- generic helpers ------------------------------------------------------
-
-    def _pair(self, x, y):
-        return x * self.gs.size + y
 
     def _sigma_point(self, p):
         n = self.gs.size
@@ -237,9 +239,6 @@ class KRing:
     def convolve_basis(self, i, j):
         """V_i * V_j: on an orbit based at (x0, y0), the trace of h is chi_{phi_i + phi_j}(h)
         times #{z : (x0, z) in V_i's orbit, (z, y0) in V_j's, h z = z}."""
-        got = self._conv_memo.get((i, j))
-        if got is not None:
-            return got
         (oi, phi_i) = self.basis[i]
         (oj, phi_j) = self.basis[j]
         n, act, orbit_of = self.gs.size, self.gs.action, self._pair_orbit_of
@@ -251,11 +250,19 @@ class KRing:
                 traces = {h: char_value(phi_i ^ phi_j, h) * sum(act[h][z] == z for z in zs)
                           for h in o.stabilizer}
                 out.update(self._multiplicities(ot, traces))
-        self._conv_memo[i, j] = out
         return out
 
+    def conv_table(self):
+        """{(i, j): V_i * V_j} over the nonzero products, filled on first use
+        by one `convolve_basis` call per pair."""
+        if self._conv is None:
+            nb = range(len(self.basis))
+            self._conv = {(i, j): row for i in nb for j in nb if (row := self.convolve_basis(i, j))}
+        return self._conv
+
     def convolve(self, a, b):
-        return bilinear(a, b, self.convolve_basis)
+        conv = self.conv_table()
+        return bilinear(a, b, lambda i, j: conv.get((i, j), {}))
 
     def sigma(self, a):
         out = {}
@@ -311,36 +318,6 @@ class KRing:
     def circ(self, v_class, signed_class):
         return bilinear(v_class, signed_class, self.circ_basis)
 
-    # -- bundles on Gamma and the central homomorphism ------------------------------------
-
-    def cgamma_basis(self):
-        """Basis of K(C_Gamma): (group element, character of Gamma)."""
-        return [
-            (g, phi)
-            for g in self.gs.group
-            for phi in range(1 << self.gs.rank)
-        ]
-
-    @staticmethod
-    def cgamma_mult(a, b):
-        return bilinear(a, b, lambda x, y: {(x[0] ^ y[0], x[1] ^ y[1]): 1})
-
-    def psi_basis(self, g0, phi):
-        """Psi(Y) for the basis object Y supported at g0 with character phi:
-        the bundle on X x X supported on the graph {(g0 y, y)}."""
-        out = {}
-        for o in self.x_orbits:
-            y0 = o.base
-            oi = self._pair_orbit_of[self._pair(self.gs.act(g0, y0), y0)]
-            add_into(out, self._restricted(oi, phi), 1)
-        return out
-
-    def psi(self, y_class):
-        out = {}
-        for (g0, phi), c in y_class.items():
-            add_scaled(out, self.psi_basis(g0, phi), c)
-        return out
-
     # -- brute-force isomorphism oracle -----------------------------------------------
 
     def trace_signature(self, cls):
@@ -384,8 +361,7 @@ def count_check(kr, name):
     brute = kr.selfdual_count_bruteforce()
     rep.add("rank-bruteforce", brute == rank, {"brute": brute, "rank": rank})
     bad = next(({"g": g0, "phi": phi, "basis": j}
-                for (g0, phi) in kr.cgamma_basis()
-                for v in [kr.psi_basis(g0, phi)]
+                for (g0, phi), v in kr.psi_of.items()
                 for j in kr.kbar
                 if kr.circ(v, {j: 1}) != {j: 1}), None)
     rep.add("scalar-action", bad is None, bad)
@@ -401,7 +377,7 @@ def star_axioms_report(kr, name):
                 if kr.convolve(one, {i: 1}) != {i: 1} or kr.convolve({i: 1}, one) != {i: 1}),
                None)
     rep.add("unit", bad is None, bad)
-    conv = {(i, j): row for i in nb for j in nb if (row := kr.convolve_basis(i, j))}
+    conv = kr.conv_table()
     bad = first_nonassociative(nb, nb, conv, conv)
     rep.add("associativity", bad is None, bad)
     bad = next((i for i in nb if kr.sigma({kr.sigma_of[i]: 1}) != {i: 1}), None)
@@ -420,23 +396,23 @@ def circ_axioms_report(kr, name):
     one = kr.unit()
     bad = next((j for j in kr.kbar if kr.circ(one, {j: 1}) != {j: 1}), None)
     rep.add("unit-action", bad is None, bad)
-    conv = {(i, j): row for i in nb for j in nb if (row := kr.convolve_basis(i, j))}
     circ = {(i, j): row for i in nb for j in kr.kbar if (row := kr.circ_basis(i, j))}
-    bad = first_nonassociative(nb, kr.kbar, conv, circ)
+    bad = first_nonassociative(nb, kr.kbar, kr.conv_table(), circ)
     rep.add("composition", bad is None, bad)
     # Theta(V) = (V + V^sigma, swap) dies in the quotient: the swap fixes no
     # line, so every trace of the twist is 0
     rep.add("theta-kill", True)
+    psi = kr.psi_of
     bad = next(({"g": g0, "phi": phi, "basis": i}
-                for (g0, phi) in kr.cgamma_basis()
-                for v in [kr.psi_basis(g0, phi)]
+                for (g0, phi), v in psi.items()
                 for i in nb
                 if kr.convolve(v, {i: 1}) != kr.convolve({i: 1}, v)), None)
     rep.add("psi-central", bad is None, bad)
+    # the K(C_Gamma) product of the basis objects (g1, p1) and (g2, p2) is
+    # (g1 ^ g2, p1 ^ p2)
     bad = next((((g1, p1), (g2, p2))
-                for (g1, p1) in kr.cgamma_basis() for (g2, p2) in kr.cgamma_basis()
-                if kr.psi(kr.cgamma_mult({(g1, p1): 1}, {(g2, p2): 1}))
-                != kr.convolve(kr.psi_basis(g1, p1), kr.psi_basis(g2, p2))), None)
+                for (g1, p1), v1 in psi.items() for (g2, p2), v2 in psi.items()
+                if psi[g1 ^ g2, p1 ^ p2] != kr.convolve(v1, v2)), None)
     rep.add("psi-ring-hom", bad is None, bad)
     return rep
 

@@ -36,7 +36,7 @@ completion (`idealmod`) and the rest of the package, each written once:
   coefficients sum;
 - `bilinear`: the bilinear extension of a product given on basis pairs,
   behind the ring J (`CellData.j_mult`), its module (`cm_action`) and the
-  K-rings (`KRing.convolve`, `KRing.circ`, `KRing.cgamma_mult`);
+  K-rings (`KRing.convolve`, `KRing.circ`);
 - `KLTable._mu_down`: the mu(z, w) with s in D_L(z), listed once per
   (w, s) on element ids, for the KL recursion and behind c_s c_w
   (`c_gen_mult`, Kazhdan-Lusztig 1979, (2.3a/b)), the W-graph of the cells;
@@ -44,9 +44,11 @@ completion (`idealmod`) and the rest of the package, each written once:
   on the id x = s x', given the action of c_s: with `c_gen_mult` on ids,
   `h_struct` here and the gamma walk of `CellData` (column w over the left
   cell of w^-1 alone); with the module's `_cs_action`, its beta walk (column
-  w over every x) and `f_constants`.  Each walk takes one fresh memo per
-  column.  The T-basis product `mult` with `to_c` is the second route: the
-  tests' oracle, and a layer the perfbench trace wraps by name.
+  w over every x) and `f_constants`.  The gamma and beta walks take one
+  fresh memo per column; `h_struct` and `f_constants` each keep one memo
+  for all their pairs.  The T-basis product `mult` with `to_c` is the
+  second route: the tests' oracle, and a layer the perfbench trace wraps by
+  name.
 
 KL polynomials are stored in u-units (monomial exponent = power of u);
 `subst_v_to_u` converts them to the ambient v-representation.

@@ -84,10 +84,9 @@ class IdealModel:
     """The ideal generated by X_empty inside the completed module, plus the
     associated projection and specialization checks, for one system."""
 
-    def __init__(self, algebra, invmod):
-        self.algebra = algebra
+    def __init__(self, invmod):
         self.invmod = invmod
-        self.system = algebra.system
+        self.system = invmod.system
         self._x_memo = {}
 
     # -- completion arithmetic ----------------------------------------------------

@@ -20,7 +20,7 @@ def _ctx(label, star=None, max_len=None, with_cells=True):
     alg = HeckeAlgebra(system)
     cells = CellData(alg) if with_cells else None
     inv = InvolutionModule(alg, max_len=max_len)
-    return Ctx(system, alg, cells, inv, IdealModel(alg, inv))
+    return Ctx(system, alg, cells, inv, IdealModel(inv))
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ def fresh(label, max_len=None, with_cells=True):
     alg = HeckeAlgebra(system)
     cells = CellData(alg) if with_cells else None
     inv = InvolutionModule(alg, max_len=max_len)
-    return system, alg, cells, inv, IdealModel(alg, inv)
+    return system, alg, cells, inv, IdealModel(inv)
 
 
 def u_poly(items):

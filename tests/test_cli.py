@@ -1326,6 +1326,23 @@ def test_a_planted_psi_fault_fails_its_checks_with_witnesses(
     assert (code, first) == (1, first_failures)
 
 
+def test_the_eqvb_suites_convolve_each_pair_once(capsys, monkeypatch):
+    # the star and circ suites of one KRing read one convolution table, so
+    # every (i, j) of a KRing that convolves is computed exactly once
+    calls = {}
+    convolve_basis = KRing.convolve_basis
+
+    def spy(self, i, j):
+        calls[self, i, j] = calls.get((self, i, j), 0) + 1
+        return convolve_basis(self, i, j)
+
+    monkeypatch.setattr(KRing, "convolve_basis", spy)
+    assert run_json(capsys, "eqvb")[0] == 0
+    rings = {kr for kr, _, _ in calls}
+    assert len(rings) == 9 and all(kr.gs.size <= 4 for kr in rings)
+    assert (max(calls.values()), len(calls)) == (1, sum(len(kr.basis) ** 2 for kr in rings))
+
+
 def _raise_p_e(monkeypatch, word):
     # P_{e,w} = u P_{e,w} at the one w named, through the KL table: Delta(w)
     # = l(w) - 2 deg P_{e,w} drops by 2

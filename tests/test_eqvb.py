@@ -210,15 +210,23 @@ def test_signed_negation_cancels(monkeypatch):
 
 
 def test_psi_nu():
+    # the unit of C_Gamma maps to the diagonal bundle
     for name, gs in standard_pairs():
         kr = KRing(gs)
-        # unit of C_Gamma maps to the diagonal bundle
-        assert kr.psi({(0, 0): 1}) == kr.unit()
-        # nu (the sum of the coefficients) is multiplicative
-        y1 = {(g, 0): 1 for g in kr.gs.group}
-        assert sum(y1.values()) == len(list(kr.gs.group))
-        prod = kr.cgamma_mult(y1, y1)
-        assert sum(prod.values()) == sum(y1.values()) ** 2
+        assert kr.psi_of[0, 0] == kr.unit(), name
+
+
+def test_psi_images_are_the_graph_bundles():
+    # Psi(Y) for Y at g0 with character phi, materialized: the fiber at each
+    # (g0 y, y) is one line on which h with h y = y acts by chi_phi(h)
+    for name, gs in standard_pairs() + [("rank-3", GammaSet.from_subgroups(3, [[1, 2, 4]] * 4))]:
+        kr = KRing(gs)
+        n = gs.size
+        assert sorted(kr.psi_of) == [(g0, phi) for g0 in gs.group for phi in gs.group], name
+        for (g0, phi), v in kr.psi_of.items():
+            expected = {(gs.act(g0, y) * n + y, h): char_value(phi, h)
+                        for y in range(n) for h in gs.group if gs.act(h, y) == y}
+            assert kr.trace_signature(v) == expected, (name, g0, phi)
 
 
 def test_psi_ring_hom_and_central():
@@ -232,8 +240,7 @@ def test_psi_ring_hom_and_central():
 def test_scalar_action_2_4d():
     for name, gs in standard_pairs():
         kr = KRing(gs)
-        for (g0, phi) in kr.cgamma_basis():
-            v = kr.psi_basis(g0, phi)
+        for v in kr.psi_of.values():
             for j in kr.kbar:
                 assert kr.circ(v, {j: 1}) == {j: 1}
 
@@ -283,14 +290,12 @@ def test_cell_consistency_detects_mismatch(a2):
 def test_each_orbit_is_based_at_its_least_point():
     # the points come in increasing order, so the first one not yet reached
     # is its orbit's least point, and the orbits come by increasing base
-    from heckework.eqvb import orbit_stabilizers
-
     sets = [gs for _, gs in standard_pairs()] + [GammaSet.from_subgroups(3, [[1, 2, 4]] * 4)]
     for gs in sets:
         n = gs.size
-        for kind, orbits in orbit_stabilizers(gs).items():
-            act = gs.act if kind == "x" else (
-                lambda g, p: gs.act(g, p // n) * n + gs.act(g, p % n))
+        kr = KRing(gs)
+        for orbits, act in ((kr.x_orbits, gs.act), (kr.pair_orbits, (
+                lambda g, p: gs.act(g, p // n) * n + gs.act(g, p % n)))):
             bases = [o.base for o in orbits]
             assert all(o.base == min(o.points) for o in orbits)
             assert all(o.transporter[o.base] == 0 for o in orbits)
@@ -298,23 +303,20 @@ def test_each_orbit_is_based_at_its_least_point():
             assert bases == sorted(set(bases))
 
 
-def test_orbit_stabilizers_public():
-    from heckework.eqvb import orbit_stabilizers
-
-    gs = GammaSet.trivial(2)
-    data = orbit_stabilizers(gs)
-    assert len(data["x"]) == 2 and len(data["pairs"]) == 4
+def test_orbits_of_x_and_of_pairs():
+    kr = KRing(GammaSet.trivial(2))
+    assert len(kr.x_orbits) == 2 and len(kr.pair_orbits) == 4
     gs = GammaSet.from_subgroups(1, [[]])
-    data = orbit_stabilizers(gs)
-    assert len(data["pairs"]) == 2
-    assert all(o.stabilizer == (0,) for o in data["pairs"])
+    kr = KRing(gs)
+    assert len(kr.pair_orbits) == 2
+    assert all(o.stabilizer == (0,) for o in kr.pair_orbits)
     # single-orbit X: (x, y) and (y, x) always share an orbit
-    for o in data["pairs"]:
+    for o in kr.pair_orbits:
         n = gs.size
         assert {(p % n) * n + (p // n) for p in o.points} == set(o.points)
 
 
-@pytest.mark.parametrize("op", ["j_mult", "convolve", "cgamma_mult", "circ", "psi"])
+@pytest.mark.parametrize("op", ["j_mult", "convolve", "circ"])
 def test_zero_coefficient_in_a_sum_is_dropped(op, a2):
     # a zero input coefficient adds nothing, so no absent key is deleted
     kr = KRing(GammaSet.trivial(1))
@@ -322,8 +324,6 @@ def test_zero_coefficient_in_a_sum_is_dropped(op, a2):
     calls = {
         "j_mult": lambda: a2.cells.j_mult({e: 0}, {e: 1}),
         "convolve": lambda: kr.convolve({0: 0}, {0: 1}),
-        "cgamma_mult": lambda: kr.cgamma_mult({(0, 0): 0}, {(0, 0): 1}),
         "circ": lambda: kr.circ({0: 0}, {0: 1}),
-        "psi": lambda: kr.psi({(0, 0): 0}),
     }
     assert calls[op]() == {}

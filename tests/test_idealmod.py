@@ -49,7 +49,7 @@ def test_x_empty_examples(a1, a2, a3):
 def test_x_empty_star_fixed_only():
     flip = CoxeterSystem.from_label("A3", star=[2, 1, 0])
     alg = HeckeAlgebra(flip)
-    ideal = IdealModel(alg, InvolutionModule(alg))
+    ideal = IdealModel(InvolutionModule(alg))
     x0 = ideal.x_empty()
     for x in x0.coeffs:
         assert flip.star_elt(x) == x
@@ -172,7 +172,7 @@ def test_x_integrality(a3):
 
 def _ideal(label, star=None):
     alg = HeckeAlgebra(CoxeterSystem.from_label(label, star=star))
-    return IdealModel(alg, InvolutionModule(alg))
+    return IdealModel(InvolutionModule(alg))
 
 
 def _inexact_at_w0(monkeypatch, ideal):
@@ -287,7 +287,7 @@ def test_pi_well_defined_exhaustive(a3, dinf):
 def test_pi_requires_trivial_star():
     flip = CoxeterSystem.from_label("A3", star=[2, 1, 0])
     alg = HeckeAlgebra(flip)
-    ideal = IdealModel(alg, InvolutionModule(alg))
+    ideal = IdealModel(InvolutionModule(alg))
     with pytest.raises(ValueError):
         ideal.pi_map()
 
@@ -343,7 +343,7 @@ def test_dihedral_ideal_dimensions():
         alg = HeckeAlgebra(sys)
         inv = InvolutionModule(alg)
         assert len(inv.basis) == expected
-        ideal = IdealModel(alg, inv)
+        ideal = IdealModel(inv)
         assert ideal_basis(ideal)[0] == expected
         rep, _ = ideal.eta_check()
         assert rep.passed, (label, [c.to_json() for c in rep.checks])
@@ -359,7 +359,7 @@ def test_eta_check_dimension_equals_ideal_basis(label, star, expected):
     # ideal_basis row-reduces the images themselves
     sys = CoxeterSystem.from_label(label, star=star)
     alg = HeckeAlgebra(sys)
-    ideal = IdealModel(alg, InvolutionModule(alg))
+    ideal = IdealModel(InvolutionModule(alg))
     rep, _ = ideal.eta_check()
     (dim,) = [c.witness["dim"] for c in rep.checks if c.check_id == "ideal-dimension"]
     assert dim == ideal_basis(ideal)[0] == expected
@@ -530,7 +530,7 @@ def test_descent_step_equals_chain_replay(label, star, window):
     # replayed from the identity over Q(v)
     alg = HeckeAlgebra(CoxeterSystem.from_label(label, star=star))
     inv = InvolutionModule(alg, max_len=window)
-    ideal = IdealModel(alg, inv)
+    ideal = IdealModel(inv)
     for w in inv.basis:
         assert inv.bar_a(w) == bar_a_by_chain(inv, w), str(w)
         assert ideal.x_elt(w, max_len=window) == x_elt_by_chain(ideal, w, window), str(w)
