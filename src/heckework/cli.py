@@ -1,6 +1,11 @@
 """Command-line driver: runs the verifier suites and table exports with
 deterministic JSON output.
 
+Each subcommand declares only the options it reads (`_COMMANDS`), and a
+call that would drop an input exits 2: an option the subcommand does not
+read, two options that exclude each other, or an option the call cannot
+use.  Every usage error, a parse error included, is one `usage error:` line.
+
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
 3 internal error; a reader that closes stdout early does not change the
 exit code.  `kl` fills its whole table before it writes a byte, then writes
@@ -41,14 +46,6 @@ EXIT_INTERNAL = 3
 # the largest |Gamma| + |X| = 2^r + #points of a Gamma-set read from a file:
 # the slowest one it admits (rank 3, four fixed points) runs eqvb in seconds
 GAMMA_LIMIT = 16
-
-
-def _add_common(p):
-    p.add_argument("--type", dest="type_label", help="system label (A2, B2, G2, I2(7), Dinf, ...)")
-    p.add_argument("--matrix", help="row-major Coxeter matrix, 0 = infinity (e.g. '1,3;3,1')")
-    p.add_argument("--star", help="diagram involution as a digit string (e.g. '321')")
-    p.add_argument("--max-len", type=int, default=None, help="length truncation for infinite systems")
-    p.add_argument("--pretty", action="store_true", help="human-readable output")
 
 
 def _parse_matrix(text):
@@ -195,9 +192,11 @@ def cmd_kl(args):
     sys_ = _system(args)
     enc = json.encoder.encode_basestring_ascii
     kl = KLTable(sys_)
-    if args.y or args.w:
-        if not (args.y and args.w):
+    if (args.y, args.w) != (None, None):
+        if None in (args.y, args.w):
             raise UsageError("--y and --w go together")
+        if args.max_len is not None:
+            raise UsageError("--max-len bounds the full table, not one --y/--w pair")
         y, w = sys_.element(args.y), sys_.element(args.w)
         col = {y.id: kl.column(w).get(y.id, 0)}  # 0, the handle of ZERO, unless y <= w
         label, columns = {y.id: enc(str(y))}, [(enc(str(w)), [y.id], col)]
@@ -363,6 +362,8 @@ def cmd_conj34(args):
             c.witness["dim"] for c in rep.checks if c.check_id == "ideal-dimension")
     elif args.max_len is None:
         raise UsageError("infinite system: pass --max-len")
+    elif args.pretty:
+        raise UsageError("--pretty prints reports, and an infinite system has none")
     else:
         x_table = ideal.x_elements(max_len=args.max_len)
     for w in sorted(x_table, key=lambda w: w.sort_key()):
@@ -394,9 +395,11 @@ def cmd_pi(args):
 
 
 def cmd_eqvb(args):
+    if args.cell_data is None and {args.type_label, args.matrix, args.star} != {None}:
+        raise UsageError("--type, --matrix and --star go with --cell-data")
     reports = []
     payload = {"pairs": []}
-    if args.gamma_config:
+    if args.gamma_config is not None:
         pairs = [("config", _read_config(args.gamma_config, "--gamma-config", _gamma_config))]
     else:
         pairs = standard_pairs()
@@ -415,7 +418,7 @@ def cmd_eqvb(args):
         if gs.size <= 4:
             reports.append(star_axioms_report(kr, name))
             reports.append(circ_axioms_report(kr, name))
-    if args.cell_data:
+    if args.cell_data is not None:
         sys_, alg, cells, inv = _context(args, need_cells=True, need_inv=True)
         entries = _read_config(args.cell_data, "--cell-data",
                                lambda data: _cell_data_entries(data, sys_, cells))
@@ -473,7 +476,7 @@ def _emit(payload, reports, pretty):
     if isinstance(payload, dict):  # else text chunks rendered by the command (kl)
         if reports:
             payload = dict(payload, reports=[r.to_json() for r in reports], passed=passed)
-        if pretty and reports:
+        if pretty:
             lines = [line for rep in reports for line in rep.pretty_lines()]
             lines.append("overall: %s" % ("PASS" if passed else "FAIL"))
             text = "\n".join(lines)
@@ -491,68 +494,65 @@ def _emit(payload, reports, pretty):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+# each subcommand's options besides --type and --matrix; a|b: two options
+# that exclude each other
+_OPTIONS = {
+    "--star": dict(help="diagram involution as a digit string (e.g. '321')"),
+    "--max-len": dict(type=int, help="length truncation for infinite systems"),
+    "--pretty": dict(action="store_true", help="the reports as text lines"),
+    "--y": {}, "--w": {},
+    "--cache-dir": dict(help="KL cache directory: written, never read for values"),
+    "--struct": dict(action="store_true", help="include the full structure-constant polynomials"),
+    "--tables": dict(action="store_true", help="include P^sigma/beta tables"),
+    "--gamma-config": dict(help="JSON file with a Gamma-set"),
+    "--cell-data": dict(help="JSON file with per-cell Gamma data"),
+}
+_COMMANDS = [
+    ("group", cmd_group, "enumerate elements and twisted involutions", "--star --max-len"),
+    ("kl", cmd_kl, "Kazhdan-Lusztig polynomials", "--max-len --y --w --cache-dir"),
+    ("cells", cmd_cells, "cells, a-function, distinguished involutions", "--pretty"),
+    ("jring", cmd_jring, "gamma table and the asymptotic ring", "--star --pretty|--struct"),
+    ("invmod", cmd_invmod, "involution module verifier suite", "--star --pretty|--tables"),
+    ("conj34", cmd_conj34, "ideal model: X elements and the eta certificate",
+     "--star --max-len --pretty"),
+    ("pi", cmd_pi, "projection onto involutions and specialization checks", "--max-len --pretty"),
+    ("eqvb", cmd_eqvb, "equivariant bundle counting checks",
+     "--star --pretty --gamma-config --cell-data"),
+    ("verify-all", cmd_verify_all, "run every suite for one system", "--star --pretty"),
+]
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heckework",
         description="exact-arithmetic workbench for Hecke algebras, cells, "
         "involution modules and equivariant K-rings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("group", help="enumerate elements and twisted involutions")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_group)
-
-    sp = sub.add_parser("kl", help="Kazhdan-Lusztig polynomials")
-    _add_common(sp)
-    sp.add_argument("--y")
-    sp.add_argument("--w")
-    sp.add_argument("--cache-dir", help="KL cache directory: written, never read for values")
-    sp.set_defaults(func=cmd_kl)
-
-    sp = sub.add_parser("cells", help="cells, a-function, distinguished involutions")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_cells)
-
-    sp = sub.add_parser("jring", help="gamma table and the asymptotic ring")
-    _add_common(sp)
-    sp.add_argument("--struct", action="store_true",
-                    help="include the full structure-constant polynomials")
-    sp.set_defaults(func=cmd_jring)
-
-    sp = sub.add_parser("invmod", help="involution module verifier suite")
-    _add_common(sp)
-    sp.add_argument("--tables", action="store_true", help="include P^sigma/beta tables")
-    sp.set_defaults(func=cmd_invmod)
-
-    sp = sub.add_parser("conj34", help="ideal model: X elements and the eta certificate")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_conj34)
-
-    sp = sub.add_parser("pi", help="projection onto involutions and specialization checks")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_pi)
-
-    sp = sub.add_parser("eqvb", help="equivariant bundle counting checks")
-    _add_common(sp)
-    sp.add_argument("--gamma-config", help="JSON file with a Gamma-set")
-    sp.add_argument("--cell-data", help="JSON file with per-cell Gamma data")
-    sp.set_defaults(func=cmd_eqvb)
-
-    sp = sub.add_parser("verify-all", help="run every suite for one system")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify_all)
-
+    for name, func, help_, options in _COMMANDS:
+        sp = sub.add_parser(name, help=help_)
+        system = sp.add_mutually_exclusive_group(required=name != "eqvb")
+        system.add_argument("--type", dest="type_label",
+                            help="system label (A2, B2, G2, I2(7), Dinf, ...)")
+        system.add_argument("--matrix",
+                            help="row-major Coxeter matrix, 0 = infinity (e.g. '1,3;3,1')")
+        for spec in options.split():
+            group = sp.add_mutually_exclusive_group() if "|" in spec else sp
+            for option in spec.split("|"):
+                group.add_argument(option, **_OPTIONS[option])
+        # what build_system, _system, _context and main read of an undeclared option
+        sp.set_defaults(func=func, star=None, max_len=None, pretty=False)
     return parser
 
 
 def main(argv=None):
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        args = make_parser().parse_args(argv)
         payload, reports = args.func(args)
         return _emit(payload, reports, args.pretty)
     except (UsageError, ValueError, OSError) as exc:

@@ -329,6 +329,74 @@ def closure(rows):
     return rows
 
 
+# -- Kottwitz's identity on the left cells --------------------------------------------
+
+
+def kottwitz_fault(cells, star=None):
+    """The first left cell L, in `left_cells` order, where Kottwitz's identity
+
+        |W| #(L n I_*) = sum_w chi_L(w) #{x : x x* = w}
+
+    fails, as (the sorted words of L, the left side, the right side); None
+    when every cell holds.  star is the diagram involution as a tuple of
+    generator indices (None: the identity), and I_* = {w : w* = w^-1}.
+
+    chi_L is the character of the left cell module at v = 1, the group
+    algebra: T_s acts as c_s - 1, with c_s c_w from `HeckeAlgebra.c_gen_mult`
+    (v + v^-1 = 2 there) restricted to L, and T_w = T_s T_w' for w = s w' in
+    length order.  Every irreducible character of a finite Coxeter group is
+    real, so by Frobenius-Schur #{x : x^2 = w} = sum_E chi_E(w), and the
+    right side over |W| is the number of irreducible constituents of L
+    counted with multiplicity.  That this is the number of involutions in L
+    is Kottwitz's (Represent. Theory 4, 2000), shown there for the classical
+    Weyl groups; the tests check it on dihedral and exceptional systems
+    too.  With a nontrivial star the identity is checked as observed on
+    these systems, not cited as a theorem.  Only the W-graph is shared with the cells: no
+    a, no gamma and no KL value beyond mu."""
+    system = cells.system
+    els = sorted(cells.elements, key=lambda w: len(w.word))
+    star = tuple(range(system.rank)) if star is None else tuple(star)
+    twisted = {}  # w -> #{x : x x* = w}
+    for x in els:
+        w = x * system.element(star[g] for g in x.word)
+        twisted[w] = twisted.get(w, 0) + 1
+    for cell in cells.left_cells:
+        index = {w.id: k for k, w in enumerate(sorted(cell, key=lambda w: w.sort_key()))}
+        n = len(index)
+        # the rows of T_s on L: row z holds (k, entry) for the basis element k
+        t_rows = []
+        for s in range(system.rank):
+            rows = [[] for _ in range(n)]
+            for w, k in index.items():
+                column = {w: -1}
+                for z, c in cells.algebra.c_gen_mult(s, {w: ONE}).items():
+                    column[z] = column.get(z, 0) + sum(a for _, a in c.items())
+                for z, e in column.items():
+                    if z in index and e:
+                        rows[index[z]].append((k, e))
+            t_rows.append(rows)
+        mats = {}  # w -> the matrix of T_w on L, as rows
+        rhs = 0
+        for w in els:
+            if not w.word:
+                m = [[int(i == j) for j in range(n)] for i in range(n)]
+            else:
+                rest, m = mats[system.generator(w.word[0]) * w], []
+                # no row is empty: T_s e_z has the term +-e_z
+                for (k, a), *more in t_rows[w.word[0]]:
+                    row = [a * x for x in rest[k]]
+                    for k, a in more:
+                        row = [x + a * y for x, y in zip(row, rest[k])]
+                    m.append(row)
+            mats[w] = m
+            rhs += twisted.get(w, 0) * sum(m[i][i] for i in range(n))
+        fixed = sum(1 for w in cell
+                    if system.element(star[g] for g in w.word) == w.inverse())
+        if len(els) * fixed != rhs:
+            return sorted(str(w) for w in cell), len(els) * fixed, rhs
+    return None
+
+
 # -- the reflection representation ---------------------------------------------------
 
 

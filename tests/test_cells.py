@@ -6,7 +6,7 @@ import pytest
 from heckework import CoxeterSystem, InfiniteGroupError
 from heckework.cells import CellData, _reach
 from heckework.hecke import HeckeAlgebra
-from oracles import closure, perm_of_word, rsk
+from oracles import closure, kottwitz_fault, perm_of_word, rsk
 
 
 def gamma(cd, x, y, z):
@@ -406,3 +406,40 @@ def test_two_sided_index_lookup(b2):
     outside = CoxeterSystem.from_label("A2").element("12")
     with pytest.raises(KeyError):
         b2.cells.two_sided_index(outside)
+
+
+_D4 = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
+_B4 = [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]
+
+
+@pytest.mark.parametrize("label, stars", [
+    ("A2", []), ("A3", ["321"]), ("A4", ["4321"]), ("B2", []), ("B3", []), ("B4", []),
+    ("D4", ["1243", "4231"]), ("G2", []), ("I2(5)", []),
+], ids=["A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "I2(5)"])
+def test_kottwitz_identity_holds_on_every_left_cell(label, stars):
+    # |W| #(L n I_*) = sum_w chi_L(w) #{x : x x* = w} on every left cell L,
+    # with the identity star and with each diagram star given (w -> w0 w w0
+    # on A3 and A4, the two branch swaps fixing one leg of D4); the cells do
+    # not depend on the star, so one CellData serves every star
+    matrix = {"B4": _B4, "D4": _D4}.get(label)
+    system = CoxeterSystem(matrix) if matrix else CoxeterSystem.from_label(label)
+    cells = CellData(HeckeAlgebra(system))
+    assert kottwitz_fault(cells) is None
+    for star in stars:
+        perm = CoxeterSystem(system.matrix, star=[int(ch) - 1 for ch in star]).star_perm
+        assert kottwitz_fault(cells, perm) is None, star
+
+
+def test_kottwitz_fault_names_a_cell_with_a_member_moved_out():
+    # B3: the least member of the first left cell of two or more elements
+    # moved into another left cell of its two-sided cell; both cells now
+    # fail, and the oracle names the first with both sides of the identity
+    cells = CellData(HeckeAlgebra(CoxeterSystem.from_label("B3")))
+    lcs = list(cells.left_cells)
+    a = next(i for i, c in enumerate(lcs) if len(c) > 1)
+    m = min(lcs[a], key=lambda w: w.sort_key())
+    b = next(i for i, c in enumerate(lcs) if i != a and cells.same_two_sided(m, next(iter(c))))
+    lcs[a], lcs[b] = lcs[a] - {m}, lcs[b] | {m}
+    cells.left_cells = tuple(lcs)
+    words, lhs, rhs = kottwitz_fault(cells)
+    assert words == sorted(str(w) for w in lcs[min(a, b)]) and lhs != rhs

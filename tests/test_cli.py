@@ -51,7 +51,7 @@ def test_kl_of_a_long_element_needs_no_deep_stack():
     # the KL fill is iterative, with no stack frame per length: P_{1,w}
     # with l(w) = 200 runs under a 150-frame limit
     code = ("import sys\nfrom heckework import cli\nsys.setrecursionlimit(150)\n"
-            "sys.exit(cli.main(['kl', '--type', 'Dinf', '--max-len', '200',"
+            "sys.exit(cli.main(['kl', '--type', 'Dinf',"
             " '--y', '1', '--w', '12' * 100]))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
@@ -67,12 +67,11 @@ KL_CASES = [
     ["--type", "B3"],
     ["--type", "G2"],
     ["--type", "I2(7)"],
-    ["--type", "A3", "--star", "321"],
     ["--type", "Dinf", "--max-len", "6"],
     ["--type", "Dinf", "--max-len", "0"],
     ["--type", "A3", "--y", "2", "--w", "2132"],
     ["--type", "A3", "--y", "2132", "--w", "2"],
-    ["--type", "A3", "--pretty"],
+    ["--type", "A3", "--y", "", "--w", "2132"],  # "" is e, as "e" is
 ]
 
 
@@ -286,6 +285,136 @@ def test_only_kl_declares_cache_dir():
             if "--cache-dir" in sp._option_string_actions] == ["kl"]
 
 
+_E_CELL, _CELL_OF_1 = "<cell-data: the cell of e>", "<cell-data: the cell of 1>"
+_GAMMA_CONFIG, _CACHE_DIR = "<gamma-config>", "<cache-dir>"
+_FILES = {
+    _E_CELL: {"cells": [{"index": 0, "gamma_rank": 0, "subgroups": [[]]}]},
+    _CELL_OF_1: {"cells": [{"representative": "1", "gamma_rank": 1, "subgroups": [[], []]}]},
+    _GAMMA_CONFIG: {"rank": 1, "subgroups": [[]]},
+}
+_RANK_2 = ("1,3;3,1", "1,4;4,1")
+
+# every (subcommand, option) the parser accepts: a call, and the option's
+# two settings (None: left out, True: a flag given) that make two calls
+OPTION_CASES = {
+    ("group", "--type"): (["group"], "A2", "B2"),
+    ("group", "--matrix"): (["group"], *_RANK_2),
+    ("group", "--star"): (["group", "--type", "A3"], None, "321"),
+    ("group", "--max-len"): (["group", "--type", "A3"], None, "2"),
+    ("kl", "--type"): (["kl"], "A2", "B2"),
+    ("kl", "--matrix"): (["kl"], *_RANK_2),
+    ("kl", "--max-len"): (["kl", "--type", "A3"], None, "2"),
+    ("kl", "--y"): (["kl", "--type", "A3", "--w", "2132"], "2", "1"),
+    ("kl", "--w"): (["kl", "--type", "A3", "--y", "2"], "2132", "213"),
+    ("kl", "--cache-dir"): (["kl", "--type", "A2"], None, _CACHE_DIR),
+    ("cells", "--type"): (["cells"], "A2", "B2"),
+    ("cells", "--matrix"): (["cells"], *_RANK_2),
+    ("cells", "--pretty"): (["cells", "--type", "A2"], None, True),
+    ("jring", "--type"): (["jring"], "A2", "B2"),
+    ("jring", "--matrix"): (["jring"], *_RANK_2),
+    ("jring", "--star"): (["jring", "--type", "A3"], None, "321"),
+    ("jring", "--pretty"): (["jring", "--type", "A2"], None, True),
+    ("jring", "--struct"): (["jring", "--type", "A2"], None, True),
+    ("invmod", "--type"): (["invmod"], "A2", "B2"),
+    ("invmod", "--matrix"): (["invmod"], *_RANK_2),
+    # the checks pass either way: the star shows in the tables
+    ("invmod", "--star"): (["invmod", "--type", "A2", "--tables"], None, "21"),
+    ("invmod", "--pretty"): (["invmod", "--type", "A2"], None, True),
+    ("invmod", "--tables"): (["invmod", "--type", "A2"], None, True),
+    ("conj34", "--type"): (["conj34"], "A2", "B2"),
+    ("conj34", "--matrix"): (["conj34"], *_RANK_2),
+    ("conj34", "--star"): (["conj34", "--type", "A2"], None, "21"),
+    ("conj34", "--max-len"): (["conj34", "--type", "Dinf"], "5", "6"),
+    ("conj34", "--pretty"): (["conj34", "--type", "A2"], None, True),
+    ("pi", "--type"): (["pi"], "A2", "B2"),
+    ("pi", "--matrix"): (["pi"], *_RANK_2),
+    ("pi", "--max-len"): (["pi", "--type", "Dinf"], "5", "6"),
+    ("pi", "--pretty"): (["pi", "--type", "A2"], None, True),
+    ("eqvb", "--type"): (["eqvb", "--cell-data", _E_CELL], "A2", "B2"),
+    ("eqvb", "--matrix"): (["eqvb", "--cell-data", _E_CELL], *_RANK_2),
+    # B2's cell of 1 holds four involutions and two twisted by 21: exit 1
+    ("eqvb", "--star"): (["eqvb", "--type", "B2", "--cell-data", _CELL_OF_1], None, "21"),
+    ("eqvb", "--pretty"): (["eqvb"], None, True),
+    ("eqvb", "--gamma-config"): (["eqvb"], None, _GAMMA_CONFIG),
+    ("eqvb", "--cell-data"): (["eqvb", "--type", "B2"], _E_CELL, _CELL_OF_1),
+    ("verify-all", "--type"): (["verify-all"], "A1", "A2"),
+    ("verify-all", "--matrix"): (["verify-all"], *_RANK_2),
+    ("verify-all", "--star"): (["verify-all", "--type", "A2"], None, "21"),
+    ("verify-all", "--pretty"): (["verify-all", "--type", "A2"], None, True),
+}
+
+
+def test_the_option_cases_are_every_option_the_parser_accepts():
+    (commands,) = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {(name, a.option_strings[-1]) for name, sp in commands.choices.items()
+                for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+    assert accepted == set(OPTION_CASES) and len(accepted) == 42
+
+
+@pytest.mark.parametrize("command, option", OPTION_CASES, ids=map(" ".join, OPTION_CASES))
+def test_every_accepted_option_changes_stdout(tmp_path, capsys, command, option):
+    # the two calls differ only in the option, and print different stdout;
+    # --cache-dir prints the same and writes its file instead
+    argv, *settings = OPTION_CASES[command, option]
+    paths = {name: tmp_path / str(i) for i, name in enumerate([*_FILES, _CACHE_DIR])}
+    for name, data in _FILES.items():
+        paths[name].write_text(json.dumps(data))
+    outs = []
+    for value in settings:
+        extra = [] if value is None else [option] if value is True else [option, value]
+        code, out = run(capsys, *(str(paths.get(a, a)) for a in argv + extra))
+        assert code in (0, 1) and out, (argv, extra)
+        outs.append(out)
+    if option == "--cache-dir":
+        assert outs[0] == outs[1] and len(list(paths[_CACHE_DIR].iterdir())) == 1
+    else:
+        assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    # the options no subcommand reads any more
+    ["group", "--type", "A2", "--pretty"],
+    ["kl", "--type", "A3", "--pretty"],
+    ["kl", "--type", "A3", "--star", "321"],
+    ["cells", "--type", "A3", "--star", "321"],
+    ["pi", "--type", "A2", "--star", "21"],
+    ["cells", "--type", "Dinf", "--max-len", "3"],
+    ["jring", "--type", "Dinf", "--max-len", "3"],
+    ["invmod", "--type", "Dinf", "--max-len", "3"],
+    ["verify-all", "--type", "Dinf", "--max-len", "3"],
+    ["eqvb", "--max-len", "3"],
+    # combinations that would drop an input
+    ["group", "--type", "A2", "--matrix", "1,4;4,1"],
+    ["kl", "--matrix", "1,4;4,1", "--type", "A2"],
+    ["eqvb", "--type", "B3"],
+    ["eqvb", "--matrix", "1,3;3,1"],
+    ["eqvb", "--star", "21"],
+    ["jring", "--type", "A2", "--struct", "--pretty"],
+    ["invmod", "--type", "A2", "--pretty", "--tables"],
+    ["conj34", "--type", "Dinf", "--max-len", "5", "--pretty"],
+    ["kl", "--type", "A3", "--y", "2", "--w", "2132", "--max-len", "1"],
+    # no system
+    ["cells"],
+    ["verify-all", "--star", "21"],
+    ["group", "--max-len", "2"],
+    # a parse error of argparse's own
+    ["group", "--type", "A2", "--max-len", "x"],
+    [],
+])
+def test_an_unread_option_or_a_dropped_input_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kl", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: heckework kl")
+
+
 def test_group_listing(capsys):
     code, data = run_json(capsys, "group", "--type", "A2")
     assert code == 0
@@ -402,6 +531,48 @@ def test_eqvb_cell_data_mismatch_exit_code(tmp_path, capsys):
     assert code == 1  # check failure, not a crash
     data = json.loads(out)
     assert data["passed"] is False
+
+
+@pytest.mark.parametrize("entry, failed", [
+    ({"representative": "1", "gamma_rank": 1, "subgroups": [[]]},
+     [("left-cell-count", {"supplied": 1, "actual": 2}),
+      ("kbar-rank-matches", {"rank": 2, "involutions": 4})]),
+    ({"representative": "1", "gamma_rank": 0, "subgroups": [[], []]},
+     [("dimension-consistency", {"expected": 2, "involutions": 4}),
+      ("kbar-rank-matches", {"rank": 2, "involutions": 4})]),
+], ids=["one-subgroup-list", "gamma-rank-0"])
+def test_wrong_cell_data_fails_its_checks_with_witnesses(tmp_path, capsys, entry, failed):
+    # B2's cell of 1 has two left cells and four twisted involutions.  No
+    # file fails kbar-rank-matches alone: by the rank formula its rank is
+    # 2^r times the number of subgroup lists, which is the involution count
+    # whenever left-cell-count and dimension-consistency both hold
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps({"cells": [entry]}))
+    code, data = run_json(capsys, "eqvb", "--type", "B2", "--cell-data", str(path))
+    got = [(c["id"], c["witness"]) for r in data["reports"]
+           for c in r["checks"] if not c["pass"]]
+    assert (code, got) == (1, failed)
+
+
+def test_a_lost_x_orbit_fails_rank_formula_alone(capsys, monkeypatch):
+    # the last of two or more orbits of X dropped after the ring is built:
+    # only the count reads x_orbits, so rank-formula fails on the eight
+    # library sets with more than one orbit, and nothing else does
+    built = KRing.__init__
+
+    def planted(self, gs):
+        built(self, gs)
+        self.x_orbits = self.x_orbits[:-1] or self.x_orbits
+
+    monkeypatch.setattr(KRing, "__init__", planted)
+    code, data = run_json(capsys, "eqvb")
+    got = [(r["system"], c["id"], c["witness"]) for r in data["reports"]
+           for c in r["checks"] if not c["pass"]]
+    assert code == 1 and {check for _, check, _ in got} == {"rank-formula"}
+    assert [name for name, _, _ in got] == [
+        "trivial-3pt", "trivial-5pt", "z2-two-fixed-plus-regular", "z2-three-fixed",
+        "z2-two-regular", "v4-three-lines", "v4-line-plus-point", "v4-mixed"]
+    assert got[0][2] == {"expected": 2, "rank": 3}
 
 
 def test_verify_all_a2(capsys):

@@ -327,3 +327,13 @@ def test_zero_coefficient_in_a_sum_is_dropped(op, a2):
         "circ": lambda: kr.circ({0: 0}, {0: 1}),
     }
     assert calls[op]() == {}
+
+
+def test_a_trace_signature_counts_g_only_where_it_fixes_both_coordinates():
+    # X = two points fixed by g = 1 and the pair {2, 3} it swaps.  Basis
+    # class 4 lives on the orbit {(0, 2), (0, 3)}: g = 1 fixes x = 0 there
+    # but neither y, so only g = 0 has a trace
+    kr = KRing(dict(standard_pairs())["z2-two-fixed-plus-regular"])
+    n = kr.gs.size
+    assert [divmod(p, n) for p in kr.pair_orbits[kr.basis[4][0]].points] == [(0, 2), (0, 3)]
+    assert kr.trace_signature({4: 1}) == {(0 * n + 2, 0): 1, (0 * n + 3, 0): 1}
