@@ -177,12 +177,12 @@ class CellData:
         """Two-sided blocks J_c and the subrings attached to *-stable left cells.
 
         Returns (cell_blocks, left_blocks): each cell block is a dict with the
-        cell, its basis, its unit 1_c; each left block carries the left cell
+        cell's basis and its unit 1_c; each left block carries the left cell
         lambda, the basis of J_{lambda n lambda^-1}, and its unit t_d.
         """
         dist = set(self.distinguished_involutions())
         cell_blocks = [
-            {"cell": c, "basis": _sorted(c), "unit": dict.fromkeys(_sorted(c & dist), 1)}
+            {"basis": _sorted(c), "unit": dict.fromkeys(_sorted(c & dist), 1)}
             for c in self.two_sided_cells
         ]
         left_blocks = []

@@ -83,7 +83,10 @@ def _system(args, infinite_only=False):
 def _context(args, need_cells=False, need_inv=False):
     sys_ = _system(args, need_cells or need_inv)
     alg = HeckeAlgebra(sys_)
-    cells = CellData(alg) if need_cells else None
+    cells = CellData(alg) if need_cells else None  # refuses an infinite system
+    # the involution module's window is the ideal model's only one
+    if need_inv and args.max_len is None and not sys_.is_finite:
+        raise UsageError("%s is infinite: pass --max-len" % sys_.describe())
     inv = InvolutionModule(alg, max_len=args.max_len) if need_inv else None
     return sys_, alg, cells, inv
 
@@ -190,6 +193,8 @@ def cmd_kl(args):
     # byte: a failure writes nothing, and a usage error creates no
     # --cache-dir directory
     sys_ = _system(args)
+    if args.cache_dir == "":
+        raise UsageError("--cache-dir: the directory name is empty")
     enc = json.encoder.encode_basestring_ascii
     kl = KLTable(sys_)
     if (args.y, args.w) != (None, None):
@@ -360,12 +365,10 @@ def cmd_conj34(args):
         reports.append(rep)
         payload["ideal_dimension"] = next(
             c.witness["dim"] for c in rep.checks if c.check_id == "ideal-dimension")
-    elif args.max_len is None:
-        raise UsageError("infinite system: pass --max-len")
     elif args.pretty:
         raise UsageError("--pretty prints reports, and an infinite system has none")
     else:
-        x_table = ideal.x_elements(max_len=args.max_len)
+        x_table = ideal.x_elements()
     for w in sorted(x_table, key=lambda w: w.sort_key()):
         elt = x_table[w]
         entry = {"w": str(w), "terms": _elt_terms(elt.coeffs)}
@@ -378,7 +381,7 @@ def cmd_conj34(args):
 def cmd_pi(args):
     sys_, _, _, inv = _context(args, need_inv=True)
     ideal = IdealModel(inv)
-    rep, pi = ideal.specialization_check(max_len=args.max_len)
+    rep, pi = ideal.specialization_check()
     fibers = ideal.pi_fibers(pi)
     payload = {
         "system": sys_.describe(),

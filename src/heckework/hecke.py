@@ -26,7 +26,7 @@ completion (`idealmod`) and the rest of the package, each written once:
 - `t_inv_gen_action`: the inverse generator T_s^-1 = q^-1 T_s + (q^-1 - 1),
   which is bar(T_s) (in `bar_t` here and `_bar_ts` in the module);
 - `half_step`: the descent half step (u + 1)^-1 (T_s - u), in the module's
-  `bar_a` (with u^-1 and bar(T_s)) and the completion's `x_elt`; the
+  `bar_a` (with u^-1 and bar(T_s)) and the completion's `_x_elt`; the
   division is exact in Z[v, v^-1];
 - `bar_invariant_solve`: the certifying triangular solve for the canonical
   basis element (c_w here, A_w in the module);
@@ -363,7 +363,7 @@ class HeckeAlgebra:
         self.kl = KLTable(system)
         self._bar_t = {}
         self._c_elt = {}
-        self._c_elt_solved = {}
+        self._solved = {}
         self._h_struct = {}
 
     # -- T-basis multiplication ------------------------------------------------
@@ -463,8 +463,8 @@ class HeckeAlgebra:
         """
         if not self.system.bruhat_leq(y, w):
             return ZERO
-        c_w = self._c_elt_solved.get(w)
+        c_w = self._solved.get(w)
         if c_w is None:
-            c_w = self._c_elt_solved[w] = bar_invariant_solve(
+            c_w = self._solved[w] = bar_invariant_solve(
                 w, self.system.lower_interval(w), self.bar_t)
         return c_w.get(y, ZERO).shifted(len(w.word)).halve_exponents()

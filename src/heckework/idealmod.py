@@ -28,10 +28,11 @@ Key objects:
 - specialization_check: (X_w at u^-1 = 0) = sum of T_x over the pi-fiber
   of w, plus the length identity l(w) = l(x) + l(x^-1 w) on every fiber.
 
-Truncation bookkeeping: left multiplication by T_s can pull unknown
-coefficients of length N+1 down to length N, so each T_s application
-shrinks the guaranteed-exact window by one; every emitted coefficient is
-tagged with the window it is exact in.
+Truncation bookkeeping: the window is the involution module's max_len, and
+X_empty, every X_w, pi and the checks all stop at it.  Left multiplication
+by T_s can pull unknown coefficients of length N+1 down to length N, so each
+T_s application shrinks the guaranteed-exact window by one; every emitted
+coefficient is tagged with the window it is exact in.
 """
 
 from __future__ import annotations
@@ -82,26 +83,20 @@ class CompletionElement:
 
 class IdealModel:
     """The ideal generated by X_empty inside the completed module, plus the
-    associated projection and specialization checks, for one system."""
+    associated projection and specialization checks, for one system, on the
+    length window of the involution module it wraps."""
 
     def __init__(self, invmod):
         self.invmod = invmod
         self.system = invmod.system
+        self.max_len = invmod.max_len
         self._x_memo = {}
 
     # -- completion arithmetic ----------------------------------------------------
 
-    def x_empty(self, max_len=None):
-        """X_empty = sum over x with x* = x of u^{-l(x)} T_x."""
-        sys = self.system
-        if max_len is None and not sys.is_finite:
-            raise InfiniteGroupError("x_empty over an infinite group needs max_len")
-        coeffs = {}
-        for x in sys.elements(max_len=max_len):
-            if sys.star_elt(x) == x:
-                coeffs[x] = LaurentPoly.monomial(-2 * len(x.word))
-        window = None if sys.is_finite else max_len
-        return CompletionElement(coeffs, window)
+    def x_empty(self):
+        """X_empty = sum over x with x* = x of u^{-l(x)} T_x, on the window."""
+        return self._x_elt(self.system.identity, self.max_len)
 
     def t_gen_mult(self, i, elt):
         """Left multiplication by T_{s_i}; shrinks a truncation window by one."""
@@ -111,20 +106,27 @@ class IdealModel:
 
     # -- the X_w elements ------------------------------------------------------------
 
-    def x_elt(self, w, max_len=None):
-        """X_w = eta^{-1}(a_w), exact to l(x) <= max_len (None for finite W):
-        one descent step from the memoized X_v, taken one length further.
-        The same step must send a_v exactly to a_w in the involution module;
-        that is asserted, and by induction certifies the whole chain."""
-        key = (w, max_len)
+    def x_elt(self, w):
+        """X_w = eta^{-1}(a_w), exact on the window."""
+        return self._x_elt(w, self.max_len)
+
+    def _x_elt(self, w, window):
+        """X_w exact to l(x) <= window (None: whole): one descent step from
+        the memoized X_v, taken one length further.  The same step must send
+        a_v exactly to a_w in the involution module; that is asserted, and by
+        induction certifies the whole chain."""
+        key = (w, window)
         got = self._x_memo.get(key)
         if got is None:
             if not w.word:
-                got = self.x_empty(max_len=max_len)
+                sys = self.system
+                got = CompletionElement({x: LaurentPoly.monomial(-2 * len(x.word))
+                                         for x in sys.elements(max_len=window)
+                                         if sys.star_elt(x) == x}, window)
             else:
                 i = w.word[0]
                 half, v = self.invmod._case(i, w)
-                prev = self.x_elt(v, None if max_len is None else max_len + 1)
+                prev = self._x_elt(v, None if window is None else window + 1)
                 got = self.t_gen_mult(i, prev)
                 m = self.invmod.ts_action(i, {v: ONE})
                 if half:
@@ -137,11 +139,10 @@ class IdealModel:
             self._x_memo[key] = got
         return got
 
-    def x_elements(self, max_len=None):
-        """X_w for every twisted involution w with l(w) <= max_len, each exact
-        to the window max_len for truncated systems (all of I_* when None)."""
-        return {w: self.x_elt(w, max_len=max_len)
-                for w in self.system.twisted_involutions(max_len=max_len)}
+    def x_elements(self):
+        """X_w for every twisted involution w of the module, each exact on
+        the window."""
+        return {w: self.x_elt(w) for w in self.invmod.basis}
 
     # -- the eta certificate ----------------------------------------------------------
 
@@ -169,8 +170,9 @@ class IdealModel:
         in Z[u^-1].  Returns (report, x_table).
         """
         sys = self.system
-        if not sys.is_finite:
-            raise InfiniteGroupError("eta_check requires a finite group")
+        # a window cuts X_w short where T_s reaches past it, even for finite W
+        if self.max_len is not None:
+            raise InfiniteGroupError("eta_check requires a finite group and no window")
         rep = Report("conj-eta", sys.describe())
         inv = self.invmod.basis
         x_table = {}
@@ -240,7 +242,7 @@ class IdealModel:
                 out[x] = n
         return out
 
-    def pi_map(self, max_len=None):
+    def pi_map(self):
         """The inductive projection onto involutions, built by length.
 
         Requires sigma-star = identity: the displayed rule produces plain
@@ -250,7 +252,7 @@ class IdealModel:
         if sys.star_perm != tuple(range(sys.rank)):
             raise ValueError("the projection rule is stated for * = 1 only")
         pi = {sys.identity: sys.identity}
-        for x in sys.elements(max_len=max_len):
+        for x in sys.elements(max_len=self.max_len):
             if not x.word:
                 continue
             pi[x] = self._pi_step(pi, x, x.word[0])
@@ -274,12 +276,12 @@ class IdealModel:
             fibers.setdefault(w, []).append(x)
         return {w: sorted(xs, key=lambda x: x.sort_key()) for w, xs in fibers.items()}
 
-    def pi_report(self, max_len=None):
+    def pi_report(self):
         """Well-definedness of the rule (all descents agree), involution-valued,
-        surjectivity onto the enumerated window."""
+        surjectivity onto the twisted involutions of the window."""
         sys = self.system
         rep = Report("pi", sys.describe())
-        pi = self.pi_map(max_len=max_len)
+        pi = self.pi_map()
         bad = None
         for x in pi:
             if not x.word:
@@ -296,34 +298,24 @@ class IdealModel:
                 break
         rep.add("involution-valued", bad is None, bad)
         image = set(pi.values())
-        missing = [
-            str(w)
-            for w in sys.twisted_involutions(max_len=max_len)
-            if w not in image
-        ]
+        missing = [str(w) for w in self.invmod.basis if w not in image]
         rep.add("surjective", not missing, missing or None)
         return rep, pi
 
-    def specialization_check(self, max_len=None):
+    def specialization_check(self):
         """(X_w at u^-1 = 0) = sum over the pi-fiber of w, and the length
-        identity on every fiber.  For truncated systems the comparison is
-        restricted to the guaranteed-exact window.  Returns (report, pi)."""
+        identity on every fiber, for every w of the window, where pi and X_w
+        are exact.  Returns (report, pi)."""
         sys = self.system
         rep = Report("specialization", sys.describe())
-        sub, pi = self.pi_report(max_len=max_len)
+        sub, pi = self.pi_report()
         for c in sub.checks:
             rep.add("pi-" + c.check_id, c.passed, c.witness)
         fibers = self.pi_fibers(pi)
-        finite = sys.is_finite
-        if finite:
-            targets = self.invmod.basis
-        else:
-            targets = [w for w in self.invmod.basis if len(w.word) <= max_len]
         bad_spec = None
         bad_len = None
-        for w in targets:
-            xw = self.x_elt(w, max_len=None if finite else max_len)
-            spec = self.specialize(xw)
+        for w in self.invmod.basis:
+            spec = self.specialize(self.x_elt(w))
             fib = fibers.get(w, [])  # pi reads the window, so X_w is exact on it
             expected = {x: 1 for x in fib}
             if spec != expected:

@@ -115,13 +115,17 @@ def bar_a_by_chain(inv, w):
     return _laurent(m)
 
 
-def x_elt_by_chain(ideal, w, max_len=None):
+def x_elt_by_chain(ideal, w):
     """X_w by replaying w's whole descent chain on X_empty, taken exact far
-    enough that the chain leaves the window max_len; the same chain must
+    enough that the chain leaves the module's window; the same chain must
     send a_e to a_w."""
+    sys = ideal.system
     steps = descent_chain(ideal.invmod, w)
-    elt = ideal.x_empty(max_len=None if max_len is None else max_len + len(steps))
-    m = {ideal.system.identity: RationalFn(ONE)}
+    window = None if ideal.max_len is None else ideal.max_len + len(steps)
+    elt = CompletionElement({x: LaurentPoly.monomial(-2 * len(x.word))
+                             for x in sys.elements(max_len=window) if sys.star_elt(x) == x},
+                            window)
+    m = {sys.identity: RationalFn(ONE)}
     for half, i in steps:
         t = ideal.t_gen_mult(i, elt)
         tm = ideal.invmod.ts_action(i, m)

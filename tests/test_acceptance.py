@@ -146,8 +146,8 @@ def test_acceptance_1_x_table_reproduction():
         assert xt[w].coeffs == expand(sys, factor, terms), lbl
     assert len(xt) == 10
     # Dinf series truncated to l(x) <= 7
-    sys, alg, _, inv, ideal = fresh("Dinf", max_len=9, with_cells=False)
-    x0 = ideal.x_empty(max_len=7)
+    sys, alg, _, inv, ideal = fresh("Dinf", max_len=7, with_cells=False)
+    x0 = ideal.x_empty()
     assert x0.coeffs == {
         x: u_poly({-len(x.word): 1}) for x in sys.elements(max_len=7)
     }
@@ -157,7 +157,7 @@ def test_acceptance_1_x_table_reproduction():
             if lw > 7:
                 continue
             w = sys.element(tuple((first + i) % 2 for i in range(lw)))
-            xw = ideal.x_elt(w, max_len=7)
+            xw = ideal.x_elt(w)
             expected = {}
             for length in range(k + 1, 8):
                 x = sys.element(tuple((first + i) % 2 for i in range(length)))
@@ -193,16 +193,15 @@ def test_acceptance_2_pi_reproduction():
         ("A3", A3_FIBERS, None),
         ("Dinf", DINF_FIBERS, 12),
     ):
-        sys, alg, _, inv, ideal = fresh(label, max_len=13 if label == "Dinf" else None,
-                                        with_cells=False)
-        _, pi = ideal.pi_report(max_len=max_len)
+        sys, alg, _, inv, ideal = fresh(label, max_len=max_len, with_cells=False)
+        _, pi = ideal.pi_report()
         fibers = ideal.pi_fibers(pi)
         for w_lbl, xs in expected_fibers.items():
             w = sys.element(w_lbl)
             assert fibers[w] == sorted(
                 (sys.element(x) for x in xs), key=lambda e: e.sort_key()
             ), (label, w_lbl)
-        rep, spec_pi = ideal.specialization_check(max_len=max_len)
+        rep, spec_pi = ideal.specialization_check()
         assert rep.passed, (label, [c.to_json() for c in rep.checks])
         assert spec_pi == pi, label
     elapsed_ok(t0, 5, 2, "pi fibers + specialization + length identity")

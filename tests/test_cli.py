@@ -393,6 +393,10 @@ def test_every_accepted_option_changes_stdout(tmp_path, capsys, command, option)
     ["invmod", "--type", "A2", "--pretty", "--tables"],
     ["conj34", "--type", "Dinf", "--max-len", "5", "--pretty"],
     ["kl", "--type", "A3", "--y", "2", "--w", "2132", "--max-len", "1"],
+    ["kl", "--type", "A2", "--cache-dir", ""],
+    # an infinite system with no window
+    ["conj34", "--type", "Dinf"],
+    ["pi", "--type", "Dinf"],
     # no system
     ["cells"],
     ["verify-all", "--star", "21"],
@@ -406,6 +410,12 @@ def test_an_unread_option_or_a_dropped_input_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["conj34", "pi"])
+def test_an_infinite_system_without_a_window_is_told_to_pass_max_len(capsys, command):
+    assert main([command, "--matrix", "1,3,3;3,1,3;3,3,1"]) == 2
+    assert "--max-len" in capsys.readouterr().err
 
 
 def test_help_still_exits_0(capsys):
@@ -1254,8 +1264,8 @@ def _e_from_second_descent_of_121(monkeypatch):
 def _plant_in_pi_map(monkeypatch, edit):
     built = IdealModel.pi_map
 
-    def planted(self, max_len=None):
-        pi = built(self, max_len)
+    def planted(self):
+        pi = built(self)
         edit(self.system, pi)
         return pi
 

@@ -112,9 +112,10 @@ def test_x_13_matches_table(a3):
     )
 
 
-def test_dinf_x_121_series(dinf):
-    sys = dinf.sys
-    x = dinf.ideal.x_elt(sys.element("121"), max_len=8)
+def test_dinf_x_121_series():
+    ideal = _ideal("Dinf", max_len=8)
+    sys = ideal.system
+    x = ideal.x_elt(sys.element("121"))
     expected = expand(
         sys,
         {1: 1, 0: -1},
@@ -132,11 +133,10 @@ def test_dinf_x_121_series(dinf):
     assert x.exact_len == 8
 
 
-def test_dinf_truncation_stability(dinf):
-    sys = dinf.sys
-    w = sys.element("12121")
-    x_n = dinf.ideal.x_elt(w, max_len=8)
-    x_n2 = dinf.ideal.x_elt(w, max_len=10)
+def test_dinf_truncation_stability():
+    alg = HeckeAlgebra(CoxeterSystem.from_label("Dinf"))
+    w = alg.system.element("12121")
+    x_n, x_n2 = (IdealModel(InvolutionModule(alg, max_len=n)).x_elt(w) for n in (8, 10))
     for x, c in x_n.coeffs.items():
         if len(x.word) <= 6:
             assert x_n2.coeffs[x] == c
@@ -145,18 +145,21 @@ def test_dinf_truncation_stability(dinf):
             assert x_n.coeffs[x] == c
 
 
-def test_x_elements_one_window(dinf):
-    # max_len bounds both the twisted involutions and each X_w's window
-    table = dinf.ideal.x_elements(max_len=5)
-    assert list(table) == dinf.sys.twisted_involutions(max_len=5)
+def test_x_elements_one_window():
+    # the module's window bounds both the twisted involutions and each X_w's
+    ideal = _ideal("Dinf", max_len=5)
+    table = ideal.x_elements()
+    assert list(table) == ideal.system.twisted_involutions(max_len=5)
     for w, x in table.items():
-        assert x is dinf.ideal.x_elt(w, max_len=5)
+        assert x is ideal.x_elt(w)
+        assert x.exact_len == 5
 
 
-def test_window_bookkeeping(dinf):
-    base = dinf.ideal.x_empty(max_len=6)
+def test_window_bookkeeping():
+    ideal = _ideal("Dinf", max_len=6)
+    base = ideal.x_empty()
     assert base.exact_len == 6
-    shrunk = dinf.ideal.t_gen_mult(0, base)
+    shrunk = ideal.t_gen_mult(0, base)
     assert shrunk.exact_len == 5
     assert all(len(x.word) <= 5 for x in shrunk.coeffs)
     with pytest.raises(ValueError):
@@ -170,19 +173,19 @@ def test_x_integrality(a3):
             c.specialize_uinv_zero()  # raises if not in Z[u^-1]
 
 
-def _ideal(label, star=None):
+def _ideal(label, star=None, max_len=None):
     alg = HeckeAlgebra(CoxeterSystem.from_label(label, star=star))
-    return IdealModel(InvolutionModule(alg))
+    return IdealModel(InvolutionModule(alg, max_len=max_len))
 
 
 def _inexact_at_w0(monkeypatch, ideal):
     w0 = ideal.system.element("121")
     x_elt = ideal.x_elt
 
-    def inexact_at_w0(w, max_len=None):
+    def inexact_at_w0(w):
         if w is w0:
             raise InexactDivision("not divisible")
-        return x_elt(w, max_len)
+        return x_elt(w)
 
     monkeypatch.setattr(ideal, "x_elt", inexact_at_w0)
 
@@ -219,7 +222,7 @@ def test_only_an_inexact_division_is_caught(monkeypatch):
     # any other ValueError is a fault of the program, not a failed check
     ideal = _ideal("A2")
 
-    def broken(w, max_len=None):
+    def broken(w):
         raise ValueError("not an inexact division")
 
     monkeypatch.setattr(ideal, "x_elt", broken)
@@ -260,11 +263,12 @@ def test_pi_fibers_a3(a3):
     assert pi[w14] == e("121321")
 
 
-def test_pi_fibers_dinf(dinf):
-    _, pi = dinf.ideal.pi_report(max_len=12)
+def test_pi_fibers_dinf():
+    ideal = _ideal("Dinf", max_len=12)
+    _, pi = ideal.pi_report()
     fibers = {
         str(w): [str(x) for x in xs]
-        for w, xs in dinf.ideal.pi_fibers(pi).items()
+        for w, xs in ideal.pi_fibers(pi).items()
     }
     assert fibers["e"] == ["e"]
     assert fibers["1"] == ["1"]
@@ -277,10 +281,10 @@ def test_pi_fibers_dinf(dinf):
     assert fibers["2121212"] == ["2121"]
 
 
-def test_pi_well_defined_exhaustive(a3, dinf):
+def test_pi_well_defined_exhaustive(a3):
     rep, _ = a3.ideal.pi_report()
     assert rep.passed
-    repd, _ = dinf.ideal.pi_report(max_len=12)
+    repd, _ = _ideal("Dinf", max_len=12).pi_report()
     assert repd.passed
 
 
@@ -298,26 +302,27 @@ def test_specialization_checks(a1, a2, a3):
         assert rep.passed, [c.to_json() for c in rep.checks]
 
 
-def test_specialization_check_dinf(dinf):
-    rep, _ = dinf.ideal.specialization_check(max_len=12)
+def test_specialization_check_dinf():
+    rep, _ = _ideal("Dinf", max_len=12).specialization_check()
     assert rep.passed, [c.to_json() for c in rep.checks]
 
 
-def test_a_fault_at_the_top_of_the_window_fails_the_specialization(dinf, monkeypatch):
-    # the module reaches length 13 and the check stops at 11: X_w of the
-    # last w of length 11, given a T_e term, is still compared
-    ideal, e = dinf.ideal, dinf.sys.identity
-    top = max((w for w in dinf.inv.basis if len(w.word) <= 11), key=lambda w: w.sort_key())
+def test_a_fault_at_the_top_of_the_window_fails_the_specialization(monkeypatch):
+    # the check reaches the top of the module's window, length 11: X_w of
+    # the last w of length 11, given a T_e term, is still compared
+    ideal = _ideal("Dinf", max_len=11)
+    e = ideal.system.identity
+    top = max(ideal.invmod.basis, key=lambda w: w.sort_key())
     x_elt = ideal.x_elt
 
-    def planted(w, max_len=None):
-        got = x_elt(w, max_len=max_len)
+    def planted(w):
+        got = x_elt(w)
         if w != top:
             return got
         return CompletionElement({**got.coeffs, e: got.coeffs.get(e, ZERO) + ONE}, got.exact_len)
 
     monkeypatch.setattr(ideal, "x_elt", planted)
-    rep, _ = ideal.specialization_check(max_len=11)
+    rep, _ = ideal.specialization_check()
     (check,) = [c for c in rep.checks if c.check_id == "specialization-identity"]
     assert len(top.word) == 11 and not check.passed and check.witness[0] == str(top)
 
@@ -332,8 +337,12 @@ def test_infinite_guards(dinf):
         ideal_basis(dinf.ideal)
     with pytest.raises(InfiniteGroupError):
         dinf.ideal.eta_check()
+    # without a window there is no module, so no X_empty
     with pytest.raises(InfiniteGroupError):
-        dinf.ideal.x_empty()
+        IdealModel(InvolutionModule(dinf.alg))
+    # a window of a finite W certifies nothing either: T_s X_e reaches past it
+    with pytest.raises(InfiniteGroupError):
+        _ideal("A2", max_len=1).eta_check()
 
 
 def test_dihedral_ideal_dimensions():
@@ -398,7 +407,7 @@ def test_certificate_equals_row_reduction(label, star):
 def _tampered(monkeypatch, ideal, change):
     """eta_check over the X_w table as `change` rewrites it."""
     table = change(dict(ideal.x_elements()))
-    monkeypatch.setattr(ideal, "x_elt", lambda w, max_len=None: table[w])
+    monkeypatch.setattr(ideal, "x_elt", lambda w: table[w])
     return _checks(ideal.eta_check()[0])
 
 
@@ -533,4 +542,4 @@ def test_descent_step_equals_chain_replay(label, star, window):
     ideal = IdealModel(inv)
     for w in inv.basis:
         assert inv.bar_a(w) == bar_a_by_chain(inv, w), str(w)
-        assert ideal.x_elt(w, max_len=window) == x_elt_by_chain(ideal, w, window), str(w)
+        assert ideal.x_elt(w) == x_elt_by_chain(ideal, w), str(w)
