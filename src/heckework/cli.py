@@ -370,10 +370,9 @@ def cmd_conj34(args):
     else:
         x_table = ideal.x_elements()
     for w in sorted(x_table, key=lambda w: w.sort_key()):
-        elt = x_table[w]
-        entry = {"w": str(w), "terms": _elt_terms(elt.coeffs)}
-        if elt.exact_len is not None:
-            entry["exact_up_to_length"] = elt.exact_len
+        entry = {"w": str(w), "terms": _elt_terms(x_table[w])}
+        if ideal.max_len is not None:
+            entry["exact_up_to_length"] = ideal.max_len
         payload["x_elements"].append(entry)
     return payload, reports
 

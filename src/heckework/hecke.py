@@ -69,7 +69,7 @@ UINV_V = LaurentPoly.monomial(-2)                # u^-1
 V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})         # v + v^-1
 
 
-class InexactDivision(ValueError):
+class InexactDivision(ArithmeticError):
     """A descent half step met a coefficient that u + 1 does not divide."""
 
 

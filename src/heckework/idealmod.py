@@ -10,7 +10,7 @@ lengths add and T_s^2 = (u^2-1) T_s + u^2, with coefficients in Z[v, v^-1]
 Key objects:
 
 - X_empty = sum over *-fixed x of u^{-l(x)} T_x (a formal series for
-  infinite groups; truncations carry an explicit exactness window);
+  infinite groups, cut at the window below);
 - X_w, built by one descent step from the memoized X_v of the involution
   module's descent: X_w = (u+1)^{-1}(T_s - u) X_{sw} when sw = ws* < w,
   X_w = T_s X_{sws*} otherwise.  Each step is asserted to send a_v exactly
@@ -31,8 +31,9 @@ Key objects:
 Truncation bookkeeping: the window is the involution module's max_len, and
 X_empty, every X_w, pi and the checks all stop at it.  Left multiplication
 by T_s can pull unknown coefficients of length N+1 down to length N, so each
-T_s application shrinks the guaranteed-exact window by one; every emitted
-coefficient is tagged with the window it is exact in.
+descent step shrinks the exact window by one.  So each X_w, a plain T-basis
+dict with no tag, is built once, exact to max_len + (the module's deepest
+descent chain - the steps from e to w), and handed out cut to max_len.
 """
 
 from __future__ import annotations
@@ -50,37 +51,6 @@ PRIME = (1 << 61) - 1
 SPECIALIZATION_POINTS = (12345, 271828, 314159, 161803)
 
 
-class CompletionElement:
-    """A (possibly truncated) formal sum of T_x with Laurent coefficients.
-
-    exact_len None means exact (finitely supported); otherwise coefficients
-    of T_x are guaranteed exact for l(x) <= exact_len and dropped beyond.
-    """
-
-    def __init__(self, coeffs, exact_len=None):
-        self.coeffs = coeffs
-        self.exact_len = exact_len
-
-    def __eq__(self, other):
-        if not isinstance(other, CompletionElement):
-            return NotImplemented
-        return (self.coeffs, self.exact_len) == (other.coeffs, other.exact_len)
-
-    def __repr__(self):
-        return "CompletionElement(%r, %r)" % (self.coeffs, self.exact_len)
-
-    def trimmed(self, n):
-        """Restrict to l(x) <= n (n must not exceed the exactness window);
-        n = None keeps an exact element whole."""
-        if n is None:
-            return self
-        if self.exact_len is not None and n > self.exact_len:
-            raise ValueError("window %d exceeds exact length %d" % (n, self.exact_len))
-        return CompletionElement(
-            {w: c for w, c in self.coeffs.items() if len(w.word) <= n}, n
-        )
-
-
 class IdealModel:
     """The ideal generated by X_empty inside the completed module, plus the
     associated projection and specialization checks, for one system, on the
@@ -91,52 +61,51 @@ class IdealModel:
         self.system = invmod.system
         self.max_len = invmod.max_len
         self._x_memo = {}
-
-    # -- completion arithmetic ----------------------------------------------------
-
-    def x_empty(self):
-        """X_empty = sum over x with x* = x of u^{-l(x)} T_x, on the window."""
-        return self._x_elt(self.system.identity, self.max_len)
-
-    def t_gen_mult(self, i, elt):
-        """Left multiplication by T_{s_i}; shrinks a truncation window by one."""
-        out = t_gen_action(self.system, i, elt.coeffs, _U2)
-        n = elt.exact_len
-        return CompletionElement(out, n).trimmed(None if n is None else n - 1)
+        # window(w) = max_len + (the deepest chain - the steps from e to w)
+        self._window = dict.fromkeys(invmod.basis)
+        if self.max_len is not None:
+            depth = {}
+            for w in invmod.basis:  # by length, so v comes before w
+                depth[w] = depth[invmod._case(w.word[0], w)[1]] + 1 if w.word else 0
+            top = max(depth.values())
+            self._window = {w: self.max_len + top - d for w, d in depth.items()}
 
     # -- the X_w elements ------------------------------------------------------------
 
+    def x_empty(self):
+        """X_empty = sum over x with x* = x of u^{-l(x)} T_x, on the window."""
+        return _trimmed(self._x_elt(self.system.identity), self.max_len)
+
     def x_elt(self, w):
         """X_w = eta^{-1}(a_w), exact on the window."""
-        return self._x_elt(w, self.max_len)
+        return _trimmed(self._x_elt(w), self.max_len)
 
-    def _x_elt(self, w, window):
-        """X_w exact to l(x) <= window (None: whole): one descent step from
-        the memoized X_v, taken one length further.  The same step must send
+    def _x_elt(self, w):
+        """X_w exact to l(x) <= window(w) (None: whole), built once: one
+        descent step from the memoized X_v, trimmed to window(w) =
+        window(v) - 1, as far as T_s X_v is exact.  The same step must send
         a_v exactly to a_w in the involution module; that is asserted, and by
         induction certifies the whole chain."""
-        key = (w, window)
-        got = self._x_memo.get(key)
+        got = self._x_memo.get(w)
         if got is None:
+            sys = self.system
+            n = self._window[w]
             if not w.word:
-                sys = self.system
-                got = CompletionElement({x: LaurentPoly.monomial(-2 * len(x.word))
-                                         for x in sys.elements(max_len=window)
-                                         if sys.star_elt(x) == x}, window)
+                got = {x: LaurentPoly.monomial(-2 * len(x.word))
+                       for x in sys.elements(max_len=n) if sys.star_elt(x) == x}
             else:
                 i = w.word[0]
                 half, v = self.invmod._case(i, w)
-                prev = self._x_elt(v, None if window is None else window + 1)
-                got = self.t_gen_mult(i, prev)
+                prev = self._x_elt(v)
+                got = _trimmed(t_gen_action(sys, i, prev, _U2), n)
                 m = self.invmod.ts_action(i, {v: ONE})
                 if half:
-                    # T_s X_v is exact one length less far than X_v: trim X_v first
-                    num = prev.trimmed(got.exact_len).coeffs
-                    got = CompletionElement(half_step(got.coeffs, num, U_V), got.exact_len)
+                    # X_v's terms past window(w) would divide inexactly
+                    got = half_step(got, _trimmed(prev, n), U_V)
                     m = half_step(m, {v: ONE}, U_V)
                 if m != {w: ONE}:
                     raise AssertionError("descent step does not send a_%s to a_%s" % (v, w))
-            self._x_memo[key] = got
+            self._x_memo[w] = got
         return got
 
     def x_elements(self):
@@ -184,7 +153,7 @@ class IdealModel:
             except InexactDivision:
                 integral, witness = False, str(w)
                 continue
-            if not all(c.in_z_uinv() for c in xw.coeffs.values()):
+            if not all(c.in_z_uinv() for c in xw.values()):
                 integral, witness = False, str(w)
         n = len(inv)
         missing = [str(w) for w in inv if w not in x_table]
@@ -213,8 +182,8 @@ class IdealModel:
             for i in range(sys.rank):
                 rhs = {}
                 for wp, c in self.invmod.ts_action(i, {w: ONE}).items():
-                    add_scaled(rhs, x_table[wp].coeffs, c)
-                if t_gen_action(sys, i, xw.coeffs, _U2) != rhs:
+                    add_scaled(rhs, x_table[wp], c)
+                if t_gen_action(sys, i, xw, _U2) != rhs:
                     return {"equivariance": [i + 1, str(w)]}
         return None
 
@@ -225,7 +194,7 @@ class IdealModel:
         best, tried = 0, []
         for v0 in SPECIALIZATION_POINTS:
             tried.append(v0)
-            rows = [{x: _at(c, v0) for x, c in xw.coeffs.items()} for xw in x_table.values()]
+            rows = [{x: _at(c, v0) for x, c in xw.items()} for xw in x_table.values()]
             best = max(best, _rank_mod_p(rows))
             if best == len(rows):
                 break
@@ -236,7 +205,7 @@ class IdealModel:
     def specialize(self, elt):
         """(elt at u^-1 = 0): an integer combination of T_x."""
         out = {}
-        for x, c in elt.coeffs.items():
+        for x, c in elt.items():
             n = c.specialize_uinv_zero()
             if n:
                 out[x] = n
@@ -330,6 +299,11 @@ class IdealModel:
         rep.add("specialization-identity", bad_spec is None, bad_spec)
         rep.add("length-identity", bad_len is None, bad_len)
         return rep, pi
+
+
+def _trimmed(coeffs, n):
+    """The terms of coeffs with l(x) <= n; n = None keeps them all."""
+    return coeffs if n is None else {x: c for x, c in coeffs.items() if len(x.word) <= n}
 
 
 # -- ranks over F_p and the canonical fraction-free row echelon form -----------------

@@ -17,7 +17,10 @@ compares the canonical echelon forms of the |W| images h X_empty and
 h a_empty, and `ideal_basis` row-reduces the ideal itself.
 `bar_a_by_chain` and `x_elt_by_chain` replay the whole descent chain over
 Q(v), dividing by u + 1 through `RationalFn`, where the package takes one
-memoized step that divides exactly in Z[v, v^-1].
+memoized step that divides exactly in Z[v, v^-1].  Completion elements are
+plain T-basis dicts here too, multiplied by T_s through `hecke.t_gen_action`
+alone; `x_elt_by_chain` counts its own window, the module's plus one length
+per step of the chain, and none of the package's window code.
 
 `circ_basis_by_kappa` is the twisted circ product of the equivariant K-ring
 by the route `KRing.circ_basis` replaced with its closed form: the twist
@@ -30,12 +33,13 @@ point sets, and each trace a sum of one sign per fixed point z.
 from __future__ import annotations
 
 from heckework.eqvb import char_value
-from heckework.hecke import add_scaled, strip_off
-from heckework.idealmod import CompletionElement, canonical_rref
+from heckework.hecke import add_scaled, strip_off, t_gen_action
+from heckework.idealmod import canonical_rref
 from heckework.laurent import ONE, ZERO, LaurentPoly, RationalFn
 
 U = LaurentPoly.monomial(2)
 UINV = LaurentPoly.monomial(-2)
+U2 = LaurentPoly.monomial(4)
 
 
 # -- the T-basis route in H and M -----------------------------------------------------
@@ -61,11 +65,12 @@ def t_word_action(inv, word, m):
     return m
 
 
-def t_word_mult(ideal, word, elt):
-    """T_word times the completion element elt, one generator at a time."""
+def t_word_mult(system, word, coeffs):
+    """T_word times the exact T-basis dict coeffs at parameter u^2, one
+    generator at a time."""
     for i in reversed(word):
-        elt = ideal.t_gen_mult(i, elt)
-    return elt
+        coeffs = t_gen_action(system, i, coeffs, U2)
+    return coeffs
 
 
 def t_act(inv, h, m):
@@ -115,28 +120,32 @@ def bar_a_by_chain(inv, w):
     return _laurent(m)
 
 
+def _cut(coeffs, n):
+    """The terms of length at most n (None: all)."""
+    return {x: c for x, c in coeffs.items() if n is None or len(x.word) <= n}
+
+
 def x_elt_by_chain(ideal, w):
-    """X_w by replaying w's whole descent chain on X_empty, taken exact far
-    enough that the chain leaves the module's window; the same chain must
-    send a_e to a_w."""
+    """X_w by replaying w's whole descent chain on X_empty, taken exact to
+    the module's window plus one length per step of the chain, and one
+    length less after each step; the same chain must send a_e to a_w."""
     sys = ideal.system
     steps = descent_chain(ideal.invmod, w)
-    window = None if ideal.max_len is None else ideal.max_len + len(steps)
-    elt = CompletionElement({x: LaurentPoly.monomial(-2 * len(x.word))
-                             for x in sys.elements(max_len=window) if sys.star_elt(x) == x},
-                            window)
+    n = None if ideal.max_len is None else ideal.max_len + len(steps)
+    elt = {x: LaurentPoly.monomial(-2 * len(x.word))
+           for x in sys.elements(max_len=n) if sys.star_elt(x) == x}
     m = {sys.identity: RationalFn(ONE)}
     for half, i in steps:
-        t = ideal.t_gen_mult(i, elt)
+        n = None if n is None else n - 1
+        t = _cut(t_gen_action(sys, i, elt, U2), n)
         tm = ideal.invmod.ts_action(i, m)
         if half:
             # a quotient past the window of T_s X need not be Laurent
-            t = CompletionElement(half_step_q(t.coeffs, elt.coeffs, U),
-                                  elt.exact_len).trimmed(t.exact_len)
+            t = _cut(half_step_q(t, elt, U), n)
             tm = half_step_q(tm, m, U)
         elt, m = t, tm
     assert _laurent(m) == {w: ONE}, str(w)
-    return CompletionElement(_laurent(elt.coeffs), elt.exact_len)
+    return _laurent(elt)
 
 
 def kl_mu(kl, y, w):
@@ -151,9 +160,9 @@ def ideal_basis(ideal):
     """Row-reduce {T_x X_empty : x in W}; returns (dim, basis rows)."""
     els = ideal.system.elements()
     base = ideal.x_empty()
-    rows = [t_word_mult(ideal, x.word, base).coeffs for x in els]
+    rows = [t_word_mult(ideal.system, x.word, base) for x in els]
     rref = canonical_rref(rows, els)
-    return len(rref), [CompletionElement(dict(r)) for r in rref]
+    return len(rref), [dict(r) for r in rref]
 
 
 def eta_by_rref(ideal):
@@ -164,7 +173,7 @@ def eta_by_rref(ideal):
     sys = ideal.system
     els = sys.elements()
     base = ideal.x_empty()
-    images_x = [t_word_mult(ideal, x.word, base).coeffs for x in els]
+    images_x = [t_word_mult(sys, x.word, base) for x in els]
     images_a = [t_word_action(ideal.invmod, x.word, {sys.identity: ONE}) for x in els]
 
     def transposed(images, targets):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckework import InfiniteGroupError
+from heckework import CoxeterSystem, InfiniteGroupError
 from heckework.cache import MAGIC, SCHEMA_VERSION, CacheStore
 from heckework.cells import CellData
 from heckework.cli import build_system, main, make_parser
@@ -482,6 +482,35 @@ def test_conj34_dinf_truncated(capsys):
     assert by_w["121"]["exact_up_to_length"] == 5
     terms = {t["x"] for t in by_w["121"]["terms"]}
     assert terms == {"12", "121", "1212", "12121"}
+
+
+def test_a_nontrivial_star_skips_the_specialization(capsys):
+    # the constant `skipped-nontrivial-star` marker is the whole
+    # specialization report, because pi is stated for * = 1 only
+    code, data = run_json(capsys, "verify-all", "--type", "A3", "--star", "321")
+    assert code == 0
+    (spec,) = [r for r in data["reports"] if r["suite"] == "specialization"]
+    assert [c["id"] for c in spec["checks"]] == ["skipped-nontrivial-star"]
+    flip = CoxeterSystem.from_label("A3", star=[2, 1, 0])
+    with pytest.raises(ValueError, match="stated for"):
+        IdealModel(InvolutionModule(HeckeAlgebra(flip))).pi_map()
+
+
+def test_an_unwidened_window_is_an_internal_error(capsys, monkeypatch):
+    # every X_w built only to the module's window is inexact at its top
+    # length, and the half step that divides it fails: a fault of the
+    # program, not of the call
+    init = IdealModel.__init__
+
+    def unwidened(self, invmod):
+        init(self, invmod)
+        self._window = dict.fromkeys(self._window, self.max_len)
+
+    monkeypatch.setattr(IdealModel, "__init__", unwidened)
+    assert main(["conj34", "--type", "Dinf", "--max-len", "9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: InexactDivision: not divisible")
 
 
 def test_pi_command_dinf(capsys):
@@ -985,6 +1014,15 @@ _CELL_DATA = "<cell-data file>"
          "4d80f91143b63325886d466cb354e567ecbfb37262407b13e10422bff7bb4b05"),
         (["jring", "--matrix", "1,4,2,2;4,1,3,2;2,3,1,3;2,2,3,1"],
          "40633246da7c2d5f4f59c1d8f73d202dcf202e6f887d552730e7185287044ae5"),
+        (["conj34", "--type", "Dinf", "--max-len", "20"],
+         "1ea01cef9414edeb739d09a9c03fad4c7fbda20c5a3de52f014c97011c594238"),
+        (["pi", "--type", "Dinf", "--max-len", "20"],
+         "4acbb27159f687e3ece1341aaa4c155c9c84b4c7aa409776d54d7f7e71965564"),
+        (["conj34", "--matrix", "1,3,3;3,1,3;3,3,1", "--max-len", "7"],
+         "26dab8ed4e90850a364542a23063117b60f590fed4231528599e45d08209b34e"),
+        # affine C2, the only window pin with a bond of 4
+        (["conj34", "--matrix", "1,4,2;4,1,4;2,4,1", "--max-len", "6"],
+         "84b2e0e0f7407e5ff1f81ee909bb34199942801eb526061d9beffa0ad8e8c12c"),
     ],
     ids=["cells-B3", "cells-A4", "invmod-B3-tables", "verify-all-B3", "conj34-B3", "conj34-Dinf-9",
          "eqvb", "jring-A3-struct", "invmod-A2-star-tables", "kl-B3", "kl-A4", "kl-A5",
@@ -992,7 +1030,8 @@ _CELL_DATA = "<cell-data file>"
          "eqvb-B2-cell-data", "verify-all-G2", "kl-G2", "jring-B3", "jring-I2(5)",
          "jring-B2-struct", "jring-B3-struct", "invmod-D4", "invmod-A3-tables", "cells-D5",
          "cells-F4", "pi-Dinf-12", "conj34-affine-A2-4", "pi-affine-A2-5", "kl-A4-one-pair",
-         "jring-D4", "jring-B4"],
+         "jring-D4", "jring-B4", "conj34-Dinf-20", "pi-Dinf-20", "conj34-affine-A2-7",
+         "conj34-affine-C2-6"],
 )
 def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # cells and invmod recorded from the T-basis route, before the generator
@@ -1010,7 +1049,9 @@ def test_b3_stdout_is_unchanged(tmp_path, capsys, argv, digest):
     # and F4 while the preorders were closed by Warshall's algorithm; pi on
     # Dinf and affine A2, conj34 on affine A2 and kl A4 at one pair while
     # HeckeAlgebra still forwarded to the T-basis actions; jring D4 and B4
-    # while its checks rebuilt the gamma table pair by pair
+    # while its checks rebuilt the gamma table pair by pair; conj34 and pi on
+    # Dinf at 20 and conj34 on affine A2 at 7 and affine C2 at 6 while each
+    # X_w was memoized per (w, window) and tagged with its window
     if _CELL_DATA in argv:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(

@@ -268,6 +268,18 @@ def test_char_value():
     assert char_value(0, 7) == 1
 
 
+def test_every_character_is_its_own_dual():
+    # the argument of the constant `selfdual-characters` check: each
+    # character of (Z/2)^r is a +-1-valued homomorphism, so it equals its
+    # complex conjugate, the character of the dual
+    for r in range(4):
+        for phi in range(1 << r):
+            for g in range(1 << r):
+                assert char_value(phi, g) in (1, -1)
+                for h in range(1 << r):
+                    assert char_value(phi, g ^ h) == char_value(phi, g) * char_value(phi, h)
+
+
 def test_cell_consistency_a2(a2):
     for idx, c in enumerate(a2.cells.two_sided_cells):
         n_left = sum(1 for lam in a2.cells.left_cells if lam <= c)

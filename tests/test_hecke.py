@@ -376,7 +376,7 @@ def test_f_constants_follow_a_scaled_mu(a3_mu_tripled):
 
 def test_half_step_rejects_an_inexact_quotient(a2):
     # T_s-part {} and a_e leave -u a_e, and -u / (u + 1) is not Laurent
-    with pytest.raises(ValueError, match="not divisible"):
+    with pytest.raises(hecke.InexactDivision, match="not divisible"):
         hecke.half_step({}, {a2.sys.identity: ONE}, U)
 
 
